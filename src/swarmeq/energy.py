@@ -48,9 +48,7 @@ def interaction_energy(
 def entropy(rho: Density) -> float:
     """sum_i w_i rho_i log(rho_i), with 0 log 0 = 0."""
     v = rho.values
-    terms = np.zeros_like(v)
-    positive = v > 0
-    terms[positive] = v[positive] * np.log(v[positive])
+    terms = v * np.log(v, out=np.zeros_like(v), where=v > 0)
     return integrate(rho.grid, terms)
 
 

@@ -3,6 +3,12 @@
 Everything downstream (energies, the Gibbs map, diagnostics) integrates with
 the trapezoid weights defined here, so the discrete fixed point of the Gibbs
 map is a critical point of the discrete energy.
+
+The convolution K * rho is a dense matrix-vector product, except on uniform
+grids of at least 512 nodes whose kernel is at most 1e6 in magnitude: there
+it is a real FFT product with the kernel spectrum computed once per operator.
+FFT roundoff is spread over every node in proportion to max|K|, so harder
+kernels keep the dense product, which is exact to roundoff node by node.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 if TYPE_CHECKING:
     from .potentials import InteractionKernel
@@ -20,8 +26,18 @@ if TYPE_CHECKING:
 # Mass tolerance for a valid probability density under the grid quadrature.
 MASS_TOL = 1e-10
 
-# Uniform grids at least this large use the FFT convolution path.
-_FFT_THRESHOLD = 2048
+# Uniform grids at least this large use the FFT convolution path.  With one
+# BLAS thread on a 2-core x86-64 machine the dense product and the
+# cached-spectrum rFFT product cross over between N = 384 and N = 512
+# (at N = 1024: 430 us dense, 76 us rFFT).
+_FFT_THRESHOLD = 512
+
+# The FFT path is taken only when max|K| over the grid lags is at most this.
+# Its roundoff is about 2e-16 * max|K| on every node (measured at N = 4096),
+# so this bounds it near 2e-10, which moves the density about 1e-8 relative at
+# nu = 2**-6.  Harder kernels (power laws with p >= 16 on [0, 4]) would lose
+# the small values of K * rho where the density lives, and stay dense.
+_FFT_MAX_KERNEL = 1e6
 
 
 class SpacingMode(enum.Enum):
@@ -139,28 +155,35 @@ def indicator_density(grid: Grid, lo: float, hi: float) -> Density:
 class KernelOperator:
     """Precomputed discrete convolution u_i = sum_j w_j K(x_i - x_j) v_j.
 
-    Building the operator evaluates the kernel on every pairwise displacement
-    once; applying it afterwards is a matrix-vector product.  Large uniform
-    grids switch to an FFT path, which agrees with the direct sum to roundoff
-    because the displacement matrix is Toeplitz there.
+    Building the operator evaluates the kernel once; applying it afterwards is
+    a matrix-vector product, or an FFT product on uniform grids of at least
+    512 nodes.  There the displacement matrix is Toeplitz, so the sum is a
+    linear convolution with the 2N-1 kernel lags, whose real spectrum is
+    cached at build time.  The FFT path needs max|K| over the lags to be at
+    most 1e6: its roundoff, about 2e-16 * max|K| on every node, would swamp
+    the small values of K * rho on the support of a density under a harder
+    kernel, which therefore keeps the dense product.
     """
 
     def __init__(self, grid: Grid, kernel: "InteractionKernel"):
         self.grid = grid
         self.kernel = kernel
+        self._matrix = None
         n = grid.size
         if grid.is_uniform and n >= _FFT_THRESHOLD:
             lags = np.arange(-(n - 1), n) * (grid.length / (n - 1))
             kvals = np.asarray(kernel(lags), dtype=float)
             _check_finite(kvals, lags)
-            self._kvals = kvals
-            self._matrix = None
-        else:
-            disp = grid.nodes[:, None] - grid.nodes[None, :]
-            kmat = np.asarray(kernel(disp), dtype=float)
-            _check_finite(kmat, disp)
-            self._matrix = kmat * grid.weights[None, :]
-            self._kvals = None
+            if np.max(np.abs(kvals)) <= _FFT_MAX_KERNEL:
+                # a circular convolution of length >= 2N-1 leaves outputs
+                # N-1 .. 2N-2 of the linear one free of wrap-around
+                self._fft_len = next_fast_len(2 * n - 1, real=True)
+                self._spectrum = rfft(kvals, self._fft_len)
+                return
+        disp = grid.nodes[:, None] - grid.nodes[None, :]
+        kmat = np.asarray(kernel(disp), dtype=float)
+        _check_finite(kmat, disp)
+        self._matrix = kmat * grid.weights[None, :]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -171,8 +194,8 @@ class KernelOperator:
         if self._matrix is not None:
             return self._matrix @ values
         n = self.grid.size
-        full = fftconvolve(self._kvals, self.grid.weights * values)
-        return full[n - 1 : 2 * n - 1]
+        wv = rfft(self.grid.weights * values, self._fft_len)
+        return irfft(self._spectrum * wv, self._fft_len)[n - 1 : 2 * n - 1]
 
 
 def _check_finite(kvals: np.ndarray, displacements: np.ndarray) -> None:

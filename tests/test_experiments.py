@@ -72,6 +72,16 @@ class TestRunners:
         assert record.metrics["mass_in_window"] > 0.9
         assert record.tolerated  # converged
 
+    @pytest.mark.parametrize("p,energy", [(32.0, -0.00130251), (64.0, -0.000983798)])
+    def test_kplarge_hard_kernel_on_large_uniform_grid(self, p, energy):
+        # hard kernels must not take the FFT path, whose roundoff swamps K*rho
+        # on the support; the N = 2048 solve matches the N = 1024 energy
+        (record,) = run_experiment(
+            ExperimentConfig("kplarge", overrides={"p": [p], "g": [0.0], "N": 2048})
+        )
+        assert record.metrics["converged"]
+        assert record.metrics["total_energy"] == pytest.approx(energy, rel=1e-6)
+
     def test_kplarge_hardest_power_is_tolerated(self):
         record = ResultRecord(
             experiment="kplarge", parameters={"p": 256}, metrics={"converged": False},

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import brute_force_convolution, zero_kernel
@@ -6,6 +9,7 @@ from swarmeq import (
     Density,
     KernelOperator,
     PowerLawKernel,
+    RegularizedQanrKernel,
     SpacingMode,
     convolve_kernel,
     indicator_density,
@@ -116,17 +120,35 @@ class TestConvolution:
                 scale = np.max(np.abs(ref)) or 1.0
                 assert np.max(np.abs(u - ref)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("n,fft", [(511, False), (512, True)])
+    def test_fft_threshold(self, n, fft):
+        op = KernelOperator(make_grid(4.0, n, SpacingMode.UNIFORM), PowerLawKernel(2.0))
+        assert (op._matrix is None) is fft
+
     def test_fft_path_matches_matrix(self, rng):
-        # uniform grids above the FFT threshold take the O(N log N) route
-        g = make_grid(2.0, 4096, SpacingMode.UNIFORM)
-        rho = Density.normalized(g, rng.random(4096) + 0.01)
-        kernel = PowerLawKernel(2.0)
-        op = KernelOperator(g, kernel)
-        assert op._matrix is None  # FFT path active
-        fast = op.apply(rho.values)
-        direct = (kernel(g.nodes[:, None] - g.nodes[None, :]) * g.weights) @ rho.values
-        scale = np.max(np.abs(direct))
-        assert np.max(np.abs(fast - direct)) <= 1e-12 * scale
+        # uniform grids from the FFT threshold up take the O(N log N) route
+        for n in (512, 1024):
+            g = make_grid(4.0, n, SpacingMode.UNIFORM)
+            rho = Density.normalized(g, rng.random(n) + 0.01)
+            for kernel in (RegularizedQanrKernel(0.3), PowerLawKernel(8.0)):
+                op = KernelOperator(g, kernel)
+                assert op._matrix is None  # FFT path active
+                fast = op.apply(rho.values)
+                direct = (kernel(g.nodes[:, None] - g.nodes[None, :]) * g.weights) @ rho.values
+                scale = np.max(np.abs(direct))
+                assert np.max(np.abs(fast - direct)) <= 1e-12 * scale
+
+    def test_hard_kernel_stays_dense(self):
+        # max|K| = 4**32 / 32 is far above the FFT roundoff gate
+        op = KernelOperator(make_grid(4.0, 4096, SpacingMode.UNIFORM), PowerLawKernel(32.0))
+        assert op._matrix is not None
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # importing scipy.signal dominated the package's start-up time
+        code = "import sys, swarmeq; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_bilinear_symmetry(self, rng):
         g = make_grid(2.0, 48, SpacingMode.QUADRATIC)
