@@ -27,7 +27,14 @@ from .diagnostics import (
     euler_lagrange_residual,
     moments,
 )
-from .energy import EnergyBreakdown, entropy, interaction_energy, potential_energy, total_energy
+from .energy import (
+    EnergyBreakdown,
+    Problem,
+    entropy,
+    interaction_energy,
+    potential_energy,
+    total_energy,
+)
 from .geometry import (
     DomainSpec,
     VolumeProfile,

@@ -77,13 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides["seed"] = args.seed
     name = args.name if args.command == "experiment" else "custom"
     try:
-        cfg = ExperimentConfig(
-            experiment=name,
-            overrides=overrides,
-            output=args.output,
-            fmt=args.format,
-        )
-        records = run_experiment(cfg)
+        records = run_experiment(ExperimentConfig(name, overrides))
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -92,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.output:
         written = emit(records, args.format, args.output)
         print(f"wrote {len(written)} file(s); primary: {written[0]}")
-    return 0 if all(r.tolerated for r in records) else 1
+    return 1 if any(r.converged is False for r in records) else 0
 
 
 if __name__ == "__main__":

@@ -4,19 +4,22 @@ The headline diagnostic is the sup-norm residual of the critical-point
 identity K*rho + nu log(rho) + V = const, with the constant taken as
 total + interaction energy (the two agree for any exact critical point).
 The boundary identity rho(0) = g/nu and the centre-of-mass drift give
-independent checks tied to the domain boundary.
+independent checks tied to the domain boundary.  `diagnose` computes all of
+them, with the energy and the multiplier, from one convolution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .energy import total_energy
-from .grid import Density, KernelOperator, convolve_kernel, integrate
-from .potentials import ExternalPotential, InteractionKernel, LinearPotential
+from .energy import EnergyBreakdown, Problem, total_energy
+from .gibbs import DEFAULT_CLAMP_FLOOR, log_partition
+from .grid import Density, integrate
+from .potentials import LinearPotential
 
 
 class Moments(NamedTuple):
@@ -27,19 +30,40 @@ class Moments(NamedTuple):
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
+    """Everything reported about a density.
+
+    lam is the multiplier -nu log Z; lambda_inf is the critical-point residual
+    over the full grid (inf if the density has a zero node) and
+    lambda_inf_support the same residual on the nodes clearly above the
+    exponent-clamp floor; e0 is None unless the potential is linear with g > 0.
+    """
+
+    energy: EnergyBreakdown
+    lam: float
     lambda_inf: float
+    lambda_inf_support: float
     e0: float | None
     com_drift: float
-    lam: float
     moments: Moments
 
 
+def _el_deviation(
+    problem: Problem, rho: Density, conv: np.ndarray, breakdown: EnergyBreakdown
+) -> np.ndarray:
+    """| K*rho + nu log(rho) + V - (total + interaction energy) | per node;
+    inf on zero nodes."""
+    with np.errstate(divide="ignore"):
+        profile = conv + problem.nu * np.log(rho.values) + problem.v
+    return np.abs(profile - (breakdown.total + breakdown.interaction))
+
+
+def _support_mask(values: np.ndarray) -> np.ndarray:
+    """Nodes whose value is clearly above the exponent-clamp floor."""
+    return values > values.max() * math.exp(DEFAULT_CLAMP_FLOOR) * 1e6
+
+
 def euler_lagrange_residual(
-    kernel: InteractionKernel,
-    potential: ExternalPotential,
-    nu: float,
-    rho: Density,
-    conv: np.ndarray | None = None,
+    problem: Problem, rho: Density, conv: np.ndarray | None = None
 ) -> float:
     """max_i | K*rho + nu log(rho) + V - (total + interaction energy) |.
 
@@ -55,26 +79,25 @@ def euler_lagrange_residual(
             f"(x = {rho.grid.nodes[i]!r}); not a Gibbs-map output"
         )
     if conv is None:
-        conv = convolve_kernel(rho.grid, kernel, rho)
-    breakdown = total_energy(kernel, potential, nu, rho, conv=conv)
-    profile = conv + nu * np.log(values) + np.asarray(potential(rho.grid.nodes), float)
-    lam = breakdown.total + breakdown.interaction
-    return float(np.max(np.abs(profile - lam)))
+        conv = problem.operator.apply(values)
+    breakdown = total_energy(problem, rho, conv=conv)
+    return float(np.max(_el_deviation(problem, rho, conv, breakdown)))
 
 
-def boundary_condition_error(rho: Density, potential: LinearPotential, nu: float) -> float:
+def boundary_condition_error(problem: Problem, rho: Density) -> float:
     """Relative error of the boundary identity rho(0) = g/nu (exact on the
     half-line when the far tail is negligible)."""
+    potential = problem.potential
     if not isinstance(potential, LinearPotential) or potential.g <= 0:
         raise ValueError(
             "boundary identity needs a linear potential with g > 0; "
             "for g = 0 use com_drift instead"
         )
-    target = potential.g / nu
+    target = potential.g / problem.nu
     return abs(float(rho.values[0]) - target) / target
 
 
-def com_drift(rho: Density, potential: ExternalPotential, nu: float) -> float:
+def com_drift(problem: Problem, rho: Density) -> float:
     """Instantaneous centre-of-mass drift of the evolution at this density.
 
     In one dimension on [0, L] this is -int V' rho + nu (rho(0) - rho(L));
@@ -82,9 +105,9 @@ def com_drift(rho: Density, potential: ExternalPotential, nu: float) -> float:
     (mass escaping from the x = 0 wall).
     """
     nodes = rho.grid.nodes
-    vprime = np.asarray(potential.derivative(nodes), dtype=float)
+    vprime = np.asarray(problem.potential.derivative(nodes), dtype=float)
     forcing = integrate(rho.grid, vprime * rho.values)
-    return -forcing + nu * (float(rho.values[0]) - float(rho.values[-1]))
+    return -forcing + problem.nu * (float(rho.values[0]) - float(rho.values[-1]))
 
 
 def moments(rho: Density) -> Moments:
@@ -95,23 +118,21 @@ def moments(rho: Density) -> Moments:
     return Moments(m1=m1, m2=m2, com=m1)
 
 
-def diagnose(
-    kernel: InteractionKernel,
-    potential: ExternalPotential,
-    nu: float,
-    rho: Density,
-    operator: KernelOperator | None = None,
-) -> DiagnosticsReport:
+def diagnose(problem: Problem, rho: Density) -> DiagnosticsReport:
     """Run all diagnostics on a density and collect them in one report."""
-    conv = (operator or KernelOperator(rho.grid, kernel)).apply(rho.values)
-    breakdown = total_energy(kernel, potential, nu, rho, conv=conv)
+    conv = problem.operator.apply(rho.values)
+    breakdown = total_energy(problem, rho, conv=conv)
+    deviation = _el_deviation(problem, rho, conv, breakdown)
+    potential = problem.potential
     e0: float | None = None
     if isinstance(potential, LinearPotential) and potential.g > 0:
-        e0 = boundary_condition_error(rho, potential, nu)
+        e0 = boundary_condition_error(problem, rho)
     return DiagnosticsReport(
-        lambda_inf=euler_lagrange_residual(kernel, potential, nu, rho, conv=conv),
+        energy=breakdown,
+        lam=-problem.nu * log_partition(problem, rho, conv=conv),
+        lambda_inf=float(np.max(deviation)),
+        lambda_inf_support=float(np.max(deviation[_support_mask(rho.values)])),
         e0=e0,
-        com_drift=com_drift(rho, potential, nu),
-        lam=breakdown.total + breakdown.interaction,
+        com_drift=com_drift(problem, rho),
         moments=moments(rho),
     )

@@ -1,13 +1,55 @@
-"""Discrete energy of a density: interaction + diffusion entropy + potential."""
+"""The discretised problem and the energy of a density on it.
+
+A `Problem` fixes the grid, the interaction kernel, the external potential
+and the diffusion parameter; the energy of a density is interaction +
+diffusion entropy + potential.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Density, KernelOperator, convolve_kernel, integrate
+from .grid import Density, Grid, KernelOperator, integrate
 from .potentials import ExternalPotential, InteractionKernel
+
+
+@dataclass(frozen=True)
+class Problem:
+    """E[rho] = 1/2 <K*rho, rho> + nu <rho, log rho> + <V, rho> on a grid.
+
+    Construction validates nu, builds the kernel operator and samples V on the
+    nodes, once; `with_nu` shares both, so a continuation over nu builds one
+    operator.
+    """
+
+    grid: Grid
+    kernel: InteractionKernel
+    potential: ExternalPotential
+    nu: float
+    operator: KernelOperator = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_nu(self.nu)
+        object.__setattr__(self, "operator", KernelOperator(self.grid, self.kernel))
+        object.__setattr__(
+            self, "v", np.asarray(self.potential(self.grid.nodes), dtype=float)
+        )
+
+    def with_nu(self, nu: float) -> "Problem":
+        """The same problem at another diffusion value, sharing the operator and V."""
+        _check_nu(nu)
+        other = copy.copy(self)
+        object.__setattr__(other, "nu", nu)
+        return other
+
+
+def _check_nu(nu: float) -> None:
+    if not nu > 0:
+        raise ValueError(f"diffusion parameter must be positive, got {nu}")
 
 
 @dataclass(frozen=True)
@@ -34,14 +76,14 @@ class EnergyBreakdown:
 
 
 def interaction_energy(
-    kernel: InteractionKernel, rho: Density, conv: np.ndarray | None = None
+    problem: Problem, rho: Density, conv: np.ndarray | None = None
 ) -> float:
     """(1/2) sum_ij w_i w_j K(x_i - x_j) rho_i rho_j.
 
     `conv` may carry a precomputed K * rho to avoid redoing the convolution.
     """
     if conv is None:
-        conv = convolve_kernel(rho.grid, kernel, rho)
+        conv = problem.operator.apply(rho.values)
     return 0.5 * integrate(rho.grid, rho.values * conv)
 
 
@@ -52,24 +94,17 @@ def entropy(rho: Density) -> float:
     return integrate(rho.grid, terms)
 
 
-def potential_energy(potential: ExternalPotential, rho: Density) -> float:
-    return integrate(rho.grid, np.asarray(potential(rho.grid.nodes)) * rho.values)
+def potential_energy(problem: Problem, rho: Density) -> float:
+    return integrate(rho.grid, problem.v * rho.values)
 
 
 def total_energy(
-    kernel: InteractionKernel,
-    potential: ExternalPotential,
-    nu: float,
-    rho: Density,
-    conv: np.ndarray | None = None,
-    operator: KernelOperator | None = None,
+    problem: Problem, rho: Density, conv: np.ndarray | None = None
 ) -> EnergyBreakdown:
-    """Assemble the full breakdown; reuses `conv` or `operator` when given."""
-    if conv is None and operator is not None:
-        conv = operator.apply(rho.values)
+    """Assemble the full breakdown; reuses `conv` = K * rho when given."""
     return EnergyBreakdown.assemble(
-        interaction=interaction_energy(kernel, rho, conv=conv),
+        interaction=interaction_energy(problem, rho, conv=conv),
         entropy=entropy(rho),
-        potential=potential_energy(potential, rho),
-        nu=nu,
+        potential=potential_energy(problem, rho),
+        nu=problem.nu,
     )

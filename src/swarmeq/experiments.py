@@ -23,8 +23,7 @@ from .analytic import (
     truncated_gaussian_energy,
     unit_interval_limit_state,
 )
-from .diagnostics import com_drift, moments
-from .energy import total_energy
+from .energy import Problem
 from .geometry import (
     DomainSpec,
     box_domain,
@@ -34,8 +33,7 @@ from .geometry import (
     slab_domain,
     wedge_domain,
 )
-from .gibbs import DEFAULT_CLAMP_FLOOR
-from .grid import SpacingMode, indicator_density, integrate, make_grid
+from .grid import Grid, SpacingMode, indicator_density, integrate, make_grid
 from .potentials import (
     ExternalPotential,
     InteractionKernel,
@@ -81,8 +79,6 @@ ALLOWED_OVERRIDES: dict[str, set[str]] = {
 class ExperimentConfig:
     experiment: str
     overrides: dict[str, Any] = field(default_factory=dict)
-    output: Path | None = None
-    fmt: str = "json"
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_NAMES:
@@ -96,8 +92,6 @@ class ExperimentConfig:
                 f"unknown override keys {sorted(unknown)} for {self.experiment!r}; "
                 f"allowed: {sorted(allowed)}"
             )
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
 
 
 @dataclass
@@ -115,16 +109,6 @@ class ResultRecord:
     def converged(self) -> bool | None:
         return self.metrics.get("converged")
 
-    @property
-    def tolerated(self) -> bool:
-        """Records allowed to be non-converged without failing the run."""
-        if self.metrics.get("converged") is None:
-            return True  # nothing was solved
-        if self.metrics["converged"]:
-            return True
-        # the hardest attraction power is known to defeat the scheme
-        return self.experiment == "kplarge" and self.parameters.get("p") == 256
-
 
 def _spacing(name: str) -> SpacingMode:
     try:
@@ -141,52 +125,24 @@ def _as_list(value) -> list:
     return [value]
 
 
-def _support_mask(values: np.ndarray, clamp_floor: float) -> np.ndarray:
-    """Nodes whose value is clearly above the exponent-clamp floor."""
-    return values > values.max() * math.exp(clamp_floor) * 1e6
-
-
-def _supported_el_residual(kernel, potential, nu, rho: Density) -> float:
-    """Critical-point residual restricted to the numerically supported nodes.
-
-    The full-grid residual is dominated by clamp-floor tail nodes whenever the
-    Gibbs exponent range exceeds the floor; this variant reproduces published
-    support-limited figures.
-    """
-    from .grid import convolve_kernel
-
-    conv = convolve_kernel(rho.grid, kernel, rho)
-    breakdown = total_energy(kernel, potential, nu, rho, conv=conv)
-    lam = breakdown.total + breakdown.interaction
-    profile = conv + nu * np.log(rho.values) + np.asarray(potential(rho.grid.nodes), float)
-    mask = _support_mask(rho.values, DEFAULT_CLAMP_FLOOR)
-    return float(np.max(np.abs(profile[mask] - lam)))
-
-
-def _solve_metrics(
-    report: SolveReport,
-    kernel: InteractionKernel,
-    potential: ExternalPotential,
-    nu: float,
-    prominence: float = 0.05,
-) -> dict[str, Any]:
+def _solve_metrics(report: SolveReport, prominence: float = 0.05) -> dict[str, Any]:
     rho = report.density
-    mom = moments(rho)
+    diag = report.diagnostics
     return {
         "converged": report.converged,
         "iterations": report.iterations,
         "residual": report.residual,
-        "lambda": report.lam,
-        "interaction_energy": report.energy.interaction,
-        "entropy": report.energy.entropy,
-        "potential_energy": report.energy.potential,
-        "total_energy": report.energy.total,
-        "lambda_inf": report.lambda_inf,
-        "lambda_inf_support": _supported_el_residual(kernel, potential, nu, rho),
-        "e0": report.e0,
-        "com_drift": com_drift(rho, potential, nu),
-        "m1": mom.m1,
-        "m2": mom.m2,
+        "lambda": diag.lam,
+        "interaction_energy": diag.energy.interaction,
+        "entropy": diag.energy.entropy,
+        "potential_energy": diag.energy.potential,
+        "total_energy": diag.energy.total,
+        "lambda_inf": diag.lambda_inf,
+        "lambda_inf_support": diag.lambda_inf_support,
+        "e0": diag.e0,
+        "com_drift": diag.com_drift,
+        "m1": diag.moments.m1,
+        "m2": diag.moments.m2,
         "aggregates": count_aggregates(rho, prominence),
         "tail_value": float(rho.values[-1]),
         "tail_ok": bool(rho.values[-1] < 1e-12),
@@ -206,36 +162,47 @@ def _record(experiment, params, metrics, kind, xs, ys, t0, reports) -> ResultRec
     )
 
 
-def _run_kp2(ov: dict[str, Any]) -> list[ResultRecord]:
-    nu = float(ov.get("nu", 2.0**-6))
-    gc = critical_slope(nu)
-    gs = [float(g) for g in _as_list(ov.get("g", [0.25 * gc, gc, 4 * gc]))]
-    L = float(ov.get("L", 2.0))
-    n = int(ov.get("N", 1024))
-    mode = _spacing(ov.get("grid", "quadratic"))
+def _solve_setup(
+    ov: dict[str, Any], nu: float, length: float, mode: str
+) -> tuple[float, Grid, SolverConfig, dict[str, Any]]:
+    """Read the keys every solving experiment shares, given its defaults.
+
+    Returns nu, the grid, the solver config and the echo of L, N, grid, tol
+    and N_max, in the order the records list them.
+    """
+    nu = float(ov.get("nu", nu))
+    grid = make_grid(
+        float(ov.get("L", length)), int(ov.get("N", 1024)), _spacing(ov.get("grid", mode))
+    )
     cfg = SolverConfig(
         tau_c=ov.get("tau_c"),
         tol=float(ov.get("tol", 1e-6)),
         max_iterations=int(ov.get("N_max", 2000)),
     )
-    grid = make_grid(L, n, mode)
+    echo = {"L": grid.length, "N": grid.size, "grid": grid.mode.value,
+            "tol": cfg.tol, "N_max": cfg.max_iterations}
+    return nu, grid, cfg, echo
+
+
+def _run_kp2(ov: dict[str, Any]) -> list[ResultRecord]:
+    nu, grid, cfg, echo = _solve_setup(ov, 2.0**-6, 2.0, "quadratic")
+    gc = critical_slope(nu)
+    gs = [float(g) for g in _as_list(ov.get("g", [0.25 * gc, gc, 4 * gc]))]
     rho0 = indicator_density(grid, 0.0, 0.25)
-    kernel = PowerLawKernel(2.0)
     records = []
     for g in gs:
         t0 = time.perf_counter()
-        potential = LinearPotential(g)
-        report = solve(kernel, potential, nu, rho0, cfg)
+        problem = Problem(grid, PowerLawKernel(2.0), LinearPotential(g), nu)
+        report = solve(problem, rho0, cfg)
         exact = exact_minimizer(nu, g)
         # compare unit-mass discretizations; raw samples carry a quadrature
         # mass defect that would dominate the distance
         l1 = integrate(grid, np.abs(report.density.values - exact.discretize(grid).values))
         params = {
-            "nu": nu, "g": g, "g_over_gc": g / gc, "L": L, "N": n,
-            "grid": mode.value, "tol": cfg.tol, "N_max": cfg.max_iterations,
+            "nu": nu, "g": g, "g_over_gc": g / gc, **echo,
             "tau_c": cfg.effective_tau_c(nu), "rho0": "indicator[0,0.25]",
         }
-        metrics = _solve_metrics(report, kernel, potential, nu)
+        metrics = _solve_metrics(report)
         metrics["l1_error_exact"] = l1
         metrics["exact_shift"] = exact.c
         records.append(_record("kp2", params, metrics, "density",
@@ -248,23 +215,13 @@ def _run_power_family(name: str, ov: dict[str, Any]) -> list[ResultRecord]:
         "kpsmall": [1.0625, 1.125, 1.25, 1.5, 2.0, 4.0, 8.0],
         "kplarge": [16.0, 32.0, 64.0, 128.0, 256.0],
     }[name]
-    nu = float(ov.get("nu", 2.0**-6))
+    nu, grid, cfg, echo = _solve_setup(ov, 2.0**-6, 4.0, "uniform")
     ps = [float(p) for p in _as_list(ov.get("p", default_ps))]
     gs = [float(g) for g in _as_list(ov.get("g", [0.0, nu]))]
-    L = float(ov.get("L", 4.0))
-    n = int(ov.get("N", 1024))
-    mode = _spacing(ov.get("grid", "uniform"))
-    cfg = SolverConfig(
-        tau_c=ov.get("tau_c"),
-        tol=float(ov.get("tol", 1e-6)),
-        max_iterations=int(ov.get("N_max", 2000)),
-    )
-    grid = make_grid(L, n, mode)
     records = []
     for p in ps:
         for g in gs:
             t0 = time.perf_counter()
-            kernel = PowerLawKernel(p)
             potential: ExternalPotential = (
                 ZeroPotential() if g == 0 else LinearPotential(g)
             )
@@ -273,14 +230,13 @@ def _run_power_family(name: str, ov: dict[str, Any]) -> list[ResultRecord]:
                 if g == 0
                 else indicator_density(grid, 0.0, 1.0)
             )
-            report = solve(kernel, potential, nu, rho0, cfg)
+            report = solve(Problem(grid, PowerLawKernel(p), potential, nu), rho0, cfg)
             params = {
-                "nu": nu, "p": p, "g": g, "L": L, "N": n, "grid": mode.value,
-                "tol": cfg.tol, "N_max": cfg.max_iterations,
+                "nu": nu, "p": p, "g": g, **echo,
                 "tau_c": cfg.effective_tau_c(nu),
                 "rho0": "indicator[0,2]" if g == 0 else "indicator[0,1]",
             }
-            metrics = _solve_metrics(report, kernel, potential, nu)
+            metrics = _solve_metrics(report)
             if name == "kplarge":
                 com = metrics["m1"]
                 start = com - 0.5 if g == 0 else 0.0
@@ -299,22 +255,11 @@ def _run_power_family(name: str, ov: dict[str, Any]) -> list[ResultRecord]:
 
 
 def _run_multistate(ov: dict[str, Any]) -> list[ResultRecord]:
-    nu = float(ov.get("nu", 2.0**-13))
+    nu, grid, cfg, echo = _solve_setup(ov, 2.0**-13, 8.0, "uniform")
     eps = float(ov.get("eps", 0.3))
-    L = float(ov.get("L", 8.0))
-    n = int(ov.get("N", 1024))
-    mode = _spacing(ov.get("grid", "uniform"))
     stages = int(ov.get("stages", 8))
     prominence = float(ov.get("prominence", 0.05))
-    cfg = SolverConfig(
-        tau_c=ov.get("tau_c"),
-        tol=float(ov.get("tol", 1e-6)),
-        max_iterations=int(ov.get("N_max", 2000)),
-    )
-    grid = make_grid(L, n, mode)
-    rho0 = indicator_density(grid, 0.0, L)
-    kernel = RegularizedQanrKernel(eps)
-    potential = ZeroPotential()
+    rho0 = indicator_density(grid, 0.0, grid.length)
     if "schedule" in ov:
         schedules = [ContinuationSchedule(tuple(float(v) for v in ov["schedule"]))]
         starts = [schedules[0].nus[0] / nu]
@@ -326,15 +271,14 @@ def _run_multistate(ov: dict[str, Any]) -> list[ResultRecord]:
     records = []
     for start, schedule in zip(starts, schedules):
         t0 = time.perf_counter()
-        reports = solve_with_continuation(kernel, potential, schedule, rho0, cfg)
+        problem = Problem(grid, RegularizedQanrKernel(eps), ZeroPotential(), nu)
+        reports = solve_with_continuation(problem, schedule, rho0, cfg)
         final = reports[-1]
         params = {
             "nu": nu, "eps": eps, "nu0_over_nu": start, "stages": len(schedule.nus),
-            "L": L, "N": n, "grid": mode.value, "tol": cfg.tol,
-            "N_max": cfg.max_iterations, "prominence": prominence,
-            "rho0": "uniform",
+            **echo, "prominence": prominence, "rho0": "uniform",
         }
-        metrics = _solve_metrics(final, kernel, potential, nu, prominence=prominence)
+        metrics = _solve_metrics(final, prominence=prominence)
         metrics["total_iterations"] = sum(r.iterations for r in reports)
         metrics["stages_converged"] = sum(1 for r in reports if r.converged)
         metrics["converged"] = all(r.converged for r in reports)
@@ -413,7 +357,7 @@ def _run_effdim(ov: dict[str, Any]) -> list[ResultRecord]:
 
 
 def _run_custom(ov: dict[str, Any]) -> list[ResultRecord]:
-    nu = float(ov.get("nu", 2.0**-6))
+    nu, grid, cfg, echo = _solve_setup(ov, 2.0**-6, 4.0, "uniform")
     kind = ov.get("kernel", "power")
     if kind == "power":
         kernel: InteractionKernel = PowerLawKernel(float(ov.get("p", 2.0)))
@@ -423,19 +367,11 @@ def _run_custom(ov: dict[str, Any]) -> list[ResultRecord]:
         raise ValueError(f"unknown kernel {kind!r}; use 'power' or 'qanr'")
     g = float(ov.get("g", 0.0))
     potential: ExternalPotential = ZeroPotential() if g == 0 else LinearPotential(g)
-    L = float(ov.get("L", 4.0))
-    n = int(ov.get("N", 1024))
-    mode = _spacing(ov.get("grid", "uniform"))
     prominence = float(ov.get("prominence", 0.05))
-    cfg = SolverConfig(
-        tau_c=ov.get("tau_c"),
-        tol=float(ov.get("tol", 1e-6)),
-        max_iterations=int(ov.get("N_max", 2000)),
-    )
-    grid = make_grid(L, n, mode)
-    lo, hi = ov.get("rho0_interval", (0.0, L))
+    lo, hi = ov.get("rho0_interval", (0.0, grid.length))
     rho0 = indicator_density(grid, float(lo), float(hi))
     t0 = time.perf_counter()
+    problem = Problem(grid, kernel, potential, nu)
     if "schedule" in ov or "stages" in ov:
         if "schedule" in ov:
             schedule = ContinuationSchedule(tuple(float(v) for v in ov["schedule"]))
@@ -443,14 +379,13 @@ def _run_custom(ov: dict[str, Any]) -> list[ResultRecord]:
             schedule = ContinuationSchedule.geometric(
                 10 * nu, nu, stages=int(ov["stages"])
             )
-        reports = solve_with_continuation(kernel, potential, schedule, rho0, cfg)
+        reports = solve_with_continuation(problem, schedule, rho0, cfg)
         final = reports[-1]
     else:
-        final = solve(kernel, potential, nu, rho0, cfg)
+        final = solve(problem, rho0, cfg)
         reports = [final]
     params = {
-        "kernel": kind, "nu": nu, "g": g, "L": L, "N": n, "grid": mode.value,
-        "tol": cfg.tol, "N_max": cfg.max_iterations,
+        "kernel": kind, "nu": nu, "g": g, **echo,
         "tau_c": cfg.effective_tau_c(nu), "prominence": prominence,
         "rho0_interval": [float(lo), float(hi)],
     }
@@ -458,7 +393,7 @@ def _run_custom(ov: dict[str, Any]) -> list[ResultRecord]:
         params["p"] = float(ov.get("p", 2.0))
     else:
         params["eps"] = float(ov.get("eps", 0.3))
-    metrics = _solve_metrics(final, kernel, potential, nu, prominence=prominence)
+    metrics = _solve_metrics(final, prominence=prominence)
     metrics["total_iterations"] = sum(r.iterations for r in reports)
     return [_record("custom", params, metrics, "density",
                     grid.nodes, final.density.values, t0, reports)]

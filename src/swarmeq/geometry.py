@@ -22,15 +22,11 @@ class DomainSpec:
     """A domain given by its indicator plus probe points known to lie inside.
 
     indicator maps an (n, dim) array of points to a boolean array.
-    bounding_halfwidth is optional metadata (radius -> box halfwidth
-    containing every probe-centred ball intersection) for samplers that
-    prefer box sampling over ball sampling.
     """
 
     dim: int
     indicator: Callable[[np.ndarray], np.ndarray]
     probe_centers: np.ndarray
-    bounding_halfwidth: Callable[[float], float] | None = None
 
     def __post_init__(self):
         centers = np.atleast_2d(np.asarray(self.probe_centers, dtype=float))
@@ -141,7 +137,6 @@ def box_domain(side_lengths: Sequence[float]) -> DomainSpec:
         dim=sides.size,
         indicator=indicator,
         probe_centers=np.zeros((1, sides.size)),
-        bounding_halfwidth=lambda r: float(half.max()),
     )
 
 
@@ -153,7 +148,6 @@ def ball_domain(radius: float, dim: int) -> DomainSpec:
         dim=dim,
         indicator=indicator,
         probe_centers=np.zeros((1, dim)),
-        bounding_halfwidth=lambda r: float(radius),
     )
 
 

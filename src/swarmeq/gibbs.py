@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Density, KernelOperator, integrate
-from .potentials import ExternalPotential, InteractionKernel
+from .energy import Problem
+from .grid import Density, integrate
 
 # Shifted exponents below this are flushed to the floor instead of
 # underflowing to zero, keeping every output value strictly positive.
@@ -41,12 +41,9 @@ class GibbsState:
 
 
 def apply_gibbs_map(
-    kernel: InteractionKernel,
-    potential: ExternalPotential,
-    nu: float,
+    problem: Problem,
     rho: Density,
     state: GibbsState | None = None,
-    operator: KernelOperator | None = None,
     conv: np.ndarray | None = None,
     clamp_floor: float = DEFAULT_CLAMP_FLOOR,
 ) -> tuple[Density, GibbsState, float]:
@@ -56,20 +53,16 @@ def apply_gibbs_map(
     (un-offset) kernel; it is meaningful only at convergence, where it equals
     total + interaction energy of the fixed point.
 
-    `operator` and `conv` are optional precomputations of the kernel
-    convolution (see KernelOperator); `clamp_floor` is the exponent flush
-    threshold, in natural-log units.
+    `conv` may carry a precomputed K * rho; `clamp_floor` is the exponent
+    flush threshold, in natural-log units.
     """
-    if nu <= 0:
-        raise ValueError(f"diffusion parameter must be positive, got {nu}")
+    nu = problem.nu
     if state is None:
         state = GibbsState()
     grid = rho.grid
     if conv is None:
-        if operator is None:
-            operator = KernelOperator(grid, kernel)
-        conv = operator.apply(rho.values)
-    u = conv + np.asarray(potential(grid.nodes), dtype=float) + state.kernel_offset
+        conv = problem.operator.apply(rho.values)
+    u = conv + problem.v + state.kernel_offset
     if not np.all(np.isfinite(u)):
         i = int(np.argmax(~np.isfinite(u)))
         raise GibbsMapError(
@@ -101,36 +94,22 @@ def apply_gibbs_map(
 
 
 def log_partition(
-    kernel: InteractionKernel,
-    potential: ExternalPotential,
-    nu: float,
-    rho: Density,
-    conv: np.ndarray | None = None,
+    problem: Problem, rho: Density, conv: np.ndarray | None = None
 ) -> float:
     """log Z of rho with respect to the original kernel, evaluated stably.
 
     Minus nu times this is the multiplier estimate; at a critical point it
     equals total + interaction energy.
     """
-    grid = rho.grid
     if conv is None:
-        conv = KernelOperator(grid, kernel).apply(rho.values)
-    u = conv + np.asarray(potential(grid.nodes), dtype=float)
+        conv = problem.operator.apply(rho.values)
+    u = conv + problem.v
     shift = float(u.min())
-    total = float(grid.weights @ np.exp(-(u - shift) / nu))
-    return math.log(total) - shift / nu
+    total = float(rho.grid.weights @ np.exp(-(u - shift) / problem.nu))
+    return math.log(total) - shift / problem.nu
 
 
-def fixed_point_residual(
-    kernel: InteractionKernel,
-    potential: ExternalPotential,
-    nu: float,
-    rho: Density,
-    state: GibbsState | None = None,
-    operator: KernelOperator | None = None,
-) -> float:
+def fixed_point_residual(problem: Problem, rho: Density) -> float:
     """L1 distance between rho and its image under the map."""
-    image, _, _ = apply_gibbs_map(
-        kernel, potential, nu, rho, state=state, operator=operator
-    )
+    image, _, _ = apply_gibbs_map(problem, rho)
     return integrate(rho.grid, np.abs(rho.values - image.values))

@@ -16,17 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import boundary_condition_error, euler_lagrange_residual
-from .energy import EnergyBreakdown, total_energy
-from .gibbs import (
-    DEFAULT_CLAMP_FLOOR,
-    GibbsMapError,
-    GibbsState,
-    apply_gibbs_map,
-    log_partition,
-)
-from .grid import Density, KernelOperator, integrate
-from .potentials import ExternalPotential, InteractionKernel, LinearPotential
+from .diagnostics import DiagnosticsReport, diagnose
+from .energy import Problem, total_energy
+from .gibbs import DEFAULT_CLAMP_FLOOR, GibbsMapError, GibbsState, apply_gibbs_map
+from .grid import Density, integrate
 
 
 @dataclass(frozen=True)
@@ -89,15 +82,12 @@ class ContinuationSchedule:
 
 @dataclass
 class SolveReport:
-    """Outcome of one fixed-point solve."""
+    """Outcome of one fixed-point solve; `diagnostics` describes `density`."""
 
     density: Density
     iterations: int
     residual: float
-    lam: float
-    energy: EnergyBreakdown
-    lambda_inf: float
-    e0: float | None
+    diagnostics: DiagnosticsReport
     converged: bool
     energy_trace: list[float]
     tau_trace: list[float]
@@ -106,24 +96,22 @@ class SolveReport:
 
 
 def solve(
-    kernel: InteractionKernel,
-    potential: ExternalPotential,
-    nu: float,
-    rho0: Density,
-    config: SolverConfig | None = None,
+    problem: Problem, rho0: Density, config: SolverConfig | None = None
 ) -> SolveReport:
     """Iterate the relaxed scheme from rho0 until the L1 residual is below
     tolerance or the iteration budget runs out (the latter is reported, not
     raised)."""
+    grid = problem.grid
+    if rho0.grid is not grid:
+        raise ValueError("rho0 must be a density on the problem's grid")
     config = config or SolverConfig()
-    tau_c = config.effective_tau_c(nu)
-    grid = rho0.grid
-    operator = KernelOperator(grid, kernel)
+    tau_c = config.effective_tau_c(problem.nu)
+    operator = problem.operator
     state = GibbsState()
 
     rho = rho0
     conv = operator.apply(rho.values)
-    breakdown = total_energy(kernel, potential, nu, rho, conv=conv)
+    breakdown = total_energy(problem, rho, conv=conv)
     energy_trace = [breakdown.total]
     tau_trace: list[float] = []
     z_trace: list[float] = []
@@ -132,8 +120,7 @@ def solve(
     while True:
         try:
             image, state, _ = apply_gibbs_map(
-                kernel, potential, nu, rho,
-                state=state, conv=conv, clamp_floor=config.clamp_floor,
+                problem, rho, state=state, conv=conv, clamp_floor=config.clamp_floor
             )
         except GibbsMapError as exc:
             raise GibbsMapError(f"iteration {iterations}: {exc}") from exc
@@ -144,7 +131,7 @@ def solve(
             break  # budget exhausted; keep whatever the residual test said
 
         image_conv = operator.apply(image.values)
-        image_breakdown = total_energy(kernel, potential, nu, image, conv=image_conv)
+        image_breakdown = total_energy(problem, image, conv=image_conv)
         if not math.isfinite(image_breakdown.total):
             raise GibbsMapError(
                 f"iteration {iterations}: non-finite energy {image_breakdown.total!r}"
@@ -157,7 +144,7 @@ def solve(
             rho = Density(grid, (1 - tau) * rho.values + tau * image.values)
             # K * rho is linear in rho, so the combined convolution is exact.
             conv = (1 - tau) * conv + tau * image_conv
-            breakdown = total_energy(kernel, potential, nu, rho, conv=conv)
+            breakdown = total_energy(problem, rho, conv=conv)
         tau_trace.append(tau)
         energy_trace.append(breakdown.total)
         iterations += 1
@@ -167,47 +154,34 @@ def solve(
             # minimizer) is the reported state.
             break
 
-    final_conv = operator.apply(rho.values)
-    lam = -nu * log_partition(kernel, potential, nu, rho, conv=final_conv)
-    final_breakdown = total_energy(kernel, potential, nu, rho, conv=final_conv)
-    if np.all(rho.values > 0):
-        lambda_inf = euler_lagrange_residual(kernel, potential, nu, rho, conv=final_conv)
-    else:
-        lambda_inf = math.inf  # zero nodes: cannot be a Gibbs fixed point
-    e0 = None
-    if isinstance(potential, LinearPotential) and potential.g > 0:
-        e0 = boundary_condition_error(rho, potential, nu)
     return SolveReport(
         density=rho,
         iterations=iterations,
         residual=residual,
-        lam=lam,
-        energy=final_breakdown,
-        lambda_inf=lambda_inf,
-        e0=e0,
+        diagnostics=diagnose(problem, rho),
         converged=converged,
         energy_trace=energy_trace,
         tau_trace=tau_trace,
         z_trace=z_trace,
-        nu=nu,
+        nu=problem.nu,
     )
 
 
 def solve_with_continuation(
-    kernel: InteractionKernel,
-    potential: ExternalPotential,
+    problem: Problem,
     schedule: ContinuationSchedule,
     rho0: Density,
     config: SolverConfig | None = None,
 ) -> list[SolveReport]:
-    """Solve along the schedule, warm-starting each stage from the previous
-    output density.  The conservative step is re-derived per stage unless the
-    config pins it.  Returns one report per stage, final stage last."""
+    """Solve `problem.with_nu(nu)` for each nu of the schedule (the problem's
+    own nu is not used), warm-starting each stage from the previous output
+    density.  The conservative step is re-derived per stage unless the config
+    pins it.  Returns one report per stage, final stage last."""
     reports: list[SolveReport] = []
     rho = rho0
     for j, nu in enumerate(schedule.nus):
         try:
-            report = solve(kernel, potential, nu, rho, config=config)
+            report = solve(problem.with_nu(nu), rho, config=config)
         except GibbsMapError as exc:
             raise GibbsMapError(f"continuation stage {j} (nu = {nu}): {exc}") from exc
         reports.append(report)

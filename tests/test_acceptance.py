@@ -20,6 +20,7 @@ from swarmeq import (
     Density,
     LinearPotential,
     PowerLawKernel,
+    Problem,
     RegularizedQanrKernel,
     ShiftedKernel,
     SolverConfig,
@@ -182,8 +183,9 @@ def test_criterion_6_property_suite(kp2_records, multistate_records, kplarge_sub
         g = make_grid(float(rng.uniform(0.5, 4.0)), n, mode)
         rho = Density.normalized(g, rng.random(n) + 1e-6)
         image, _, _ = apply_gibbs_map(
-            PowerLawKernel(float(rng.uniform(0.5, 3.0))), ZeroPotential(),
-            float(rng.uniform(0.05, 1.0)), rho,
+            Problem(g, PowerLawKernel(float(rng.uniform(0.5, 3.0))), ZeroPotential(),
+                    float(rng.uniform(0.05, 1.0))),
+            rho,
         )
         if abs(image.mass - 1.0) > 1e-14 or not np.all(image.values > 0):
             failures.append("(a) mass/positivity violated")
@@ -202,9 +204,9 @@ def test_criterion_6_property_suite(kp2_records, multistate_records, kplarge_sub
     rho = kp2_records[1].solve_reports[0].density
     nu = kp2_records[1].parameters["nu"]
     pot = LinearPotential(kp2_records[1].parameters["g"])
-    r_base = euler_lagrange_residual(PowerLawKernel(2.0), pot, nu, rho)
+    r_base = euler_lagrange_residual(Problem(rho.grid, PowerLawKernel(2.0), pot, nu), rho)
     r_shift = euler_lagrange_residual(
-        ShiftedKernel(PowerLawKernel(2.0), 10.0), pot, nu, rho
+        Problem(rho.grid, ShiftedKernel(PowerLawKernel(2.0), 10.0), pot, nu), rho
     )
     if abs(r_base - r_shift) > 1e-10:
         failures.append(f"(c) offset changed residual by {abs(r_base - r_shift):.2e}")
@@ -217,15 +219,16 @@ def test_criterion_6_property_suite(kp2_records, multistate_records, kplarge_sub
                   else RegularizedQanrKernel(float(rng.uniform(0.2, 0.8))))
         nu_small = float(rng.uniform(0.2, 0.8))
         rho0 = Density.normalized(g, rng.random(n) + 0.05)
-        rep = solve(kernel, ZeroPotential(), nu_small, rho0,
-                    SolverConfig(tol=1e-13, max_iterations=5000))
+        problem = Problem(g, kernel, ZeroPotential(), nu_small)
+        rep = solve(problem, rho0, SolverConfig(tol=1e-13, max_iterations=5000))
         if not rep.converged:
             failures.append("(d) tight solve did not converge")
             continue
-        if rep.lambda_inf > 1e-10:
-            failures.append(f"(d) fixed point has residual {rep.lambda_inf:.2e} > 1e-10")
+        lambda_inf = rep.diagnostics.lambda_inf
+        if lambda_inf > 1e-10:
+            failures.append(f"(d) fixed point has residual {lambda_inf:.2e} > 1e-10")
         perturbed = Density(g, 0.99 * rep.density.values + 0.01 / 1.0)
-        if euler_lagrange_residual(kernel, ZeroPotential(), nu_small, perturbed) <= 1e-10:
+        if euler_lagrange_residual(problem, perturbed) <= 1e-10:
             failures.append("(d) perturbed density passed as a fixed point")
 
     # (e) entropy of the uniform density
@@ -259,7 +262,8 @@ def test_criterion_7_boundary_flux_identity(kp2_records):
         nu = record.parameters["nu"]
         tol = record.parameters["tol"]
         rep = record.solve_reports[0]
-        drift = com_drift(rep.density, LinearPotential(g), nu)
+        problem = Problem(rep.density.grid, PowerLawKernel(2.0), LinearPotential(g), nu)
+        drift = com_drift(problem, rep.density)
         bound = max(10 * tol, 1e-4 * g)
         details.append(f"g={record.parameters['g_over_gc']:g}gc |flux|={abs(drift):.2e}")
         if abs(drift) > bound:

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from swarmeq import (
     LinearPotential,
     PowerLawKernel,
+    Problem,
     SpacingMode,
     TruncatedGaussian,
     ZeroPotential,
@@ -106,14 +107,15 @@ class TestFamilyEnergy:
         nu, c = 2.0**-4, 0.3
         g = make_grid(3.5, 8192, SpacingMode.UNIFORM)
         rho = TruncatedGaussian(c, nu).discretize(g)
-        numeric = total_energy(PowerLawKernel(2.0), ZeroPotential(), nu, rho).total
+        numeric = total_energy(Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu), rho).total
         assert abs(numeric - truncated_gaussian_energy(c, nu, 0.0)) <= 1e-6
 
     def test_matches_grid_energy_with_gravity(self):
         nu, c, gval = 2.0**-4, 0.1, 0.05
         g = make_grid(3.5, 8192, SpacingMode.UNIFORM)
         rho = TruncatedGaussian(c, nu).discretize(g)
-        numeric = total_energy(PowerLawKernel(2.0), LinearPotential(gval), nu, rho).total
+        problem = Problem(g, PowerLawKernel(2.0), LinearPotential(gval), nu)
+        numeric = total_energy(problem, rho).total
         assert abs(numeric - truncated_gaussian_energy(c, nu, gval)) <= 1e-6
 
     def test_critical_gravity_minimizes_at_zero_shift(self):
@@ -200,7 +202,7 @@ class TestExactMinimizer:
         gc = critical_slope(nu)
         g = make_grid(2.0, 4096, SpacingMode.UNIFORM)
         rho = exact_minimizer(nu, gc).discretize(g)
-        image, _, _ = apply_gibbs_map(PowerLawKernel(2.0), LinearPotential(gc), nu, rho)
+        image, _, _ = apply_gibbs_map(Problem(g, PowerLawKernel(2.0), LinearPotential(gc), nu), rho)
         assert integrate(g, np.abs(image.values - rho.values)) <= 1e-6
 
 

@@ -8,6 +8,7 @@ from swarmeq import (
     Density,
     LinearPotential,
     PowerLawKernel,
+    Problem,
     ShiftedKernel,
     SpacingMode,
     TruncatedGaussian,
@@ -24,11 +25,16 @@ from swarmeq import (
 )
 
 
+def problem(grid, potential, nu):
+    """A problem for the checks that read only V and nu."""
+    return Problem(grid, zero_kernel(), potential, nu)
+
+
 class TestEulerLagrangeResidual:
     def test_exact_fixed_point_is_flat(self):
         g = make_grid(2.0, 129)
         uniform = Density.normalized(g, np.ones(129))
-        res = euler_lagrange_residual(zero_kernel(), ZeroPotential(), 0.4, uniform)
+        res = euler_lagrange_residual(Problem(g, zero_kernel(), ZeroPotential(), 0.4), uniform)
         assert res <= 1e-12
 
     def test_discriminates_non_critical_density(self):
@@ -36,22 +42,23 @@ class TestEulerLagrangeResidual:
         two_bumps = Density.normalized(
             g, np.exp(-((g.nodes - 0.5) ** 2) * 40) + 0.5 * np.exp(-((g.nodes - 1.5) ** 2) * 40)
         )
-        res = euler_lagrange_residual(zero_kernel(), ZeroPotential(), 0.1, two_bumps)
+        res = euler_lagrange_residual(Problem(g, zero_kernel(), ZeroPotential(), 0.1), two_bumps)
         assert res > 1e-2
 
     def test_rejects_density_with_zeros(self):
         g = make_grid(1.0, 65)
         rho = indicator_density(g, 0.0, 0.5)
         with pytest.raises(ValueError, match="node"):
-            euler_lagrange_residual(zero_kernel(), ZeroPotential(), 0.1, rho)
+            euler_lagrange_residual(Problem(g, zero_kernel(), ZeroPotential(), 0.1), rho)
 
     def test_offset_invariance(self):
         nu = 0.25
         g = make_grid(2.0, 257)
         rho = Density.normalized(g, np.exp(-((g.nodes - 1.0) ** 2) / (2 * nu)))
         base = PowerLawKernel(2.0)
-        r1 = euler_lagrange_residual(base, ZeroPotential(), nu, rho)
-        r2 = euler_lagrange_residual(ShiftedKernel(base, 10.0), ZeroPotential(), nu, rho)
+        r1 = euler_lagrange_residual(Problem(g, base, ZeroPotential(), nu), rho)
+        shifted = Problem(g, ShiftedKernel(base, 10.0), ZeroPotential(), nu)
+        r2 = euler_lagrange_residual(shifted, rho)
         assert abs(r1 - r2) <= 1e-10
 
 
@@ -61,37 +68,38 @@ class TestBoundaryCondition:
         gc = critical_slope(nu)
         g = make_grid(2.0, 4096, SpacingMode.QUADRATIC)
         rho = exact_minimizer(nu, gc).discretize(g)
-        assert boundary_condition_error(rho, LinearPotential(gc), nu) <= 1e-6
+        assert boundary_condition_error(problem(g, LinearPotential(gc), nu), rho) <= 1e-6
 
     def test_uniform_coincidence(self):
         g = make_grid(1.0, 65)
         rho = Density.normalized(g, np.ones(65))
         # g/nu = 1 and rho(0) = 1: the relative error is exactly zero
-        assert boundary_condition_error(rho, LinearPotential(0.5), 0.5) == 0.0
+        assert boundary_condition_error(problem(g, LinearPotential(0.5), 0.5), rho) == 0.0
 
     def test_rejects_zero_gravity(self):
         g = make_grid(1.0, 65)
         rho = Density.normalized(g, np.ones(65))
         with pytest.raises(ValueError, match="g > 0"):
-            boundary_condition_error(rho, ZeroPotential(), 0.5)
+            boundary_condition_error(problem(g, ZeroPotential(), 0.5), rho)
 
 
 class TestComDrift:
     def test_symmetric_profile_has_no_drift(self):
         g = make_grid(2.0, 201, SpacingMode.UNIFORM)
         rho = Density.normalized(g, np.exp(-((g.nodes - 1.0) ** 2) * 5))
-        assert abs(com_drift(rho, ZeroPotential(), 0.3)) <= 1e-12
+        assert abs(com_drift(problem(g, ZeroPotential(), 0.3), rho)) <= 1e-12
 
     def test_left_heavy_profile_drifts_right(self):
         g = make_grid(2.0, 201)
         rho = Density.normalized(g, np.exp(-3 * g.nodes))
-        assert com_drift(rho, ZeroPotential(), 0.3) > 0
+        assert com_drift(problem(g, ZeroPotential(), 0.3), rho) > 0
 
     def test_gravity_enters_linearly(self):
         g = make_grid(2.0, 201)
         rho = Density.normalized(g, np.exp(-3 * g.nodes))
-        base = com_drift(rho, ZeroPotential(), 0.3)
-        assert com_drift(rho, LinearPotential(0.2), 0.3) == pytest.approx(base - 0.2)
+        base = com_drift(problem(g, ZeroPotential(), 0.3), rho)
+        gravity = com_drift(problem(g, LinearPotential(0.2), 0.3), rho)
+        assert gravity == pytest.approx(base - 0.2)
 
 
 class TestMoments:
@@ -128,7 +136,7 @@ class TestDiagnose:
         gc = critical_slope(nu)
         g = make_grid(2.0, 2048, SpacingMode.QUADRATIC)
         rho = exact_minimizer(nu, gc).discretize(g)
-        report = diagnose(PowerLawKernel(2.0), LinearPotential(gc), nu, rho)
+        report = diagnose(Problem(g, PowerLawKernel(2.0), LinearPotential(gc), nu), rho)
         assert report.e0 is not None and report.e0 <= 1e-4
         assert abs(report.com_drift) <= 1e-4 * gc
         assert math.isfinite(report.lambda_inf)
@@ -137,5 +145,5 @@ class TestDiagnose:
     def test_e0_absent_without_gravity(self):
         g = make_grid(2.0, 257)
         rho = Density.normalized(g, np.exp(-((g.nodes - 1.0) ** 2) * 8))
-        report = diagnose(PowerLawKernel(2.0), ZeroPotential(), 0.1, rho)
+        report = diagnose(Problem(g, PowerLawKernel(2.0), ZeroPotential(), 0.1), rho)
         assert report.e0 is None

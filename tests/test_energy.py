@@ -7,6 +7,7 @@ from conftest import zero_kernel
 from swarmeq import (
     Density,
     PowerLawKernel,
+    Problem,
     SpacingMode,
     ZeroPotential,
     entropy,
@@ -17,17 +18,22 @@ from swarmeq import (
 )
 
 
+def interaction(kernel, rho):
+    """Interaction energy of rho under kernel; V and nu do not enter it."""
+    return interaction_energy(Problem(rho.grid, kernel, ZeroPotential(), 1.0), rho)
+
+
 class TestInteraction:
     def test_zero_kernel(self):
         g = make_grid(1.0, 33)
         rho = Density.normalized(g, np.ones(33))
-        assert interaction_energy(zero_kernel(), rho) == 0.0
+        assert interaction(zero_kernel(), rho) == 0.0
 
     def test_uniform_quadratic_kernel(self):
         # (1/2) int int (1/2)(x-y)^2 dx dy over the unit square equals 1/24
         g = make_grid(1.0, 401, SpacingMode.UNIFORM)
         rho = Density.normalized(g, np.ones(401))
-        value = interaction_energy(PowerLawKernel(2.0), rho)
+        value = interaction(PowerLawKernel(2.0), rho)
         assert abs(value - 1.0 / 24.0) <= 1e-5
 
     def test_matches_double_sum_oracle(self, rng):
@@ -38,7 +44,7 @@ class TestInteraction:
         oracle = 0.5 * float(
             (g.weights * rho.values) @ kernel(disp) @ (g.weights * rho.values)
         )
-        assert interaction_energy(kernel, rho) == pytest.approx(oracle, abs=1e-12)
+        assert interaction(kernel, rho) == pytest.approx(oracle, abs=1e-12)
 
     def test_translation_invariance(self):
         # interior bumps shifted by a whole number of grid cells
@@ -46,15 +52,15 @@ class TestInteraction:
         bump = indicator_density(g, 0.5, 1.5)
         shifted = indicator_density(g, 2.0, 3.0)
         kernel = PowerLawKernel(2.0)
-        a = interaction_energy(kernel, bump)
-        b = interaction_energy(kernel, shifted)
+        a = interaction(kernel, bump)
+        b = interaction(kernel, shifted)
         assert abs(a - b) <= 1e-12
 
     def test_positive_for_nonnegative_kernel(self, rng):
         g = make_grid(2.0, 65)
         for _ in range(5):
             rho = Density.normalized(g, rng.random(65))
-            assert interaction_energy(PowerLawKernel(1.3), rho) >= 0.0
+            assert interaction(PowerLawKernel(1.3), rho) >= 0.0
 
 
 class TestEntropy:
@@ -91,13 +97,13 @@ class TestTotalEnergy:
     def test_all_zero(self):
         g = make_grid(1.0, 65)
         rho = Density.normalized(g, np.ones(65))
-        breakdown = total_energy(zero_kernel(), ZeroPotential(), 0.1, rho)
+        breakdown = total_energy(Problem(g, zero_kernel(), ZeroPotential(), 0.1), rho)
         assert breakdown.total == pytest.approx(0.0, abs=1e-13)
 
     def test_uniform_quadratic_with_diffusion(self):
         g = make_grid(1.0, 401, SpacingMode.UNIFORM)
         rho = Density.normalized(g, np.ones(401))
-        breakdown = total_energy(PowerLawKernel(2.0), ZeroPotential(), 0.1, rho)
+        breakdown = total_energy(Problem(g, PowerLawKernel(2.0), ZeroPotential(), 0.1), rho)
         assert abs(breakdown.total - 1.0 / 24.0) <= 1e-5
         assert abs(breakdown.entropy) <= 1e-12
 
@@ -106,6 +112,6 @@ class TestTotalEnergy:
         for _ in range(10):
             rho = Density.normalized(g, rng.random(97) + 1e-3)
             nu = float(rng.uniform(0.01, 1.0))
-            b = total_energy(PowerLawKernel(2.0), ZeroPotential(), nu, rho)
+            b = total_energy(Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu), rho)
             expected = b.interaction + nu * b.entropy + b.potential
             assert abs(b.total - expected) <= 1e-14 * max(1.0, abs(expected))

@@ -4,14 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from swarmeq import KernelOperator
 from swarmeq.cli import main
-from swarmeq.experiments import (
-    ExperimentConfig,
-    ResultRecord,
-    emit,
-    record_scalars,
-    run_experiment,
-)
+from swarmeq.experiments import ExperimentConfig, emit, record_scalars, run_experiment
 
 
 def tiny_kp2():
@@ -29,9 +24,9 @@ class TestConfigs:
         with pytest.raises(ValueError, match="unknown override"):
             ExperimentConfig("kp2", overrides={"bogus": 1})
 
-    def test_bad_format_rejected(self):
+    def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
-            ExperimentConfig("kp2", fmt="xml")
+            emit([], "xml", tmp_path / "out.xml")
 
     def test_bad_grid_value_rejected(self):
         with pytest.raises(ValueError, match="grid mode"):
@@ -70,7 +65,7 @@ class TestRunners:
         (record,) = records
         assert 0.0 < record.metrics["l1_limit_distance"] < 1.0
         assert record.metrics["mass_in_window"] > 0.9
-        assert record.tolerated  # converged
+        assert record.converged
 
     @pytest.mark.parametrize("p,energy", [(32.0, -0.00130251), (64.0, -0.000983798)])
     def test_kplarge_hard_kernel_on_large_uniform_grid(self, p, energy):
@@ -81,14 +76,6 @@ class TestRunners:
         )
         assert record.metrics["converged"]
         assert record.metrics["total_energy"] == pytest.approx(energy, rel=1e-6)
-
-    def test_kplarge_hardest_power_is_tolerated(self):
-        record = ResultRecord(
-            experiment="kplarge", parameters={"p": 256}, metrics={"converged": False},
-            samples_kind="density", samples_x=np.zeros(1), samples_y=np.zeros(1),
-            wall_time_s=0.0,
-        )
-        assert record.tolerated
 
     def test_gamma_energy_curves(self):
         records = run_experiment(ExperimentConfig("gamma-energy"))
@@ -155,6 +142,36 @@ class TestRunners:
             assert sa == sb  # bit-identical scalars (wall time excluded by design)
 
 
+class TestOperatorBuilds:
+    """Each solved record builds its kernel operator once; a continuation
+    schedule shares one operator across its stages."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        original = KernelOperator.__init__
+
+        def counting(self, *args, **kwargs):
+            count[0] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(KernelOperator, "__init__", counting)
+        return count
+
+    @pytest.mark.parametrize("experiment,overrides", [
+        ("kp2", {}),
+        ("kpsmall", {"p": [1.5, 2.0]}),
+        ("kplarge", {"p": [16.0]}),
+        ("multistate", {"stages": 3, "nu": 2.0**-6}),
+        ("custom", {"stages": 3}),
+    ])
+    def test_one_build_per_record(self, builds, experiment, overrides):
+        records = run_experiment(ExperimentConfig(
+            experiment, overrides={"N": 64, "N_max": 5, **overrides}
+        ))
+        assert builds[0] == len(records)
+
+
 class TestEmit:
     def test_empty_records(self, tmp_path):
         jpath = tmp_path / "empty.json"
@@ -219,6 +236,13 @@ class TestCli:
         code = main(["experiment", "kp2", "--set", "bogus=1"])
         assert code == 2
         assert "unknown override" in capsys.readouterr().err
+
+    def test_unconverged_p256_record_exits_one(self, capsys):
+        # no power is exempt: a record that ran out of budget fails the run
+        code = main(["experiment", "kplarge", "--set", "p=[256]", "--set", "g=[0]",
+                     "--set", "N=64", "--set", "N_max=2"])
+        assert code == 1
+        assert "NOT CONVERGED" in capsys.readouterr().out
 
     def test_seed_flag_feeds_experiment(self, tmp_path):
         out = tmp_path / "eff.json"

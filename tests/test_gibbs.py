@@ -10,6 +10,7 @@ from swarmeq import (
     GibbsState,
     LinearPotential,
     PowerLawKernel,
+    Problem,
     ShiftedKernel,
     SpacingMode,
     TruncatedGaussian,
@@ -29,7 +30,7 @@ class TestApplyMap:
     def test_zero_inputs_give_uniform(self):
         g = make_grid(3.0, 129)
         rho = indicator_density(g, 0.0, 1.0)
-        image, state, lam = apply_gibbs_map(zero_kernel(), ZeroPotential(), 0.5, rho)
+        image, state, lam = apply_gibbs_map(Problem(g, zero_kernel(), ZeroPotential(), 0.5), rho)
         np.testing.assert_allclose(image.values, np.full(129, 1 / 3.0), rtol=1e-14)
         assert state.last_z == pytest.approx(3.0, abs=1e-12)  # Z = L on first use
         assert lam == pytest.approx(-0.5 * math.log(3.0), abs=1e-12)
@@ -39,14 +40,14 @@ class TestApplyMap:
         # the quadrature error below 1e-6 at this resolution
         g = make_grid(40.0, 4096, SpacingMode.QUADRATIC)
         rho = Density.normalized(g, np.ones(4096))
-        image, _, _ = apply_gibbs_map(zero_kernel(), LinearPotential(1.0), 1.0, rho)
+        image, _, _ = apply_gibbs_map(Problem(g, zero_kernel(), LinearPotential(1.0), 1.0), rho)
         assert abs(image.values[0] - 1.0) <= 1e-6
 
     def test_quadratic_kernel_maps_gaussians_to_gaussians(self):
         nu, c = 2.0**-4, 0.2
         g = make_grid(3.2, 32768, SpacingMode.UNIFORM)
         rho = TruncatedGaussian(c, nu).discretize(g)
-        image, _, _ = apply_gibbs_map(PowerLawKernel(2.0), ZeroPotential(), nu, rho)
+        image, _, _ = apply_gibbs_map(Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu), rho)
         shift = c / math.sqrt(2 * nu)
         c_next = c + math.sqrt(nu / 2) * log_retained_mass(shift)[1]
         expected = TruncatedGaussian(c_next, nu).density(g.nodes)
@@ -60,7 +61,7 @@ class TestApplyMap:
             rho = Density.normalized(g, rng.random(n) + 1e-6)
             kernel = PowerLawKernel(float(rng.uniform(0.5, 3.0)))
             nu = float(rng.uniform(0.05, 1.0))
-            image, _, _ = apply_gibbs_map(kernel, ZeroPotential(), nu, rho)
+            image, _, _ = apply_gibbs_map(Problem(g, kernel, ZeroPotential(), nu), rho)
             assert abs(image.mass - 1.0) <= 1e-14
             assert np.all(image.values > 0)
 
@@ -69,8 +70,10 @@ class TestApplyMap:
         rho = indicator_density(g, 0.0, 0.5)
         nu = 0.25
         base = PowerLawKernel(2.0)
-        img1, _, lam1 = apply_gibbs_map(base, ZeroPotential(), nu, rho)
-        img2, _, lam2 = apply_gibbs_map(ShiftedKernel(base, 10.0), ZeroPotential(), nu, rho)
+        img1, _, lam1 = apply_gibbs_map(Problem(g, base, ZeroPotential(), nu), rho)
+        img2, _, lam2 = apply_gibbs_map(
+            Problem(g, ShiftedKernel(base, 10.0), ZeroPotential(), nu), rho
+        )
         assert np.max(np.abs(img1.values - img2.values)) <= 1e-12 * np.max(img1.values)
         assert lam2 - lam1 == pytest.approx(10.0, abs=1e-9)
 
@@ -80,15 +83,16 @@ class TestApplyMap:
         nu = 0.25
         kernel = PowerLawKernel(2.0)
         potential = LinearPotential(0.5)
+        problem = Problem(g, kernel, potential, nu)
         rho = indicator_density(g, 0.0, 1.0)
         state = GibbsState()
         for _ in range(60):
-            rho, state, lam = apply_gibbs_map(kernel, potential, nu, rho, state=state)
+            rho, state, lam = apply_gibbs_map(problem, rho, state=state)
         assert abs(state.last_z - 1.0) <= 1e-10
-        b = total_energy(kernel, potential, nu, rho)
+        b = total_energy(problem, rho)
         assert lam == pytest.approx(b.total + b.interaction, abs=1e-8)
         # the log-partition helper agrees with the iteration bookkeeping
-        assert -nu * log_partition(kernel, potential, nu, rho) == pytest.approx(
+        assert -nu * log_partition(problem, rho) == pytest.approx(
             lam, abs=1e-10
         )
 
@@ -96,25 +100,28 @@ class TestApplyMap:
         g = make_grid(1.0, 16)
         rho = Density.normalized(g, np.ones(16))
         with pytest.raises(ValueError, match="positive"):
-            apply_gibbs_map(zero_kernel(), ZeroPotential(), 0.0, rho)
+            apply_gibbs_map(Problem(g, zero_kernel(), ZeroPotential(), 0.0), rho)
 
     def test_non_finite_exponent_aborts(self):
         g = make_grid(1.0, 16)
         rho = Density.normalized(g, np.ones(16))
         bad_conv = np.full(16, np.nan)
         with pytest.raises(GibbsMapError, match="non-finite"):
-            apply_gibbs_map(zero_kernel(), ZeroPotential(), 0.5, rho, conv=bad_conv)
+            apply_gibbs_map(
+                Problem(g, zero_kernel(), ZeroPotential(), 0.5), rho, conv=bad_conv
+            )
 
 
 class TestResidual:
     def test_exact_fixed_point(self):
         g = make_grid(2.0, 65)
         uniform = Density.normalized(g, np.ones(65))
-        assert fixed_point_residual(zero_kernel(), ZeroPotential(), 0.3, uniform) <= 1e-14
+        assert fixed_point_residual(Problem(g, zero_kernel(), ZeroPotential(), 0.3), uniform) <= 1e-14
 
     def test_triangle_bound(self, rng):
         g = make_grid(1.0, 65)
+        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), 0.2)
         for _ in range(5):
             rho = Density.normalized(g, rng.random(65) + 1e-3)
-            res = fixed_point_residual(PowerLawKernel(2.0), ZeroPotential(), 0.2, rho)
+            res = fixed_point_residual(problem, rho)
             assert 0.0 <= res <= 2.0 + 1e-12

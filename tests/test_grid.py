@@ -1,10 +1,13 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import brute_force_convolution, zero_kernel
 
+import swarmeq
 from swarmeq import (
     Density,
     KernelOperator,
@@ -146,8 +149,10 @@ class TestConvolution:
     def test_import_leaves_scipy_signal_unloaded(self):
         # importing scipy.signal dominated the package's start-up time
         code = "import sys, swarmeq; print('scipy.signal' in sys.modules)"
+        # the fresh interpreter imports the same package as this one
+        env = {**os.environ, "PYTHONPATH": str(Path(swarmeq.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, check=True)
+                             capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "False"
 
     def test_bilinear_symmetry(self, rng):

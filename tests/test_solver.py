@@ -7,6 +7,7 @@ from swarmeq import (
     ContinuationSchedule,
     Density,
     PowerLawKernel,
+    Problem,
     RegularizedQanrKernel,
     SolverConfig,
     SpacingMode,
@@ -61,7 +62,7 @@ class TestSolve:
     def test_trivial_problem_converges_immediately(self):
         g = make_grid(3.0, 129)
         rho0 = indicator_density(g, 0.0, 1.0)
-        report = solve(zero_kernel(), ZeroPotential(), 0.5, rho0)
+        report = solve(Problem(g, zero_kernel(), ZeroPotential(), 0.5), rho0)
         assert report.converged
         assert report.iterations <= 2
         np.testing.assert_allclose(report.density.values, 1 / 3.0, rtol=1e-12)
@@ -69,16 +70,16 @@ class TestSolve:
     def test_converged_state_is_a_fixed_point(self):
         nu = 2.0**-6
         g = make_grid(4.0, 512, SpacingMode.UNIFORM)
-        report = solve(PowerLawKernel(2.0), ZeroPotential(), nu, indicator_density(g, 0, 2))
+        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
+        report = solve(problem, indicator_density(g, 0, 2))
         assert report.converged
-        assert fixed_point_residual(
-            PowerLawKernel(2.0), ZeroPotential(), nu, report.density
-        ) < 1e-6
+        assert fixed_point_residual(problem, report.density) < 1e-6
 
     def test_free_space_state_is_symmetric_about_its_mean(self):
         nu = 2.0**-6
         g = make_grid(4.0, 1024, SpacingMode.UNIFORM)
-        report = solve(PowerLawKernel(2.0), ZeroPotential(), nu, indicator_density(g, 0, 2))
+        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
+        report = solve(problem, indicator_density(g, 0, 2))
         m1 = moments(report.density).m1
         spline = CubicSpline(g.nodes, report.density.values)
         mirrored = np.where(
@@ -91,9 +92,8 @@ class TestSolve:
     def test_energy_decreases_on_full_steps(self):
         nu = 2.0**-6
         g = make_grid(2.0, 512, SpacingMode.QUADRATIC)
-        report = solve(
-            PowerLawKernel(2.0), ZeroPotential(), nu, indicator_density(g, 0, 0.25)
-        )
+        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
+        report = solve(problem, indicator_density(g, 0, 0.25))
         for k, tau in enumerate(report.tau_trace):
             if tau == 1.0:
                 assert report.energy_trace[k + 1] < report.energy_trace[k]
@@ -103,10 +103,8 @@ class TestSolve:
 
         nu = 2.0**-6
         g = make_grid(2.0, 512, SpacingMode.QUADRATIC)
-        report = solve(
-            PowerLawKernel(2.0), LinearPotential(critical_slope(nu)), nu,
-            indicator_density(g, 0, 0.25),
-        )
+        problem = Problem(g, PowerLawKernel(2.0), LinearPotential(critical_slope(nu)), nu)
+        report = solve(problem, indicator_density(g, 0, 0.25))
         assert report.converged
         assert report.iterations > 3  # long enough for the offset to settle
         assert abs(report.z_trace[-1] - 1.0) <= 1e-4
@@ -114,25 +112,29 @@ class TestSolve:
     def test_multiplier_equals_total_plus_interaction(self):
         nu = 2.0**-6
         g = make_grid(4.0, 512, SpacingMode.UNIFORM)
-        report = solve(PowerLawKernel(2.0), ZeroPotential(), nu, indicator_density(g, 0, 2))
-        assert report.lam == pytest.approx(
-            report.energy.total + report.energy.interaction, abs=1e-6
-        )
+        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
+        diag = solve(problem, indicator_density(g, 0, 2)).diagnostics
+        assert diag.lam == pytest.approx(diag.energy.total + diag.energy.interaction, abs=1e-6)
 
     def test_non_convergence_is_reported_not_raised(self):
         nu = 2.0**-10
         g = make_grid(8.0, 128, SpacingMode.UNIFORM)
         report = solve(
-            RegularizedQanrKernel(0.3), ZeroPotential(), nu,
+            Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), nu),
             indicator_density(g, 0, 8), SolverConfig(max_iterations=2),
         )
         assert not report.converged
         assert report.iterations == 2
 
+    def test_rejects_start_on_another_grid(self):
+        problem = Problem(make_grid(2.0, 64), PowerLawKernel(2.0), ZeroPotential(), 0.1)
+        with pytest.raises(ValueError, match="grid"):
+            solve(problem, indicator_density(make_grid(2.0, 64), 0, 1))
+
     def test_final_density_is_valid(self, rng):
         g = make_grid(2.0, 256, SpacingMode.UNIFORM)
         rho0 = Density.normalized(g, rng.random(256) + 0.01)
-        report = solve(PowerLawKernel(2.0), ZeroPotential(), 0.1, rho0)
+        report = solve(Problem(g, PowerLawKernel(2.0), ZeroPotential(), 0.1), rho0)
         assert abs(report.density.mass - 1.0) <= 1e-10
         assert np.all(report.density.values >= 0)
 
@@ -149,10 +151,9 @@ class TestContinuation:
         nu = 2.0**-6
         g = make_grid(4.0, 256, SpacingMode.UNIFORM)
         rho0 = indicator_density(g, 0, 2)
-        direct = solve(PowerLawKernel(2.0), ZeroPotential(), nu, rho0)
-        staged = solve_with_continuation(
-            PowerLawKernel(2.0), ZeroPotential(), ContinuationSchedule((nu,)), rho0
-        )
+        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
+        direct = solve(problem, rho0)
+        staged = solve_with_continuation(problem, ContinuationSchedule((nu,)), rho0)
         assert len(staged) == 1
         np.testing.assert_array_equal(staged[0].density.values, direct.density.values)
         assert staged[0].iterations == direct.iterations
@@ -164,7 +165,8 @@ class TestContinuation:
         schedule = ContinuationSchedule.geometric(2.0**-4, 2.0**-6, stages=3)
         potential = LinearPotential(critical_slope(2.0**-6))
         reports = solve_with_continuation(
-            PowerLawKernel(2.0), potential, schedule, indicator_density(g, 0, 0.25)
+            Problem(g, PowerLawKernel(2.0), potential, 2.0**-6),
+            schedule, indicator_density(g, 0, 0.25),
         )
         assert [r.nu for r in reports] == list(schedule.nus)
         assert all(r.converged for r in reports)
@@ -175,7 +177,8 @@ class TestContinuation:
         g = make_grid(4.0, 128, SpacingMode.UNIFORM)
         schedule = ContinuationSchedule((2.0**-4, 2.0**-5))
         reports = solve_with_continuation(
-            PowerLawKernel(2.0), ZeroPotential(), schedule, indicator_density(g, 0, 2)
+            Problem(g, PowerLawKernel(2.0), ZeroPotential(), 2.0**-5),
+            schedule, indicator_density(g, 0, 2),
         )
         for report in reports:
             allowed = {1.0, min(5 * report.nu, 0.95)}
