@@ -48,7 +48,7 @@ from .geometry import (
     slab_domain,
     wedge_domain,
 )
-from .gibbs import GibbsMapError, GibbsState, apply_gibbs_map, fixed_point_residual
+from .gibbs import GibbsMapError, apply_gibbs_map, fixed_point_residual
 from .grid import (
     Density,
     Grid,

@@ -1,16 +1,15 @@
 """The self-consistent Gibbs map whose fixed points are critical densities.
 
 One application sends rho to exp(-(K*rho + V)/nu) / Z.  For small nu the raw
-exponents span thousands of log units, so a running constant is folded into
-the kernel after every application (the partition value then tends to 1 along
-a converging iteration) and the exponent is additionally shifted by its
-minimum inside each application, which changes nothing algebraically.
+exponents span thousands of log units, so each application shifts the
+exponent by its minimum before exponentiating, which changes nothing
+algebraically.  The multiplier of the critical-point equation is
+-nu log Z, evaluated stably by `log_partition`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,77 +25,38 @@ class GibbsMapError(RuntimeError):
     """Raised when a map application produces a non-finite partition value."""
 
 
-@dataclass(frozen=True)
-class GibbsState:
-    """Bookkeeping carried across applications of the map.
-
-    kernel_offset is the cumulative constant folded into the kernel so far;
-    last_z is the partition value of the most recent application, computed
-    with that offset in place.  At a fixed point last_z tends to 1 and the
-    multiplier of the critical-point equation equals minus the offset.
-    """
-
-    kernel_offset: float = 0.0
-    last_z: float = math.nan
-
-
 def apply_gibbs_map(
-    problem: Problem,
-    rho: Density,
-    state: GibbsState | None = None,
-    conv: np.ndarray | None = None,
-    clamp_floor: float = DEFAULT_CLAMP_FLOOR,
-) -> tuple[Density, GibbsState, float]:
-    """Apply the map once; returns (new density, new state, multiplier estimate).
+    problem: Problem, rho: Density, conv: np.ndarray | None = None
+) -> Density:
+    """Apply the map once and return the image of rho.
 
-    The multiplier estimate is -nu log Z(rho) with respect to the original
-    (un-offset) kernel; it is meaningful only at convergence, where it equals
-    total + interaction energy of the fixed point.
-
-    `conv` may carry a precomputed K * rho; `clamp_floor` is the exponent
-    flush threshold, in natural-log units.
+    `conv` may carry a precomputed K * rho.
     """
-    nu = problem.nu
-    if state is None:
-        state = GibbsState()
     grid = rho.grid
     if conv is None:
         conv = problem.operator.apply(rho.values)
-    u = conv + problem.v + state.kernel_offset
+    u = conv + problem.v
     if not np.all(np.isfinite(u)):
         i = int(np.argmax(~np.isfinite(u)))
         raise GibbsMapError(
             f"non-finite exponent at node {i} (x = {grid.nodes[i]!r}); "
             "check kernel and potential values"
         )
-    shift = float(u.min())
-    exponent = np.maximum(-(u - shift) / nu, clamp_floor)
+    exponent = np.maximum(-(u - float(u.min())) / problem.nu, DEFAULT_CLAMP_FLOOR)
     values = np.exp(exponent)
     scale = float(grid.weights @ values)
     if not math.isfinite(scale) or scale <= 0:
         raise GibbsMapError(
             f"partition value {scale!r} after normalization; "
-            f"nu = {nu} is too small for this grid/offset state"
+            f"nu = {problem.nu} is too small for this grid"
         )
-    out = Density(grid=grid, values=values / scale)
-    # Z with the current offset in place, evaluated in log space: the raw
-    # exponent shift is undone so the bookkeeping matches the unshifted sum.
-    log_z = math.log(scale) - shift / nu
-    # The cumulative offset converges to minus the multiplier; incrementing by
-    # nu log Z drives the next partition value to 1 (a deviation of the offset
-    # from its limit shows up one-for-one in -nu log Z).
-    new_state = GibbsState(
-        kernel_offset=state.kernel_offset + nu * log_z,
-        last_z=math.exp(log_z) if log_z < 700 else math.inf,
-    )
-    lambda_estimate = -(state.kernel_offset + nu * log_z)
-    return out, new_state, lambda_estimate
+    return Density(grid=grid, values=values / scale)
 
 
 def log_partition(
     problem: Problem, rho: Density, conv: np.ndarray | None = None
 ) -> float:
-    """log Z of rho with respect to the original kernel, evaluated stably.
+    """log Z of rho, evaluated stably.
 
     Minus nu times this is the multiplier estimate; at a critical point it
     equals total + interaction energy.
@@ -111,5 +71,5 @@ def log_partition(
 
 def fixed_point_residual(problem: Problem, rho: Density) -> float:
     """L1 distance between rho and its image under the map."""
-    image, _, _ = apply_gibbs_map(problem, rho)
+    image = apply_gibbs_map(problem, rho)
     return integrate(rho.grid, np.abs(rho.values - image.values))

@@ -7,6 +7,10 @@ oscillating.  Iteration stops when the L1 residual ||rho - T(rho)|| drops
 below tolerance.  Small diffusion values are reached by continuation:
 solve along a decreasing sequence of nu, warm-starting each stage from the
 previous solution.
+
+Every step reuses the kernel operator of the `Problem`, and the stages of a
+continuation share it through `Problem.with_nu`.  The report carries
+`diagnose` of the returned density.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsReport, diagnose
 from .energy import Problem, total_energy
-from .gibbs import DEFAULT_CLAMP_FLOOR, GibbsMapError, GibbsState, apply_gibbs_map
+from .gibbs import GibbsMapError, apply_gibbs_map
 from .grid import Density, integrate
 
 
@@ -33,7 +37,6 @@ class SolverConfig:
     tau_c: float | None = None
     tol: float = 1e-6
     max_iterations: int = 2000
-    clamp_floor: float = DEFAULT_CLAMP_FLOOR
 
     def __post_init__(self):
         if self.tau_c is not None and not 0 < self.tau_c < 1:
@@ -91,7 +94,6 @@ class SolveReport:
     converged: bool
     energy_trace: list[float]
     tau_trace: list[float]
-    z_trace: list[float]
     nu: float
 
 
@@ -107,24 +109,19 @@ def solve(
     config = config or SolverConfig()
     tau_c = config.effective_tau_c(problem.nu)
     operator = problem.operator
-    state = GibbsState()
 
     rho = rho0
     conv = operator.apply(rho.values)
     breakdown = total_energy(problem, rho, conv=conv)
     energy_trace = [breakdown.total]
     tau_trace: list[float] = []
-    z_trace: list[float] = []
     iterations = 0
 
     while True:
         try:
-            image, state, _ = apply_gibbs_map(
-                problem, rho, state=state, conv=conv, clamp_floor=config.clamp_floor
-            )
+            image = apply_gibbs_map(problem, rho, conv=conv)
         except GibbsMapError as exc:
             raise GibbsMapError(f"iteration {iterations}: {exc}") from exc
-        z_trace.append(state.last_z)
         residual = integrate(grid, np.abs(rho.values - image.values))
         converged = residual < config.tol
         if iterations >= config.max_iterations:
@@ -162,7 +159,6 @@ def solve(
         converged=converged,
         energy_trace=energy_trace,
         tau_trace=tau_trace,
-        z_trace=z_trace,
         nu=problem.nu,
     )
 

