@@ -16,21 +16,21 @@ from .grid import Density, Grid, KernelOperator, integrate
 from .potentials import ExternalPotential, InteractionKernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """E[rho] = 1/2 <K*rho, rho> + nu <rho, log rho> + <V, rho> on a grid.
 
-    Construction validates nu, builds the kernel operator and samples V on the
-    nodes, once; `with_nu` shares both, so a continuation over nu builds one
-    operator.
+    Construction validates nu, builds the kernel operator (`operator`) and
+    samples V on the nodes (`v`), once; `with_nu` shares both, so a
+    continuation over nu builds one operator.
     """
 
     grid: Grid
     kernel: InteractionKernel
     potential: ExternalPotential
     nu: float
-    operator: KernelOperator = field(init=False, repr=False, compare=False)
-    v: np.ndarray = field(init=False, repr=False, compare=False)
+    operator: KernelOperator = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_nu(self.nu)
