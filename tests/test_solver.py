@@ -98,6 +98,22 @@ class TestSolve:
             if tau == 1.0:
                 assert report.energy_trace[k + 1] < report.energy_trace[k]
 
+    def test_partition_value_settles_at_one(self):
+        from swarmeq import LinearPotential, apply_gibbs_map, critical_slope
+        from swarmeq.gibbs import log_partition
+
+        nu = 2.0**-6
+        g = make_grid(2.0, 512, SpacingMode.QUADRATIC)
+        problem = Problem(g, PowerLawKernel(2.0), LinearPotential(critical_slope(nu)), nu)
+        report = solve(problem, indicator_density(g, 0, 0.25))
+        assert report.converged
+        assert report.iterations > 3  # long enough for the multiplier to settle
+        # partition value of one more map step, offset by the current
+        # multiplier -nu log Z(rho)
+        image = apply_gibbs_map(problem, report.density)
+        z = np.exp(log_partition(problem, image) - log_partition(problem, report.density))
+        assert abs(z - 1.0) <= 1e-4
+
     def test_multiplier_equals_total_plus_interaction(self):
         from swarmeq import LinearPotential, critical_slope
 
