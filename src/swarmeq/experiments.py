@@ -62,13 +62,13 @@ EXPERIMENT_NAMES = (
 )
 
 # Override keys accepted per experiment; unknown keys are rejected.
-_COMMON_SOLVE_KEYS = {"nu", "g", "L", "N", "grid", "tol", "N_max", "tau_c", "seed"}
+_COMMON_SOLVE_KEYS = {"nu", "g", "L", "N", "grid", "tol", "N_max", "tau_c"}
 ALLOWED_OVERRIDES: dict[str, set[str]] = {
     "kp2": set(_COMMON_SOLVE_KEYS),
     "kpsmall": _COMMON_SOLVE_KEYS | {"p"},
     "kplarge": _COMMON_SOLVE_KEYS | {"p"},
     "multistate": _COMMON_SOLVE_KEYS | {"eps", "schedule", "stages", "prominence"},
-    "gamma-energy": {"nu", "g", "c_min", "c_max", "n_c", "seed"},
+    "gamma-energy": {"nu", "g", "c_min", "c_max", "n_c"},
     "effdim": {"seed", "samples"},
     "custom": _COMMON_SOLVE_KEYS
     | {"kernel", "p", "eps", "schedule", "stages", "prominence", "rho0_interval"},
@@ -262,6 +262,7 @@ def _run_multistate(ov: dict[str, Any]) -> list[ResultRecord]:
     rho0 = indicator_density(grid, 0.0, grid.length)
     if "schedule" in ov:
         schedules = [ContinuationSchedule(tuple(float(v) for v in ov["schedule"]))]
+        nu = schedules[0].nus[-1]  # the records describe the last stage
         starts = [schedules[0].nus[0] / nu]
     else:
         starts = [10.0, 2.0]
@@ -276,7 +277,8 @@ def _run_multistate(ov: dict[str, Any]) -> list[ResultRecord]:
         final = reports[-1]
         params = {
             "nu": nu, "eps": eps, "nu0_over_nu": start, "stages": len(schedule.nus),
-            **echo, "prominence": prominence, "rho0": "uniform",
+            **echo, "tau_c": cfg.effective_tau_c(nu), "prominence": prominence,
+            "rho0": "uniform",
         }
         metrics = _solve_metrics(final, prominence=prominence)
         metrics["total_iterations"] = sum(r.iterations for r in reports)
@@ -375,6 +377,7 @@ def _run_custom(ov: dict[str, Any]) -> list[ResultRecord]:
     if "schedule" in ov or "stages" in ov:
         if "schedule" in ov:
             schedule = ContinuationSchedule(tuple(float(v) for v in ov["schedule"]))
+            nu = schedule.nus[-1]  # the record describes the last stage
         else:
             schedule = ContinuationSchedule.geometric(
                 10 * nu, nu, stages=int(ov["stages"])

@@ -1,16 +1,26 @@
-"""Relaxed fixed-point iteration on the Gibbs map, with continuation.
+"""Safeguarded fixed-point iteration on the Gibbs map, with continuation.
 
-Each step replaces rho by (1 - tau) rho + tau T(rho).  The full step tau = 1
-is taken whenever it lowers the energy; otherwise a conservative step
-tau_c (proportional to the diffusion parameter) keeps the iteration from
-oscillating.  Iteration stops when the L1 residual ||rho - T(rho)|| drops
-below tolerance.  Small diffusion values are reached by continuation:
-solve along a decreasing sequence of nu, warm-starting each stage from the
-previous solution.
+Each step starts from the image T(rho).  The full step rho -> T(rho) is taken
+whenever it lowers the energy.  Otherwise the step tries a damped Anderson
+candidate (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
 
-Every step reuses the kernel operator of the `Problem`, and the stages of a
-continuation share it through `Problem.with_nu`.  The report carries
-`diagnose` of the returned density.
+    x = rho + beta f - sum_j gamma_j (dx_j + beta df_j),   f = T(rho) - rho,
+
+with beta = tau_c and gamma the trapezoid-weighted least-squares fit of f by
+the last ANDERSON_DEPTH differences df_j of f (dx_j are the differences of the
+iterates), and accepts it when it is finite, positive and of lower energy.
+Failing that it takes the conservative step (1 - tau_c) rho + tau_c T(rho),
+with tau_c proportional to the diffusion parameter.  The history is cleared
+on every full step, so a solve of full steps only is the plain relaxed scheme.
+Iteration stops when the L1 residual ||rho - T(rho)|| drops below tolerance.
+Small diffusion values are reached by continuation: solve along a decreasing
+sequence of nu, warm-starting each stage from the previous solution.
+
+Every step reuses the kernel operator of the `Problem` and applies it once:
+K * rho is linear, so the convolution of a conservative or Anderson step is
+the same combination of stored convolutions.  The stages of a continuation
+share the operator through `Problem.with_nu`.  The report carries `diagnose`
+of the returned density.
 """
 
 from __future__ import annotations
@@ -21,17 +31,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsReport, diagnose
-from .energy import Problem, total_energy
+from .energy import EnergyBreakdown, Problem, total_energy
 from .gibbs import GibbsMapError, apply_gibbs_map
 from .grid import Density, integrate
+
+# Anderson history depth.  Measured on the default multistate schedules:
+# depths 5 and 6, and the undamped mixing beta = 1, left stages unconverged.
+ANDERSON_DEPTH = 4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration controls.
 
-    tau_c = None derives the conservative step as min(5 nu, 0.95) at solve
-    time; the clamp keeps the scheme defined when nu is not small.
+    tau_c = None derives the conservative step, which is also the Anderson
+    damping, as min(5 nu, 0.95) at solve time; the clamp keeps the scheme
+    defined when nu is not small.
     """
 
     tau_c: float | None = None
@@ -94,13 +109,14 @@ class SolveReport:
     converged: bool
     energy_trace: list[float]
     tau_trace: list[float]
+    step_trace: list[str]  # per step: "full", "anderson" or "conservative"
     nu: float
 
 
 def solve(
     problem: Problem, rho0: Density, config: SolverConfig | None = None
 ) -> SolveReport:
-    """Iterate the relaxed scheme from rho0 until the L1 residual is below
+    """Iterate the safeguarded scheme from rho0 until the L1 residual is below
     tolerance or the iteration budget runs out (the latter is reported, not
     raised)."""
     grid = problem.grid
@@ -109,12 +125,20 @@ def solve(
     config = config or SolverConfig()
     tau_c = config.effective_tau_c(problem.nu)
     operator = problem.operator
+    sqrt_w = np.sqrt(grid.weights)
+    # Ring buffer of the differences, over successive non-full steps, of
+    # f = T(rho) - rho, of y = rho + tau_c f and of K * y; `stored` counts the
+    # differences pushed since the last full step.
+    d_f, d_y, d_conv = np.empty((3, ANDERSON_DEPTH, grid.size))
+    stored = 0
+    previous = None  # (f, y, K * y) of the last non-full step
 
     rho = rho0
     conv = operator.apply(rho.values)
     breakdown = total_energy(problem, rho, conv=conv)
     energy_trace = [breakdown.total]
     tau_trace: list[float] = []
+    step_trace: list[str] = []
     iterations = 0
 
     while True:
@@ -134,15 +158,38 @@ def solve(
                 f"iteration {iterations}: non-finite energy {image_breakdown.total!r}"
             )
         if image_breakdown.total < breakdown.total:
-            tau = 1.0
+            step = "full"
             rho, conv, breakdown = image, image_conv, image_breakdown
+            stored, previous = 0, None
         else:
-            tau = tau_c
-            rho = Density(grid, (1 - tau) * rho.values + tau * image.values)
+            f = image.values - rho.values
+            y = (1 - tau_c) * rho.values + tau_c * image.values
             # K * rho is linear in rho, so the combined convolution is exact.
-            conv = (1 - tau) * conv + tau * image_conv
-            breakdown = total_energy(problem, rho, conv=conv)
-        tau_trace.append(tau)
+            y_conv = (1 - tau_c) * conv + tau_c * image_conv
+            if previous is not None:
+                slot = stored % ANDERSON_DEPTH
+                d_f[slot] = f - previous[0]
+                d_y[slot] = y - previous[1]
+                d_conv[slot] = y_conv - previous[2]
+                stored += 1
+            previous = (f, y, y_conv)
+            candidate = None
+            if stored:
+                m = min(stored, ANDERSON_DEPTH)
+                gamma = np.linalg.lstsq((d_f[:m] * sqrt_w).T, f * sqrt_w, rcond=None)[0]
+                candidate = _anderson_candidate(
+                    problem, y - gamma @ d_y[:m], y_conv - gamma @ d_conv[:m],
+                    breakdown.total,
+                )
+            if candidate is not None:
+                step = "anderson"
+                rho, conv, breakdown = candidate
+            else:
+                step = "conservative"
+                rho, conv = Density(grid, y), y_conv
+                breakdown = total_energy(problem, rho, conv=conv)
+        step_trace.append(step)
+        tau_trace.append(1.0 if step == "full" else tau_c)
         energy_trace.append(breakdown.total)
         iterations += 1
         if converged:
@@ -159,8 +206,25 @@ def solve(
         converged=converged,
         energy_trace=energy_trace,
         tau_trace=tau_trace,
+        step_trace=step_trace,
         nu=problem.nu,
     )
+
+
+def _anderson_candidate(
+    problem: Problem, values: np.ndarray, conv: np.ndarray, energy: float
+) -> tuple[Density, np.ndarray, EnergyBreakdown] | None:
+    """(density, K * density, energy breakdown) of an Anderson combination,
+    or None unless its values are finite and positive, its mass is unit and
+    its energy is below `energy`."""
+    if not np.all(np.isfinite(values) & (values > 0)):
+        return None
+    try:
+        rho = Density(problem.grid, values)
+    except ValueError:  # mass drifted beyond the density tolerance
+        return None
+    breakdown = total_energy(problem, rho, conv=conv)
+    return (rho, conv, breakdown) if breakdown.total < energy else None
 
 
 def solve_with_continuation(

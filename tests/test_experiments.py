@@ -244,6 +244,26 @@ class TestCli:
         assert code == 1
         assert "NOT CONVERGED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["kp2", "gamma-energy"])
+    def test_seed_flag_rejected_where_unread(self, name, capsys):
+        code = main(["experiment", name, "--seed", "3"])
+        assert code == 2
+        assert "unknown override" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,ratio", [
+        (["experiment", "multistate"], {"param_nu0_over_nu": 2.0}),
+        (["solve"], {}),
+    ], ids=["multistate", "custom"])
+    def test_explicit_schedule_echoes_last_stage(self, tmp_path, command, ratio):
+        out = tmp_path / "run.json"
+        code = main([*command, "--set", "schedule=[0.02,0.01]", "--set", "N=128",
+                     "--set", "N_max=300", "--output", str(out)])
+        assert code in (0, 1)
+        (record,) = json.loads(out.read_text())["records"]
+        assert record["param_nu"] == 0.01
+        assert record["param_tau_c"] == 0.05
+        assert {key: record[key] for key in ratio} == ratio
+
     def test_seed_flag_feeds_experiment(self, tmp_path):
         out = tmp_path / "eff.json"
         code = main([

@@ -94,9 +94,20 @@ class TestSolve:
         g = make_grid(2.0, 512, SpacingMode.QUADRATIC)
         problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
         report = solve(problem, indicator_density(g, 0, 0.25))
-        for k, tau in enumerate(report.tau_trace):
-            if tau == 1.0:
+        for k, step in enumerate(report.step_trace):
+            if step != "conservative":
                 assert report.energy_trace[k + 1] < report.energy_trace[k]
+
+    def test_full_steps_only_leave_plain_trace(self):
+        from swarmeq import LinearPotential, critical_slope
+
+        nu = 2.0**-6
+        g = make_grid(2.0, 512, SpacingMode.QUADRATIC)
+        problem = Problem(g, PowerLawKernel(2.0), LinearPotential(critical_slope(nu)), nu)
+        report = solve(problem, indicator_density(g, 0, 0.25))
+        assert report.converged
+        assert report.step_trace == ["full"] * report.iterations
+        assert report.tau_trace == [1.0] * report.iterations
 
     def test_partition_value_settles_at_one(self):
         from swarmeq import LinearPotential, apply_gibbs_map, critical_slope
@@ -190,6 +201,25 @@ class TestContinuation:
         assert all(r.converged for r in reports)
         # warm-started stages need far fewer iterations than the cold stage
         assert reports[-1].iterations < reports[0].iterations
+
+    def test_metastable_schedule_converges(self):
+        # attractive-repulsive aggregates translate slowly at nu = 2**-13:
+        # the relaxed scheme alone leaves every stage at the iteration budget
+        nu = 2.0**-13
+        g = make_grid(8.0, 128, SpacingMode.UNIFORM)
+        reports = solve_with_continuation(
+            Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), nu),
+            ContinuationSchedule.geometric(2 * nu, nu, stages=8),
+            indicator_density(g, 0, 8),
+        )
+        assert [r.converged for r in reports] == [True] * 8
+        assert any("anderson" in r.step_trace for r in reports)
+        for report in reports:
+            tau_c = min(5 * report.nu, 0.95)
+            for k, step in enumerate(report.step_trace):
+                assert report.tau_trace[k] == (1.0 if step == "full" else tau_c)
+                if step != "conservative":
+                    assert report.energy_trace[k + 1] < report.energy_trace[k]
 
     def test_step_sizes_follow_stage_diffusion(self):
         g = make_grid(4.0, 128, SpacingMode.UNIFORM)
