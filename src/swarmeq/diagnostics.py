@@ -25,7 +25,6 @@ from .potentials import LinearPotential
 class Moments(NamedTuple):
     m1: float
     m2: float
-    com: float
 
 
 @dataclass(frozen=True)
@@ -111,11 +110,11 @@ def com_drift(problem: Problem, rho: Density) -> float:
 
 
 def moments(rho: Density) -> Moments:
-    """First and second moments about the origin; com coincides with m1 here."""
+    """First and second moments about the origin."""
     nodes = rho.grid.nodes
     m1 = integrate(rho.grid, nodes * rho.values)
     m2 = integrate(rho.grid, nodes * nodes * rho.values)
-    return Moments(m1=m1, m2=m2, com=m1)
+    return Moments(m1=m1, m2=m2)
 
 
 def diagnose(problem: Problem, rho: Density) -> DiagnosticsReport:

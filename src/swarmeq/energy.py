@@ -59,20 +59,7 @@ class EnergyBreakdown:
     interaction: float
     entropy: float
     potential: float
-    nu: float
     total: float
-
-    @classmethod
-    def assemble(
-        cls, interaction: float, entropy: float, potential: float, nu: float
-    ) -> "EnergyBreakdown":
-        return cls(
-            interaction=interaction,
-            entropy=entropy,
-            potential=potential,
-            nu=nu,
-            total=interaction + nu * entropy + potential,
-        )
 
 
 def interaction_energy(
@@ -102,9 +89,9 @@ def total_energy(
     problem: Problem, rho: Density, conv: np.ndarray | None = None
 ) -> EnergyBreakdown:
     """Assemble the full breakdown; reuses `conv` = K * rho when given."""
-    return EnergyBreakdown.assemble(
-        interaction=interaction_energy(problem, rho, conv=conv),
-        entropy=entropy(rho),
-        potential=potential_energy(problem, rho),
-        nu=problem.nu,
+    interaction = interaction_energy(problem, rho, conv=conv)
+    ent = entropy(rho)
+    potential = potential_energy(problem, rho)
+    return EnergyBreakdown(
+        interaction, ent, potential, interaction + problem.nu * ent + potential
     )

@@ -1,9 +1,12 @@
 """Named experiments reproducing the benchmark figures, plus result emission.
 
-Each experiment resolves its defaults, applies validated overrides, runs the
-relevant solves or estimates, and returns a list of ResultRecord.  Records
-carry the full resolved parameter set (no hidden defaults), scalar metrics,
-and a sampled curve (density, energy curve, or volume profile).
+One table, `_EXPERIMENTS`, lists every experiment with the override keys it
+accepts and its runner.  A runner resolves its defaults, applies the
+overrides, runs the relevant solves or estimates, and returns a list of
+ResultRecord; the solving experiments share one runner and differ only in
+their parameter points and extra metrics.  Records carry the full resolved
+parameter set (no hidden defaults), scalar metrics, and a sampled curve
+(density, energy curve, or volume profile).
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -33,7 +38,7 @@ from .geometry import (
     slab_domain,
     wedge_domain,
 )
-from .grid import Grid, SpacingMode, indicator_density, integrate, make_grid
+from .grid import Density, Grid, SpacingMode, indicator_density, integrate, make_grid
 from .potentials import (
     ExternalPotential,
     InteractionKernel,
@@ -51,41 +56,17 @@ from .solver import (
     solve_with_continuation,
 )
 
-EXPERIMENT_NAMES = (
-    "kp2",
-    "kpsmall",
-    "kplarge",
-    "multistate",
-    "gamma-energy",
-    "effdim",
-    "custom",
-)
-
-# Override keys accepted per experiment; unknown keys are rejected.
-_COMMON_SOLVE_KEYS = {"nu", "g", "L", "N", "grid", "tol", "N_max", "tau_c"}
-ALLOWED_OVERRIDES: dict[str, set[str]] = {
-    "kp2": set(_COMMON_SOLVE_KEYS),
-    "kpsmall": _COMMON_SOLVE_KEYS | {"p"},
-    "kplarge": _COMMON_SOLVE_KEYS | {"p"},
-    "multistate": _COMMON_SOLVE_KEYS | {"eps", "schedule", "stages", "prominence"},
-    "gamma-energy": {"nu", "g", "c_min", "c_max", "n_c"},
-    "effdim": {"seed", "samples"},
-    "custom": _COMMON_SOLVE_KEYS
-    | {"kernel", "p", "eps", "schedule", "stages", "prominence", "rho0_interval"},
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     overrides: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_NAMES:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENT_NAMES}"
             )
-        allowed = ALLOWED_OVERRIDES[self.experiment]
+        allowed = _EXPERIMENTS[self.experiment][0]
         unknown = set(self.overrides) - allowed
         if unknown:
             raise ValueError(
@@ -125,7 +106,7 @@ def _as_list(value) -> list:
     return [value]
 
 
-def _solve_metrics(report: SolveReport, prominence: float = 0.05) -> dict[str, Any]:
+def _solve_metrics(report: SolveReport, prominence: float) -> dict[str, Any]:
     rho = report.density
     diag = report.diagnostics
     return {
@@ -162,134 +143,173 @@ def _record(experiment, params, metrics, kind, xs, ys, t0, reports) -> ResultRec
     )
 
 
-def _solve_setup(
-    ov: dict[str, Any], nu: float, length: float, mode: str
-) -> tuple[float, Grid, SolverConfig, dict[str, Any]]:
-    """Read the keys every solving experiment shares, given its defaults.
+@dataclass
+class _Solve:
+    """One record of a solving experiment: what it solves and what it echoes.
 
-    Returns nu, the grid, the solver config and the echo of L, N, grid, tol
-    and N_max, in the order the records list them.
+    `lead` holds the parameters echoed before L, N, grid, tol and N_max, among
+    them "nu", the diffusion the record describes (the last stage's when there
+    is a schedule); `trail` holds those echoed after tau_c.  A "prominence"
+    in `trail` is the one aggregates are counted with (0.05 when absent).
     """
-    nu = float(ov.get("nu", nu))
-    grid = make_grid(
-        float(ov.get("L", length)), int(ov.get("N", 1024)), _spacing(ov.get("grid", mode))
-    )
-    cfg = SolverConfig(
-        tau_c=ov.get("tau_c"),
-        tol=float(ov.get("tol", 1e-6)),
-        max_iterations=int(ov.get("N_max", 2000)),
-    )
-    echo = {"L": grid.length, "N": grid.size, "grid": grid.mode.value,
-            "tol": cfg.tol, "N_max": cfg.max_iterations}
-    return nu, grid, cfg, echo
+
+    lead: dict[str, Any]
+    kernel: InteractionKernel
+    potential: ExternalPotential
+    rho0: Density
+    trail: dict[str, Any]
+    schedule: ContinuationSchedule | None = None
 
 
-def _run_kp2(ov: dict[str, Any]) -> list[ResultRecord]:
-    nu, grid, cfg, echo = _solve_setup(ov, 2.0**-6, 2.0, "quadratic")
+@dataclass(frozen=True)
+class _Solving:
+    """The runner of every solving experiment: it reads the keys they share,
+    given the experiment's default nu, L and grid mode, and records each point
+    that `points(overrides, grid, nu)` yields with the common metrics plus
+    `extra(point, reports)`."""
+
+    nu: float
+    length: float
+    mode: str
+    points: Callable[[dict[str, Any], Grid, float], Iterator[_Solve]]
+    extra: Callable[[_Solve, list[SolveReport]], dict[str, Any]] = lambda point, reports: {}
+
+    def __call__(self, experiment: str, ov: dict[str, Any]) -> list[ResultRecord]:
+        nu = float(ov.get("nu", self.nu))
+        grid = make_grid(
+            float(ov.get("L", self.length)), int(ov.get("N", 1024)),
+            _spacing(ov.get("grid", self.mode)),
+        )
+        cfg = SolverConfig(
+            tau_c=ov.get("tau_c"),
+            tol=float(ov.get("tol", 1e-6)),
+            max_iterations=int(ov.get("N_max", 2000)),
+        )
+        records = []
+        for point in self.points(ov, grid, nu):
+            t0 = time.perf_counter()
+            problem = Problem(grid, point.kernel, point.potential, point.lead["nu"])
+            if point.schedule is None:
+                reports = [solve(problem, point.rho0, cfg)]
+            else:
+                reports = solve_with_continuation(problem, point.schedule, point.rho0, cfg)
+            final = reports[-1]
+            params = {
+                **point.lead, "L": grid.length, "N": grid.size, "grid": grid.mode.value,
+                "tol": cfg.tol, "N_max": cfg.max_iterations,
+                "tau_c": cfg.effective_tau_c(point.lead["nu"]), **point.trail,
+            }
+            prominence = point.trail.get("prominence", 0.05)
+            metrics = {**_solve_metrics(final, prominence), **self.extra(point, reports)}
+            records.append(_record(experiment, params, metrics, "density",
+                                   grid.nodes, final.density.values, t0, reports))
+        return records
+
+
+def _schedule(ov: dict[str, Any], nu: float, start: float | None) -> ContinuationSchedule:
+    """The explicit `schedule` override, else `stages` geometric stages from
+    start * nu down to nu."""
+    if "schedule" in ov:
+        return ContinuationSchedule(tuple(float(v) for v in ov["schedule"]))
+    return ContinuationSchedule.geometric(start * nu, nu, stages=int(ov.get("stages", 8)))
+
+
+def _kp2_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
     gc = critical_slope(nu)
     gs = [float(g) for g in _as_list(ov.get("g", [0.25 * gc, gc, 4 * gc]))]
     rho0 = indicator_density(grid, 0.0, 0.25)
-    records = []
     for g in gs:
-        t0 = time.perf_counter()
-        problem = Problem(grid, PowerLawKernel(2.0), LinearPotential(g), nu)
-        report = solve(problem, rho0, cfg)
-        exact = exact_minimizer(nu, g)
-        # compare unit-mass discretizations; raw samples carry a quadrature
-        # mass defect that would dominate the distance
-        l1 = integrate(grid, np.abs(report.density.values - exact.discretize(grid).values))
-        params = {
-            "nu": nu, "g": g, "g_over_gc": g / gc, **echo,
-            "tau_c": cfg.effective_tau_c(nu), "rho0": "indicator[0,0.25]",
-        }
-        metrics = _solve_metrics(report)
-        metrics["l1_error_exact"] = l1
-        metrics["exact_shift"] = exact.c
-        records.append(_record("kp2", params, metrics, "density",
-                               grid.nodes, report.density.values, t0, [report]))
-    return records
+        yield _Solve({"nu": nu, "g": g, "g_over_gc": g / gc}, PowerLawKernel(2.0),
+                     LinearPotential(g), rho0, {"rho0": "indicator[0,0.25]"})
 
 
-def _run_power_family(name: str, ov: dict[str, Any]) -> list[ResultRecord]:
-    default_ps = {
-        "kpsmall": [1.0625, 1.125, 1.25, 1.5, 2.0, 4.0, 8.0],
-        "kplarge": [16.0, 32.0, 64.0, 128.0, 256.0],
-    }[name]
-    nu, grid, cfg, echo = _solve_setup(ov, 2.0**-6, 4.0, "uniform")
+def _exact_metrics(point: _Solve, reports: list[SolveReport]) -> dict[str, Any]:
+    grid = point.rho0.grid
+    exact = exact_minimizer(point.lead["nu"], point.lead["g"])
+    # compare unit-mass discretizations; raw samples carry a quadrature
+    # mass defect that would dominate the distance
+    l1 = integrate(grid, np.abs(reports[-1].density.values - exact.discretize(grid).values))
+    return {"l1_error_exact": l1, "exact_shift": exact.c}
+
+
+def _power_points(
+    default_ps: tuple[float, ...], ov: dict[str, Any], grid: Grid, nu: float
+) -> Iterator[_Solve]:
     ps = [float(p) for p in _as_list(ov.get("p", default_ps))]
     gs = [float(g) for g in _as_list(ov.get("g", [0.0, nu]))]
-    records = []
     for p in ps:
         for g in gs:
-            t0 = time.perf_counter()
-            potential: ExternalPotential = (
-                ZeroPotential() if g == 0 else LinearPotential(g)
+            yield _Solve(
+                {"nu": nu, "p": p, "g": g}, PowerLawKernel(p),
+                ZeroPotential() if g == 0 else LinearPotential(g),
+                indicator_density(grid, 0.0, 2.0 if g == 0 else 1.0),
+                {"rho0": "indicator[0,2]" if g == 0 else "indicator[0,1]"},
             )
-            rho0 = (
-                indicator_density(grid, 0.0, 2.0)
-                if g == 0
-                else indicator_density(grid, 0.0, 1.0)
-            )
-            report = solve(Problem(grid, PowerLawKernel(p), potential, nu), rho0, cfg)
-            params = {
-                "nu": nu, "p": p, "g": g, **echo,
-                "tau_c": cfg.effective_tau_c(nu),
-                "rho0": "indicator[0,2]" if g == 0 else "indicator[0,1]",
-            }
-            metrics = _solve_metrics(report)
-            if name == "kplarge":
-                com = metrics["m1"]
-                start = com - 0.5 if g == 0 else 0.0
-                limit = unit_interval_limit_state(potential, nu, support_start=start)
-                metrics["l1_limit_distance"] = integrate(
-                    grid,
-                    np.abs(report.density.values - limit.discretize(grid).values),
-                )
-                window = np.abs(grid.nodes - com) <= 0.6
-                metrics["mass_in_window"] = float(
-                    grid.weights[window] @ report.density.values[window]
-                )
-            records.append(_record(name, params, metrics, "density",
-                                   grid.nodes, report.density.values, t0, [report]))
-    return records
 
 
-def _run_multistate(ov: dict[str, Any]) -> list[ResultRecord]:
-    nu, grid, cfg, echo = _solve_setup(ov, 2.0**-13, 8.0, "uniform")
+def _limit_metrics(point: _Solve, reports: list[SolveReport]) -> dict[str, Any]:
+    grid, rho = point.rho0.grid, reports[-1].density.values
+    com = reports[-1].diagnostics.moments.m1
+    start = com - 0.5 if point.lead["g"] == 0 else 0.0
+    limit = unit_interval_limit_state(point.potential, point.lead["nu"], support_start=start)
+    window = np.abs(grid.nodes - com) <= 0.6
+    return {
+        "l1_limit_distance": integrate(grid, np.abs(rho - limit.discretize(grid).values)),
+        "mass_in_window": float(grid.weights[window] @ rho[window]),
+    }
+
+
+def _multistate_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
     eps = float(ov.get("eps", 0.3))
-    stages = int(ov.get("stages", 8))
     prominence = float(ov.get("prominence", 0.05))
     rho0 = indicator_density(grid, 0.0, grid.length)
-    if "schedule" in ov:
-        schedules = [ContinuationSchedule(tuple(float(v) for v in ov["schedule"]))]
-        nu = schedules[0].nus[-1]  # the records describe the last stage
-        starts = [schedules[0].nus[0] / nu]
+    for start in [None] if "schedule" in ov else [10.0, 2.0]:
+        schedule = _schedule(ov, nu, start)
+        last = schedule.nus[-1]
+        yield _Solve(
+            {"nu": last, "eps": eps,
+             "nu0_over_nu": schedule.nus[0] / last if start is None else start,
+             "stages": len(schedule.nus)},
+            RegularizedQanrKernel(eps), ZeroPotential(), rho0,
+            {"prominence": prominence, "rho0": "uniform"}, schedule,
+        )
+
+
+def _stage_metrics(point: _Solve, reports: list[SolveReport]) -> dict[str, Any]:
+    return {
+        "total_iterations": sum(r.iterations for r in reports),
+        "stages_converged": sum(1 for r in reports if r.converged),
+        "converged": all(r.converged for r in reports),
+    }
+
+
+def _custom_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
+    kind = ov.get("kernel", "power")
+    if kind == "power":
+        shape = {"p": float(ov.get("p", 2.0))}
+        kernel: InteractionKernel = PowerLawKernel(shape["p"])
+    elif kind == "qanr":
+        shape = {"eps": float(ov.get("eps", 0.3))}
+        kernel = RegularizedQanrKernel(shape["eps"])
     else:
-        starts = [10.0, 2.0]
-        schedules = [
-            ContinuationSchedule.geometric(s * nu, nu, stages=stages) for s in starts
-        ]
-    records = []
-    for start, schedule in zip(starts, schedules):
-        t0 = time.perf_counter()
-        problem = Problem(grid, RegularizedQanrKernel(eps), ZeroPotential(), nu)
-        reports = solve_with_continuation(problem, schedule, rho0, cfg)
-        final = reports[-1]
-        params = {
-            "nu": nu, "eps": eps, "nu0_over_nu": start, "stages": len(schedule.nus),
-            **echo, "tau_c": cfg.effective_tau_c(nu), "prominence": prominence,
-            "rho0": "uniform",
-        }
-        metrics = _solve_metrics(final, prominence=prominence)
-        metrics["total_iterations"] = sum(r.iterations for r in reports)
-        metrics["stages_converged"] = sum(1 for r in reports if r.converged)
-        metrics["converged"] = all(r.converged for r in reports)
-        records.append(_record("multistate", params, metrics, "density",
-                               grid.nodes, final.density.values, t0, reports))
-    return records
+        raise ValueError(f"unknown kernel {kind!r}; use 'power' or 'qanr'")
+    g = float(ov.get("g", 0.0))
+    prominence = float(ov.get("prominence", 0.05))
+    lo, hi = (float(v) for v in ov.get("rho0_interval", (0.0, grid.length)))
+    schedule = _schedule(ov, nu, 10.0) if "schedule" in ov or "stages" in ov else None
+    yield _Solve(
+        {"kernel": kind, "nu": schedule.nus[-1] if schedule else nu, "g": g},
+        kernel, ZeroPotential() if g == 0 else LinearPotential(g),
+        indicator_density(grid, lo, hi),
+        {"prominence": prominence, "rho0_interval": [lo, hi], **shape}, schedule,
+    )
 
 
-def _run_gamma_energy(ov: dict[str, Any]) -> list[ResultRecord]:
+def _total_iterations(point: _Solve, reports: list[SolveReport]) -> dict[str, Any]:
+    return {"total_iterations": sum(r.iterations for r in reports)}
+
+
+def _run_gamma_energy(experiment: str, ov: dict[str, Any]) -> list[ResultRecord]:
     nu = float(ov.get("nu", 2.0**-6))
     gc = critical_slope(nu)
     gs = [float(g) for g in _as_list(ov.get("g", [0.0, 0.25 * gc, gc, 2 * gc, 4 * gc]))]
@@ -310,7 +330,7 @@ def _run_gamma_energy(ov: dict[str, Any]) -> list[ResultRecord]:
             "argmin_c": float(cs[argmin]),
             "strictly_decreasing": bool(np.all(np.diff(energies) < 0)),
         }
-        records.append(_record("gamma-energy", params, metrics, "energy_curve",
+        records.append(_record(experiment, params, metrics, "energy_curve",
                                cs, energies, t0, []))
     return records
 
@@ -338,7 +358,7 @@ def ball_cylinder_domain(radius: float) -> DomainSpec:
     return DomainSpec(dim=3, indicator=indicator, probe_centers=np.zeros((1, 3)))
 
 
-def _run_effdim(ov: dict[str, Any]) -> list[ResultRecord]:
+def _run_effdim(experiment: str, ov: dict[str, Any]) -> list[ResultRecord]:
     seed = int(ov.get("seed", 0))
     samples = int(ov.get("samples", 100_000))
     records = []
@@ -353,67 +373,41 @@ def _run_effdim(ov: dict[str, Any]) -> list[ResultRecord]:
             "effective_dimension": estimate,
             "max_stderr_rel": float(np.max(profile.stderr / np.maximum(profile.volumes, 1e-300))),
         }
-        records.append(_record("effdim", params, metrics, "volume_profile",
+        records.append(_record(experiment, params, metrics, "volume_profile",
                                profile.radii, profile.volumes, t0, []))
     return records
 
 
-def _run_custom(ov: dict[str, Any]) -> list[ResultRecord]:
-    nu, grid, cfg, echo = _solve_setup(ov, 2.0**-6, 4.0, "uniform")
-    kind = ov.get("kernel", "power")
-    if kind == "power":
-        kernel: InteractionKernel = PowerLawKernel(float(ov.get("p", 2.0)))
-    elif kind == "qanr":
-        kernel = RegularizedQanrKernel(float(ov.get("eps", 0.3)))
-    else:
-        raise ValueError(f"unknown kernel {kind!r}; use 'power' or 'qanr'")
-    g = float(ov.get("g", 0.0))
-    potential: ExternalPotential = ZeroPotential() if g == 0 else LinearPotential(g)
-    prominence = float(ov.get("prominence", 0.05))
-    lo, hi = ov.get("rho0_interval", (0.0, grid.length))
-    rho0 = indicator_density(grid, float(lo), float(hi))
-    t0 = time.perf_counter()
-    problem = Problem(grid, kernel, potential, nu)
-    if "schedule" in ov or "stages" in ov:
-        if "schedule" in ov:
-            schedule = ContinuationSchedule(tuple(float(v) for v in ov["schedule"]))
-            nu = schedule.nus[-1]  # the record describes the last stage
-        else:
-            schedule = ContinuationSchedule.geometric(
-                10 * nu, nu, stages=int(ov["stages"])
-            )
-        reports = solve_with_continuation(problem, schedule, rho0, cfg)
-        final = reports[-1]
-    else:
-        final = solve(problem, rho0, cfg)
-        reports = [final]
-    params = {
-        "kernel": kind, "nu": nu, "g": g, **echo,
-        "tau_c": cfg.effective_tau_c(nu), "prominence": prominence,
-        "rho0_interval": [float(lo), float(hi)],
-    }
-    if kind == "power":
-        params["p"] = float(ov.get("p", 2.0))
-    else:
-        params["eps"] = float(ov.get("eps", 0.3))
-    metrics = _solve_metrics(final, prominence=prominence)
-    metrics["total_iterations"] = sum(r.iterations for r in reports)
-    return [_record("custom", params, metrics, "density",
-                    grid.nodes, final.density.values, t0, reports)]
+_SOLVE_KEYS = frozenset({"nu", "g", "L", "N", "grid", "tol", "N_max", "tau_c"})
+_CONTINUATION_KEYS = frozenset({"eps", "schedule", "stages", "prominence"})
+
+# Every experiment, in CLI order: the override keys it accepts (any other key
+# is rejected) and its runner, called with the experiment's name and overrides.
+_EXPERIMENTS: dict[str, tuple[frozenset[str], Callable[[str, dict], list[ResultRecord]]]] = {
+    "kp2": (_SOLVE_KEYS, _Solving(2.0**-6, 2.0, "quadratic", _kp2_points, _exact_metrics)),
+    "kpsmall": (_SOLVE_KEYS | {"p"}, _Solving(
+        2.0**-6, 4.0, "uniform",
+        partial(_power_points, (1.0625, 1.125, 1.25, 1.5, 2.0, 4.0, 8.0)),
+    )),
+    "kplarge": (_SOLVE_KEYS | {"p"}, _Solving(
+        2.0**-6, 4.0, "uniform",
+        partial(_power_points, (16.0, 32.0, 64.0, 128.0, 256.0)), _limit_metrics,
+    )),
+    "multistate": (_SOLVE_KEYS | _CONTINUATION_KEYS, _Solving(
+        2.0**-13, 8.0, "uniform", _multistate_points, _stage_metrics,
+    )),
+    "gamma-energy": (frozenset({"nu", "g", "c_min", "c_max", "n_c"}), _run_gamma_energy),
+    "effdim": (frozenset({"seed", "samples"}), _run_effdim),
+    "custom": (_SOLVE_KEYS | _CONTINUATION_KEYS | {"kernel", "p", "rho0_interval"}, _Solving(
+        2.0**-6, 4.0, "uniform", _custom_points, _total_iterations,
+    )),
+}
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Run a named experiment and return its records (no I/O)."""
-    runner = {
-        "kp2": _run_kp2,
-        "kpsmall": lambda ov: _run_power_family("kpsmall", ov),
-        "kplarge": lambda ov: _run_power_family("kplarge", ov),
-        "multistate": _run_multistate,
-        "gamma-energy": _run_gamma_energy,
-        "effdim": _run_effdim,
-        "custom": _run_custom,
-    }[cfg.experiment]
-    return runner(dict(cfg.overrides))
+    return _EXPERIMENTS[cfg.experiment][1](cfg.experiment, dict(cfg.overrides))
 
 
 # ---------------------------------------------------------------------------

@@ -250,9 +250,10 @@ def solve_with_continuation(
 
 
 def count_aggregates(rho: Density, prominence: float) -> int:
-    """Count distinct clusters: strict interior maxima (plus endpoints that
-    dominate their neighbour) whose drop to the neighbouring minima on each
-    available side is at least prominence * max(rho)."""
+    """Count distinct clusters: maxima whose drop to the neighbouring minima
+    on each available side is at least prominence * max(rho).  A maximum is
+    a run of equal values (one node, or the flat top of a cluster) that lies
+    above each neighbour it has; a constant density has none."""
     if prominence <= 0:
         raise ValueError(f"prominence must be positive, got {prominence}")
     v = rho.values
@@ -262,21 +263,23 @@ def count_aggregates(rho: Density, prominence: float) -> int:
         return 0
     threshold = prominence * peak
 
-    candidates = [i for i in range(1, n - 1) if v[i] > v[i - 1] and v[i] > v[i + 1]]
-    if v[0] > v[1]:
-        candidates.insert(0, 0)
-    if v[-1] > v[-2]:
-        candidates.append(n - 1)
+    breaks = (np.flatnonzero(np.diff(v)) + 1).tolist()
+    runs = zip([0, *breaks], [i - 1 for i in breaks] + [n - 1])  # (first, last) node
+    candidates = [
+        (a, b) for a, b in runs
+        if (a > 0 or b < n - 1)
+        and (a == 0 or v[a - 1] < v[a]) and (b == n - 1 or v[b + 1] < v[b])
+    ]
 
     count = 0
-    for k, i in enumerate(candidates):
-        left_edge = candidates[k - 1] if k > 0 else 0
-        right_edge = candidates[k + 1] if k + 1 < len(candidates) else n - 1
+    for k, (a, b) in enumerate(candidates):
+        left_edge = candidates[k - 1][1] if k > 0 else 0
+        right_edge = candidates[k + 1][0] if k + 1 < len(candidates) else n - 1
         ok = True
-        if i > 0:
-            ok = ok and v[i] - v[left_edge : i + 1].min() >= threshold
-        if i < n - 1:
-            ok = ok and v[i] - v[i : right_edge + 1].min() >= threshold
+        if a > 0:
+            ok = ok and v[a] - v[left_edge : a + 1].min() >= threshold
+        if b < n - 1:
+            ok = ok and v[b] - v[b : right_edge + 1].min() >= threshold
         if ok:
             count += 1
     return count

@@ -111,7 +111,6 @@ class TestMoments:
         # trapezoid error for the second moment at this resolution is
         # h^2/12 * 2 * (1/2) ~ 6.4e-7; the quoted bound reflects that
         assert abs(m.m2 - 4.0 / 3.0) <= 1e-6
-        assert m.com == m.m1
 
     def test_truncated_gaussian_mean_closed_form(self):
         nu, c = 2.0**-4, 0.3

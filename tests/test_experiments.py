@@ -1,12 +1,56 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from swarmeq import KernelOperator
 from swarmeq.cli import main
-from swarmeq.experiments import ExperimentConfig, emit, record_scalars, run_experiment
+from swarmeq.experiments import (
+    EXPERIMENT_NAMES,
+    ExperimentConfig,
+    emit,
+    record_scalars,
+    run_experiment,
+)
+
+SOLVE_KEYS = {"nu", "g", "L", "N", "grid", "tol", "N_max", "tau_c"}
+CONTINUATION_KEYS = {"eps", "schedule", "stages", "prominence"}
+# Each experiment in CLI order: the override keys it accepts, and one key that
+# only another experiment accepts.
+ACCEPTED_KEYS = {
+    "kp2": (SOLVE_KEYS, "p"),
+    "kpsmall": (SOLVE_KEYS | {"p"}, "eps"),
+    "kplarge": (SOLVE_KEYS | {"p"}, "eps"),
+    "multistate": (SOLVE_KEYS | CONTINUATION_KEYS, "p"),
+    "gamma-energy": ({"nu", "g", "c_min", "c_max", "n_c"}, "N"),
+    "effdim": ({"seed", "samples"}, "nu"),
+    "custom": (SOLVE_KEYS | CONTINUATION_KEYS | {"kernel", "p", "rho0_interval"}, "seed"),
+}
+
+# Scalar keys of each solving experiment's records, in emitted order; the JSON
+# keys and the CSV columns follow it.
+ECHO_KEYS = ["param_L", "param_N", "param_grid", "param_tol", "param_N_max", "param_tau_c"]
+METRIC_KEYS = [
+    "converged", "iterations", "residual", "lambda", "interaction_energy", "entropy",
+    "potential_energy", "total_energy", "lambda_inf", "lambda_inf_support", "e0",
+    "com_drift", "m1", "m2", "aggregates", "tail_value", "tail_ok",
+]
+RECORD_KEYS = {
+    "kp2": ["experiment", "param_nu", "param_g", "param_g_over_gc", *ECHO_KEYS,
+            "param_rho0", *METRIC_KEYS, "l1_error_exact", "exact_shift"],
+    "kpsmall": ["experiment", "param_nu", "param_p", "param_g", *ECHO_KEYS,
+                "param_rho0", *METRIC_KEYS],
+    "kplarge": ["experiment", "param_nu", "param_p", "param_g", *ECHO_KEYS,
+                "param_rho0", *METRIC_KEYS, "l1_limit_distance", "mass_in_window"],
+    "multistate": ["experiment", "param_nu", "param_eps", "param_nu0_over_nu",
+                   "param_stages", *ECHO_KEYS, "param_prominence", "param_rho0",
+                   *METRIC_KEYS, "total_iterations", "stages_converged"],
+    "custom": ["experiment", "param_kernel", "param_nu", "param_g", *ECHO_KEYS,
+               "param_prominence", "param_rho0_interval", "param_p", *METRIC_KEYS,
+               "total_iterations"],
+}
 
 
 def tiny_kp2():
@@ -31,6 +75,15 @@ class TestConfigs:
     def test_bad_grid_value_rejected(self):
         with pytest.raises(ValueError, match="grid mode"):
             run_experiment(ExperimentConfig("kp2", overrides={"grid": "chebyshev", "N": 64}))
+
+    @pytest.mark.parametrize("name", list(ACCEPTED_KEYS))
+    def test_accepted_override_keys(self, name):
+        keys, foreign = ACCEPTED_KEYS[name]
+        assert EXPERIMENT_NAMES.index(name) == list(ACCEPTED_KEYS).index(name)
+        ExperimentConfig(name, overrides=dict.fromkeys(keys, 1))
+        assert any(foreign in other for other, _ in ACCEPTED_KEYS.values())
+        with pytest.raises(ValueError, match=re.escape(f"allowed: {sorted(keys)}")):
+            ExperimentConfig(name, overrides={foreign: 1})
 
     def test_custom_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
@@ -140,6 +193,15 @@ class TestRunners:
         for ra, rb in zip(a, b):
             sa, sb = record_scalars(ra), record_scalars(rb)
             assert sa == sb  # bit-identical scalars (wall time excluded by design)
+
+
+class TestRecordKeys:
+    @pytest.mark.parametrize("name", list(RECORD_KEYS))
+    def test_scalar_key_order(self, name):
+        records = run_experiment(ExperimentConfig(name, overrides={"N": 64, "N_max": 30}))
+        assert records
+        for record in records:
+            assert list(record_scalars(record)) == RECORD_KEYS[name]
 
 
 class TestOperatorBuilds:

@@ -90,10 +90,13 @@ class TestSolve:
         assert integrate(g, np.abs(report.density.values - mirrored)) <= 1e-4
 
     def test_energy_decreases_on_full_steps(self):
-        nu = 2.0**-6
-        g = make_grid(2.0, 512, SpacingMode.QUADRATIC)
-        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
-        report = solve(problem, indicator_density(g, 0, 0.25))
+        # a converging case whose full steps are rejected often enough that
+        # the Anderson and conservative branches both run
+        g = make_grid(8.0, 128, SpacingMode.UNIFORM)
+        problem = Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), 2.0**-10)
+        report = solve(problem, indicator_density(g, 0, 8.0))
+        assert report.converged
+        assert {"anderson", "conservative"} <= set(report.step_trace)
         for k, step in enumerate(report.step_trace):
             if step != "conservative":
                 assert report.energy_trace[k + 1] < report.energy_trace[k]
@@ -261,6 +264,16 @@ class TestCountAggregates:
         g = make_grid(2.0, 257)
         rho = Density.normalized(g, np.exp(-3.0 * g.nodes))
         assert count_aggregates(rho, 0.05) == 1
+
+    def test_flat_top_counts_once(self):
+        x = np.arange(65.0)
+        rho = self.grid_density(np.clip(8 - np.abs(x - 32), 0, 4))
+        assert count_aggregates(rho, 0.05) == 1
+
+    def test_separated_flat_tops_count_apart(self):
+        x = np.arange(65.0)
+        v = np.clip(8 - np.abs(x - 20), 0, 4) + np.clip(8 - np.abs(x - 44), 0, 4)
+        assert count_aggregates(self.grid_density(v), 0.05) == 2
 
     def test_rejects_bad_prominence(self):
         with pytest.raises(ValueError):
