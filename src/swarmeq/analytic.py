@@ -88,7 +88,7 @@ class TruncatedGaussian:
     nu: float
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise ValueError(f"diffusion parameter must be positive, got {self.nu}")
 
     @property
@@ -117,7 +117,7 @@ class TruncatedGaussian:
 
 def truncated_gaussian_energy(c: float, nu: float, g: float = 0.0) -> float:
     """Energy of the shift-c member under quadratic attraction and gravity g."""
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError(f"diffusion parameter must be positive, got {nu}")
     t = c / math.sqrt(2.0 * nu)
     value, d1, _ = log_retained_mass(t)
@@ -150,7 +150,7 @@ def solve_critical_shift(nu: float, g: float, value_tol: float = 1e-12) -> float
     function value is below value_tol.  For g = 0 there is no root (the
     family energy decreases forever), which is reported as an error.
     """
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError(f"diffusion parameter must be positive, got {nu}")
     if g <= 0:
         raise ValueError(
@@ -200,7 +200,7 @@ class UnitIntervalState:
     interval and proportional to exp(-V/nu) there."""
 
     def __init__(self, potential: ExternalPotential, nu: float, support_start: float = 0.0):
-        if nu <= 0:
+        if not nu > 0:
             raise ValueError(f"diffusion parameter must be positive, got {nu}")
         self.potential = potential
         self.nu = nu

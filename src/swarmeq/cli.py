@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .experiments import (
@@ -29,7 +30,19 @@ def _parse_override(item: str) -> tuple[str, object]:
         value: object = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings like grid=uniform
+    if not _finite(value):
+        raise argparse.ArgumentTypeError(f"override {item!r} holds a non-finite number")
     return key.strip(), value
+
+
+def _finite(value: object) -> bool:
+    """False if the value or a list item reads as a NaN or an infinite number."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    try:
+        return math.isfinite(float(str(value)))  # via str, a huge int reads as inf
+    except ValueError:  # not a number, such as grid=uniform
+        return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--set", dest="overrides", metavar="KEY=VALUE", action="append", default=[],
+        type=_parse_override,
         help="override an experiment parameter (repeatable); values parse as JSON",
     )
     common.add_argument("--output", help="write results to this path")
@@ -72,7 +86,7 @@ def _summary_line(record: ResultRecord) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = dict(_parse_override(item) for item in args.overrides)
+    overrides = dict(args.overrides)
     if args.seed is not None:
         overrides["seed"] = args.seed
     name = args.name if args.command == "experiment" else "custom"

@@ -52,9 +52,11 @@ from .solver import (
     SolveReport,
     SolverConfig,
     count_aggregates,
-    solve,
     solve_with_continuation,
 )
+
+_PROMINENCE = 0.05  # default relative drop that separates two aggregates
+_QANR_EPS = 0.3  # default regularization width of the qanr kernel
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -102,6 +104,8 @@ def _spacing(name: str) -> SpacingMode:
 
 def _as_list(value) -> list:
     if isinstance(value, (list, tuple, np.ndarray)):
+        if len(value) == 0:
+            raise ValueError("an empty parameter list sweeps no values")
         return list(value)
     return [value]
 
@@ -150,7 +154,7 @@ class _Solve:
     `lead` holds the parameters echoed before L, N, grid, tol and N_max, among
     them "nu", the diffusion the record describes (the last stage's when there
     is a schedule); `trail` holds those echoed after tau_c.  A "prominence"
-    in `trail` is the one aggregates are counted with (0.05 when absent).
+    in `trail` is the one aggregates are counted with (`_PROMINENCE` when absent).
     """
 
     lead: dict[str, Any]
@@ -182,24 +186,22 @@ class _Solving:
         )
         cfg = SolverConfig(
             tau_c=ov.get("tau_c"),
-            tol=float(ov.get("tol", 1e-6)),
-            max_iterations=int(ov.get("N_max", 2000)),
+            tol=float(ov.get("tol", SolverConfig.tol)),
+            max_iterations=int(ov.get("N_max", SolverConfig.max_iterations)),
         )
         records = []
         for point in self.points(ov, grid, nu):
             t0 = time.perf_counter()
             problem = Problem(grid, point.kernel, point.potential, point.lead["nu"])
-            if point.schedule is None:
-                reports = [solve(problem, point.rho0, cfg)]
-            else:
-                reports = solve_with_continuation(problem, point.schedule, point.rho0, cfg)
+            schedule = point.schedule or ContinuationSchedule((problem.nu,))
+            reports = solve_with_continuation(problem, schedule, point.rho0, cfg)
             final = reports[-1]
             params = {
                 **point.lead, "L": grid.length, "N": grid.size, "grid": grid.mode.value,
                 "tol": cfg.tol, "N_max": cfg.max_iterations,
                 "tau_c": cfg.effective_tau_c(point.lead["nu"]), **point.trail,
             }
-            prominence = point.trail.get("prominence", 0.05)
+            prominence = point.trail.get("prominence", _PROMINENCE)
             metrics = {**_solve_metrics(final, prominence), **self.extra(point, reports)}
             records.append(_record(experiment, params, metrics, "density",
                                    grid.nodes, final.density.values, t0, reports))
@@ -207,11 +209,15 @@ class _Solving:
 
 
 def _schedule(ov: dict[str, Any], nu: float, start: float | None) -> ContinuationSchedule:
-    """The explicit `schedule` override, else `stages` geometric stages from
-    start * nu down to nu."""
-    if "schedule" in ov:
-        return ContinuationSchedule(tuple(float(v) for v in ov["schedule"]))
-    return ContinuationSchedule.geometric(start * nu, nu, stages=int(ov.get("stages", 8)))
+    """The explicit `schedule` override, whose last value and length a `nu` or `stages`
+    beside it must equal, else `stages` geometric stages from start * nu down to nu."""
+    if "schedule" not in ov:
+        return ContinuationSchedule.geometric(start * nu, nu, stages=int(ov.get("stages", 8)))
+    schedule = ContinuationSchedule(tuple(float(v) for v in ov["schedule"]))
+    for key, fixed in (("nu", schedule.nus[-1]), ("stages", len(schedule.nus))):
+        if key in ov and float(ov[key]) != fixed:
+            raise ValueError(f"{key}={ov[key]!r} disagrees with the schedule's {key} {fixed!r}")
+    return schedule
 
 
 def _kp2_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
@@ -260,8 +266,8 @@ def _limit_metrics(point: _Solve, reports: list[SolveReport]) -> dict[str, Any]:
 
 
 def _multistate_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
-    eps = float(ov.get("eps", 0.3))
-    prominence = float(ov.get("prominence", 0.05))
+    eps = float(ov.get("eps", _QANR_EPS))
+    prominence = float(ov.get("prominence", _PROMINENCE))
     rho0 = indicator_density(grid, 0.0, grid.length)
     for start in [None] if "schedule" in ov else [10.0, 2.0]:
         schedule = _schedule(ov, nu, start)
@@ -285,21 +291,22 @@ def _stage_metrics(point: _Solve, reports: list[SolveReport]) -> dict[str, Any]:
 
 def _custom_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
     kind = ov.get("kernel", "power")
-    if kind == "power":
-        shape = {"p": float(ov.get("p", 2.0))}
-        kernel: InteractionKernel = PowerLawKernel(shape["p"])
-    elif kind == "qanr":
-        shape = {"eps": float(ov.get("eps", 0.3))}
-        kernel = RegularizedQanrKernel(shape["eps"])
-    else:
+    kernels = {"power": ("p", 2.0, PowerLawKernel),  # name: (shape key, default, class)
+               "qanr": ("eps", _QANR_EPS, RegularizedQanrKernel)}
+    if not isinstance(kind, str) or kind not in kernels:
         raise ValueError(f"unknown kernel {kind!r}; use 'power' or 'qanr'")
+    key, default, kernel_class = kernels[kind]
+    for other, _, _ in kernels.values():
+        if other != key and other in ov:
+            raise ValueError(f"{other} is not a parameter of kernel {kind!r}")
+    shape = {key: float(ov.get(key, default))}
     g = float(ov.get("g", 0.0))
-    prominence = float(ov.get("prominence", 0.05))
+    prominence = float(ov.get("prominence", _PROMINENCE))
     lo, hi = (float(v) for v in ov.get("rho0_interval", (0.0, grid.length)))
     schedule = _schedule(ov, nu, 10.0) if "schedule" in ov or "stages" in ov else None
     yield _Solve(
         {"kernel": kind, "nu": schedule.nus[-1] if schedule else nu, "g": g},
-        kernel, ZeroPotential() if g == 0 else LinearPotential(g),
+        kernel_class(shape[key]), ZeroPotential() if g == 0 else LinearPotential(g),
         indicator_density(grid, lo, hi),
         {"prominence": prominence, "rho0_interval": [lo, hi], **shape}, schedule,
     )
@@ -393,7 +400,7 @@ _EXPERIMENTS: dict[str, tuple[frozenset[str], Callable[[str, dict], list[ResultR
         2.0**-6, 4.0, "uniform",
         partial(_power_points, (16.0, 32.0, 64.0, 128.0, 256.0)), _limit_metrics,
     )),
-    "multistate": (_SOLVE_KEYS | _CONTINUATION_KEYS, _Solving(
+    "multistate": (_SOLVE_KEYS - {"g"} | _CONTINUATION_KEYS, _Solving(
         2.0**-13, 8.0, "uniform", _multistate_points, _stage_metrics,
     )),
     "gamma-energy": (frozenset({"nu", "g", "c_min", "c_max", "n_c"}), _run_gamma_energy),

@@ -59,9 +59,9 @@ class Grid:
     def __post_init__(self):
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if np.any(np.diff(self.nodes) <= 0):
+        if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("grid nodes must be strictly increasing")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):
             raise ValueError("all quadrature weights must be positive")
 
     @property
@@ -79,7 +79,7 @@ def make_grid(length: float, n: int, mode: SpacingMode = SpacingMode.UNIFORM) ->
     Uniform mode places x_i = L*i/(N-1); quadratic mode places
     x_i = L*(i/(N-1))^2, concentrating resolution at the x = 0 boundary.
     """
-    if length <= 0:
+    if not length > 0:
         raise ValueError(f"domain length must be positive, got {length}")
     if n < 3:
         raise ValueError(f"need at least 3 quadrature nodes, got {n}")
@@ -123,7 +123,7 @@ class Density:
         if np.any(self.values < 0):
             raise ValueError("density values must be nonnegative")
         mass = float(self.grid.weights @ self.values)
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise ValueError(
                 f"density mass {mass!r} differs from 1 by more than {MASS_TOL}"
             )
@@ -167,7 +167,6 @@ class KernelOperator:
 
     def __init__(self, grid: Grid, kernel: "InteractionKernel"):
         self.grid = grid
-        self.kernel = kernel
         self._matrix = None
         n = grid.size
         if grid.is_uniform and n >= _FFT_THRESHOLD:

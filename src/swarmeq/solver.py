@@ -56,7 +56,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.tau_c is not None and not 0 < self.tau_c < 1:
             raise ValueError(f"tau_c must lie in (0, 1), got {self.tau_c}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.max_iterations < 1:
             raise ValueError(f"need max_iterations >= 1, got {self.max_iterations}")
@@ -84,7 +84,7 @@ class ContinuationSchedule:
             raise ValueError("diffusion values must be strictly decreasing")
 
     @classmethod
-    def geometric(cls, nu_start: float, nu_target: float, stages: int = 8) -> "ContinuationSchedule":
+    def geometric(cls, nu_start: float, nu_target: float, stages: int) -> "ContinuationSchedule":
         """Geometrically spaced stages from nu_start down to nu_target."""
         if stages < 1:
             raise ValueError(f"need at least one stage, got {stages}")
@@ -233,10 +233,12 @@ def solve_with_continuation(
     rho0: Density,
     config: SolverConfig | None = None,
 ) -> list[SolveReport]:
-    """Solve `problem.with_nu(nu)` for each nu of the schedule (the problem's
-    own nu is not used), warm-starting each stage from the previous output
-    density.  The conservative step is re-derived per stage unless the config
-    pins it.  Returns one report per stage, final stage last."""
+    """Solve `problem.with_nu(nu)` for each nu of the schedule, which must end at
+    `problem.nu`, warm-starting each stage from the previous output density.
+    The conservative step is re-derived per stage unless the config pins it.
+    Returns one report per stage, final stage (the solve of `problem`) last."""
+    if schedule.nus[-1] != problem.nu:
+        raise ValueError(f"schedule ends at {schedule.nus[-1]!r}, not at problem.nu = {problem.nu!r}")
     reports: list[SolveReport] = []
     rho = rho0
     for j, nu in enumerate(schedule.nus):

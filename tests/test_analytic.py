@@ -10,6 +10,7 @@ from swarmeq import (
     Problem,
     SpacingMode,
     TruncatedGaussian,
+    UnitIntervalState,
     ZeroPotential,
     critical_slope,
     erf,
@@ -204,6 +205,24 @@ class TestExactMinimizer:
         rho = exact_minimizer(nu, gc).discretize(g)
         image = apply_gibbs_map(Problem(g, PowerLawKernel(2.0), LinearPotential(gc), nu), rho)
         assert integrate(g, np.abs(image.values - rho.values)) <= 1e-6
+
+
+class TestNanDiffusionRejected:
+    def test_truncated_gaussian(self):
+        with pytest.raises(ValueError, match="diffusion parameter"):
+            TruncatedGaussian(c=0.0, nu=math.nan)
+
+    def test_family_energy(self):
+        with pytest.raises(ValueError, match="diffusion parameter"):
+            truncated_gaussian_energy(0.0, math.nan, 0.1)
+
+    def test_critical_shift(self):
+        with pytest.raises(ValueError, match="diffusion parameter"):
+            solve_critical_shift(math.nan, 0.1)
+
+    def test_unit_interval_state(self):
+        with pytest.raises(ValueError, match="diffusion parameter"):
+            UnitIntervalState(ZeroPotential(), math.nan)
 
 
 class TestUnitIntervalLimitState:

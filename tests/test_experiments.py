@@ -23,7 +23,7 @@ ACCEPTED_KEYS = {
     "kp2": (SOLVE_KEYS, "p"),
     "kpsmall": (SOLVE_KEYS | {"p"}, "eps"),
     "kplarge": (SOLVE_KEYS | {"p"}, "eps"),
-    "multistate": (SOLVE_KEYS | CONTINUATION_KEYS, "p"),
+    "multistate": ((SOLVE_KEYS - {"g"}) | CONTINUATION_KEYS, "p"),
     "gamma-energy": ({"nu", "g", "c_min", "c_max", "n_c"}, "N"),
     "effdim": ({"seed", "samples"}, "nu"),
     "custom": (SOLVE_KEYS | CONTINUATION_KEYS | {"kernel", "p", "rho0_interval"}, "seed"),
@@ -51,6 +51,9 @@ RECORD_KEYS = {
                "param_prominence", "param_rho0_interval", "param_p", *METRIC_KEYS,
                "total_iterations"],
 }
+
+
+SCHEDULE = ["--set", "schedule=[0.02,0.01]"]
 
 
 def tiny_kp2():
@@ -163,6 +166,15 @@ class TestRunners:
             )
         )
         assert len(records) == 1
+
+    @pytest.mark.parametrize("name", ["multistate", "custom"])
+    def test_schedule_restatement_that_agrees_changes_nothing(self, name):
+        base = {"schedule": [0.02, 0.01], "N": 64, "N_max": 30}
+        plain = run_experiment(ExperimentConfig(name, base))
+        restated = run_experiment(ExperimentConfig(name, {**base, "nu": 0.01, "stages": 2}))
+        for a, b in zip(plain, restated, strict=True):
+            assert record_scalars(a) == record_scalars(b)
+            np.testing.assert_array_equal(a.samples_y, b.samples_y)
 
     def test_custom_with_continuation(self):
         records = run_experiment(
@@ -325,6 +337,38 @@ class TestCli:
         assert record["param_nu"] == 0.01
         assert record["param_tau_c"] == 0.05
         assert {key: record[key] for key in ratio} == ratio
+
+    @pytest.mark.parametrize("command,key", [
+        (["experiment", "multistate", "--set", "g=5"], "g"),
+        (["experiment", "multistate", *SCHEDULE, "--set", "nu=0.5"], "nu"),
+        (["experiment", "multistate", *SCHEDULE, "--set", "stages=5"], "stages"),
+        (["solve", *SCHEDULE, "--set", "nu=0.5"], "nu"),
+        (["solve", *SCHEDULE, "--set", "stages=5"], "stages"),
+        (["solve", "--set", "eps=0.3"], "eps"),
+        (["solve", "--set", "kernel=qanr", "--set", "p=2"], "p"),
+    ], ids=["multistate-g", "multistate-nu", "multistate-stages", "custom-nu",
+            "custom-stages", "power-eps", "qanr-p"])
+    def test_ignored_combination_exits_two(self, command, key, capsys):
+        # each of these inputs would otherwise be accepted and have no effect
+        assert main([*command, "--set", "N=64", "--set", "N_max=5"]) == 2
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("item", [
+        "foo", "nu=NaN", "g=Infinity", "c_min=-Infinity", "c_max=1e400",
+        "g=[0.1,NaN]", "nu=nan", pytest.param("nu=1" + "0" * 400, id="nu=10**400"),
+    ])
+    def test_malformed_or_non_finite_override_exits_two(self, item, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "gamma-energy", "--set", item])
+        assert exc.value.code == 2
+        assert "argument --set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,item", [
+        ("kp2", "g=[]"), ("kpsmall", "p=[]"), ("gamma-energy", "g=[]"),
+    ])
+    def test_empty_sweep_exits_two(self, name, item, capsys):
+        assert main(["experiment", name, "--set", item]) == 2
+        assert "sweeps no values" in capsys.readouterr().err
 
     def test_seed_flag_feeds_experiment(self, tmp_path):
         out = tmp_path / "eff.json"

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from conftest import brute_force_convolution, zero_kernel
 import swarmeq
 from swarmeq import (
     Density,
+    Grid,
     KernelOperator,
     PowerLawKernel,
     RegularizedQanrKernel,
@@ -39,10 +41,22 @@ class TestMakeGrid:
                 assert np.all(g.weights > 0)
                 assert np.all(np.diff(g.nodes) > 0)
 
-    @pytest.mark.parametrize("length,n", [(0.0, 8), (-1.0, 8), (1.0, 2), (1.0, 0)])
+    @pytest.mark.parametrize("length,n", [(0.0, 8), (-1.0, 8), (1.0, 2), (1.0, 0), (math.nan, 8)])
     def test_rejects_bad_parameters(self, length, n):
         with pytest.raises(ValueError):
             make_grid(length, n)
+
+
+class TestGrid:
+    def test_rejects_nan_node(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Grid(np.array([0.0, math.nan, 1.0]), np.array([0.25, 0.5, 0.25]), 1.0,
+                 SpacingMode.UNIFORM)
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            Grid(np.array([0.0, 0.5, 1.0]), np.array([0.25, math.nan, 0.25]), 1.0,
+                 SpacingMode.UNIFORM)
 
 
 class TestIntegrate:
@@ -74,6 +88,11 @@ class TestDensity:
         g = make_grid(1.0, 4)
         with pytest.raises(ValueError, match="mass"):
             Density(g, np.full(4, 3.0))
+
+    def test_rejects_nan_values(self):
+        g = make_grid(1.0, 4)
+        with pytest.raises(ValueError, match="mass"):
+            Density(g, np.full(4, math.nan))
 
     def test_normalized_fixes_mass(self, rng):
         g = make_grid(2.0, 64)

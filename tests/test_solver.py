@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import zero_kernel
@@ -35,7 +37,7 @@ class TestSolverConfig:
         assert SolverConfig(tau_c=0.5).effective_tau_c(1e-4) == 0.5
 
     @pytest.mark.parametrize("kwargs", [
-        {"tau_c": 0.0}, {"tau_c": 1.0}, {"tol": 0.0}, {"max_iterations": 0},
+        {"tau_c": 0.0}, {"tau_c": 1.0}, {"tol": 0.0}, {"max_iterations": 0}, {"tol": math.nan},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -51,6 +53,10 @@ class TestContinuationSchedule:
 
     def test_single_stage(self):
         assert ContinuationSchedule.geometric(1e-3, 1e-3, stages=5).nus == (1e-3,)
+
+    def test_geometric_needs_stages(self):
+        with pytest.raises(TypeError, match="stages"):
+            ContinuationSchedule.geometric(1e-2, 1e-3)
 
     @pytest.mark.parametrize("nus", [(), (0.1, 0.2), (0.1, -0.01), (0.1, 0.1)])
     def test_validation(self, nus):
@@ -189,6 +195,14 @@ class TestContinuation:
         assert len(staged) == 1
         np.testing.assert_array_equal(staged[0].density.values, direct.density.values)
         assert staged[0].iterations == direct.iterations
+
+    def test_schedule_must_end_at_problem_nu(self):
+        g = make_grid(4.0, 64, SpacingMode.UNIFORM)
+        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), 2.0**-6)
+        with pytest.raises(ValueError, match="schedule ends at 0.03125"):
+            solve_with_continuation(
+                problem, ContinuationSchedule((2.0**-4, 2.0**-5)), indicator_density(g, 0, 2)
+            )
 
     def test_warm_start_chains_stages(self):
         from swarmeq import LinearPotential, critical_slope
