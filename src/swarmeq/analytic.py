@@ -152,7 +152,7 @@ def solve_critical_shift(nu: float, g: float, value_tol: float = 1e-12) -> float
     """
     if not nu > 0:
         raise ValueError(f"diffusion parameter must be positive, got {nu}")
-    if g <= 0:
+    if not g > 0:
         raise ValueError(
             "no critical shift exists for g <= 0: the energy on the "
             "truncated-Gaussian family has no stationary point"

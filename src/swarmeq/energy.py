@@ -20,9 +20,12 @@ from .potentials import ExternalPotential, InteractionKernel
 class Problem:
     """E[rho] = 1/2 <K*rho, rho> + nu <rho, log rho> + <V, rho> on a grid.
 
-    Construction validates nu, builds the kernel operator (`operator`) and
-    samples V on the nodes (`v`), once; `with_nu` shares both, so a
-    continuation over nu builds one operator.
+    Construction validates nu, builds the kernel operator for nu
+    (`operator`) and samples V on the nodes (`v`), once.  `with_nu` shares V,
+    and the operator wherever it serves the new nu (`KernelOperator.serves`:
+    unless the kernel is clipped at a cap that depends on nu); otherwise it
+    builds the operator for the new nu.  So a continuation builds one
+    operator, or one per stage for a clipped kernel.
     """
 
     grid: Grid
@@ -34,16 +37,19 @@ class Problem:
 
     def __post_init__(self):
         _check_nu(self.nu)
-        object.__setattr__(self, "operator", KernelOperator(self.grid, self.kernel))
+        object.__setattr__(self, "operator", KernelOperator(self.grid, self.kernel, self.nu))
         object.__setattr__(
             self, "v", np.asarray(self.potential(self.grid.nodes), dtype=float)
         )
 
     def with_nu(self, nu: float) -> "Problem":
-        """The same problem at another diffusion value, sharing the operator and V."""
+        """The same problem at another diffusion value, sharing V and, where it
+        serves nu, the operator."""
         _check_nu(nu)
         other = copy.copy(self)
         object.__setattr__(other, "nu", nu)
+        if not self.operator.serves(nu):
+            object.__setattr__(other, "operator", KernelOperator(self.grid, self.kernel, nu))
         return other
 
 

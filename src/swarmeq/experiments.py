@@ -269,6 +269,9 @@ def _multistate_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_S
     eps = float(ov.get("eps", _QANR_EPS))
     prominence = float(ov.get("prominence", _PROMINENCE))
     rho0 = indicator_density(grid, 0.0, grid.length)
+    if "schedule" not in ov and int(ov.get("stages", 8)) < 2:
+        # one stage ignores the start, so both records would be the same solve
+        raise ValueError(f"multistate needs stages >= 2, got {ov['stages']!r}")
     for start in [None] if "schedule" in ov else [10.0, 2.0]:
         schedule = _schedule(ov, nu, start)
         last = schedule.nus[-1]

@@ -5,15 +5,17 @@ the trapezoid weights defined here, so the discrete fixed point of the Gibbs
 map is a critical point of the discrete energy.
 
 The convolution K * rho is a dense matrix-vector product, except on uniform
-grids of at least 512 nodes whose kernel is at most 1e6 in magnitude: there
-it is a real FFT product with the kernel spectrum computed once per operator.
-FFT roundoff is spread over every node in proportion to max|K|, so harder
-kernels keep the dense product, which is exact to roundoff node by node.
+grids of at least 512 nodes: there it is a real FFT product with the kernel
+spectrum computed once per operator.  FFT roundoff is spread over every node
+in proportion to max|K|, so the lags are first clipped to a cap proportional
+to the diffusion parameter nu, above which the Gibbs image cannot see them;
+`KernelOperator` derives the cap.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,12 +34,19 @@ MASS_TOL = 1e-10
 # (at N = 1024: 430 us dense, 76 us rFFT).
 _FFT_THRESHOLD = 512
 
-# The FFT path is taken only when max|K| over the grid lags is at most this.
-# Its roundoff is about 2e-16 * max|K| on every node (measured at N = 4096),
-# so this bounds it near 2e-10, which moves the density about 1e-8 relative at
-# nu = 2**-6.  Harder kernels (power laws with p >= 16 on [0, 4]) would lose
-# the small values of K * rho where the density lives, and stay dense.
-_FFT_MAX_KERNEL = 1e6
+# Roundoff of the FFT product on each node per unit of max|K| over the lags,
+# kappa eps with kappa at most 3.9 (clipped power laws on kplarge solutions
+# at N = 1024 and 4096, against an extended-precision dense product).
+_FFT_ROUNDOFF = 4 * np.finfo(float).eps
+
+# The largest perturbation kappa eps C / nu of the Gibbs exponent that the cap
+# C may cause: a thousandth of the solver's default tolerance.
+_EXPONENT_ROUNDOFF = 1e-9
+
+
+def _kernel_cap(nu: float) -> float:
+    """The cap C on |K| over the FFT lags at diffusion nu (`KernelOperator`)."""
+    return _EXPONENT_ROUNDOFF / _FFT_ROUNDOFF * nu
 
 
 class SpacingMode(enum.Enum):
@@ -153,19 +162,50 @@ def indicator_density(grid: Grid, lo: float, hi: float) -> Density:
 
 
 class KernelOperator:
-    """Precomputed discrete convolution u_i = sum_j w_j K(x_i - x_j) v_j.
+    """Precomputed discrete convolution u_i = sum_j w_j K(x_i - x_j) v_j for the
+    Gibbs map at diffusion nu.
 
     Building the operator evaluates the kernel once; applying it afterwards is
     a matrix-vector product, or an FFT product on uniform grids of at least
     512 nodes.  There the displacement matrix is Toeplitz, so the sum is a
     linear convolution with the 2N-1 kernel lags, whose real spectrum is
-    cached at build time.  The FFT path needs max|K| over the lags to be at
-    most 1e6: its roundoff, about 2e-16 * max|K| on every node, would swamp
-    the small values of K * rho on the support of a density under a harder
-    kernel, which therefore keeps the dense product.
+    cached at build time after the lags are clipped to [-C, C], with
+    C = 1e-9 nu / (4 eps), about 1.1e6 nu (`_kernel_cap`).  A kernel with
+    max|K| <= C is not clipped, and its FFT product is the plain one.
+
+    Why C is proportional to nu.  The dense product is exact node by node; the
+    FFT product has an error of about kappa eps max|K| on every node, with
+    kappa at most 3.9 measured at N = 1024 and 4096.  The Gibbs map reads
+    u = K * rho + V only through exp(-(u - min u) / nu), so an error d in u
+    moves the image by d / nu relatively, and its L1 residual by about as much.
+
+    Upper bound, from roundoff: kappa eps C / nu is held at 1e-9, a thousandth
+    of the default solver tolerance of 1e-6.  It must stay well below nu * tol,
+    not just below it, because every step also compares energies, whose
+    roundoff grows with C: at nu = 2^-6 a cap of 1e5 took kplarge p = 256 to
+    1325 iterations and 1e6 left it at N_max.
+
+    Lower bound, from the floor: clipping lowers u_i only through lags above C,
+    and the capped lags still add C times the mass beyond them.  So it changes
+    no exponent the map keeps while the support spans no lag above C and every
+    node that does reach mass across such a lag has u_i - min u of at least
+    700 nu, the exponent floor, with the cap as without it.  Both conditions
+    scale with nu.  On the kplarge solutions (p = 16 to 256 on [0, 4],
+    N = 1024, nu = 2^-4, 2^-6 and 2^-9, solved with the dense product) the
+    smallest cap that keeps the exponents on the support to 1e-12 is at most
+    5.1e4 nu, and the smallest that keeps every floored node at the floor is
+    at most 1.5e5 nu, or 8.0e5 nu for p = 256 at nu = 2^-4.
+
+    Both bounds are linear in nu, so one ratio C / nu meets them at every nu.
+    The lower bound assumes that K stays well below C over the lags within the
+    support: a kernel shifted by a constant above C, which has the same
+    critical points, needs the shift removed first.  nu = inf gives C = inf,
+    the exact kernel, for a convolution that feeds no Gibbs map.
     """
 
-    def __init__(self, grid: Grid, kernel: "InteractionKernel"):
+    def __init__(self, grid: Grid, kernel: "InteractionKernel", nu: float):
+        if not nu > 0:
+            raise ValueError(f"diffusion parameter must be positive, got {nu}")
         self.grid = grid
         self._matrix = None
         n = grid.size
@@ -173,16 +213,26 @@ class KernelOperator:
             lags = np.arange(-(n - 1), n) * (grid.length / (n - 1))
             kvals = np.asarray(kernel(lags), dtype=float)
             _check_finite(kvals, lags)
-            if np.max(np.abs(kvals)) <= _FFT_MAX_KERNEL:
-                # a circular convolution of length >= 2N-1 leaves outputs
-                # N-1 .. 2N-2 of the linear one free of wrap-around
-                self._fft_len = next_fast_len(2 * n - 1, real=True)
-                self._spectrum = rfft(kvals, self._fft_len)
-                return
+            self._peak = float(np.max(np.abs(kvals)))
+            self._cap = _kernel_cap(nu)
+            # a circular convolution of length >= 2N-1 leaves outputs
+            # N-1 .. 2N-2 of the linear one free of wrap-around
+            self._fft_len = next_fast_len(2 * n - 1, real=True)
+            self._spectrum = rfft(np.clip(kvals, -self._cap, self._cap), self._fft_len)
+            return
         disp = grid.nodes[:, None] - grid.nodes[None, :]
         kmat = np.asarray(kernel(disp), dtype=float)
         _check_finite(kmat, disp)
         self._matrix = kmat * grid.weights[None, :]
+
+    def serves(self, nu: float) -> bool:
+        """Whether this operator is the one built for diffusion nu: the dense
+        product serves every nu, the FFT product every nu whose cap clips the
+        lags as this one's does."""
+        if self._matrix is not None:
+            return True
+        cap = _kernel_cap(nu)
+        return cap == self._cap or self._peak <= min(cap, self._cap)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -210,7 +260,8 @@ def _check_finite(kvals: np.ndarray, displacements: np.ndarray) -> None:
 def convolve_kernel(grid: Grid, kernel: "InteractionKernel", rho: Density) -> np.ndarray:
     """Trapezoid discretization of (K * rho)(x_i) over [0, L].
 
-    One-off convenience; iterative callers should build a KernelOperator once
-    and reuse it.
+    One-off convenience with the exact kernel (no cap), so on uniform grids
+    of at least 512 nodes its error is about 4 eps max|K| on every node;
+    iterative callers should build a KernelOperator once and reuse it.
     """
-    return KernelOperator(grid, kernel).apply(rho.values)
+    return KernelOperator(grid, kernel, math.inf).apply(rho.values)

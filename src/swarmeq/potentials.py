@@ -38,7 +38,7 @@ class PowerLawKernel(InteractionKernel):
     p: float
 
     def __post_init__(self):
-        if self.p <= 0:
+        if not self.p > 0:
             raise ValueError(f"power-law exponent must be positive, got {self.p}")
 
     def __call__(self, x):
@@ -141,7 +141,7 @@ class LinearPotential(ExternalPotential):
     g: float
 
     def __post_init__(self):
-        if self.g < 0:
+        if not self.g >= 0:
             raise ValueError(f"linear potential slope must be nonnegative, got {self.g}")
 
     def __call__(self, x):

@@ -19,8 +19,9 @@ sequence of nu, warm-starting each stage from the previous solution.
 Every step reuses the kernel operator of the `Problem` and applies it once:
 K * rho is linear, so the convolution of a conservative or Anderson step is
 the same combination of stored convolutions.  The stages of a continuation
-share the operator through `Problem.with_nu`.  The report carries `diagnose`
-of the returned density.
+share the operator through `Problem.with_nu`, unless the kernel is clipped at
+a cap that depends on nu; then each stage builds its own.  The report carries
+`diagnose` of the returned density.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class ContinuationSchedule:
         object.__setattr__(self, "nus", nus)
         if not nus:
             raise ValueError("schedule must contain at least one diffusion value")
-        if any(v <= 0 for v in nus):
+        if not all(v > 0 for v in nus):
             raise ValueError("all diffusion values must be positive")
         if any(b >= a for a, b in zip(nus, nus[1:])):
             raise ValueError("diffusion values must be strictly decreasing")
@@ -252,11 +253,16 @@ def solve_with_continuation(
 
 
 def count_aggregates(rho: Density, prominence: float) -> int:
-    """Count distinct clusters: maxima whose drop to the neighbouring minima
-    on each available side is at least prominence * max(rho).  A maximum is
-    a run of equal values (one node, or the flat top of a cluster) that lies
-    above each neighbour it has; a constant density has none."""
-    if prominence <= 0:
+    """Count distinct clusters: maxima whose prominence is at least
+    prominence * max(rho).  A maximum is a run of equal values (one node, or
+    the flat top of a cluster) that lies above each neighbour it has; a
+    constant density has none.  Its prominence is its drop, on each available
+    side, to the lowest value before the nearest higher node (or the end of
+    the grid), whichever drop is smaller; a node of equal value to its left
+    counts as higher, so maxima of equal height count apart only when a deep
+    enough dip separates them.  Roundoff ripples on the top of a cluster thus
+    count once."""
+    if not prominence > 0:
         raise ValueError(f"prominence must be positive, got {prominence}")
     v = rho.values
     n = v.size
@@ -274,14 +280,17 @@ def count_aggregates(rho: Density, prominence: float) -> int:
     ]
 
     count = 0
-    for k, (a, b) in enumerate(candidates):
-        left_edge = candidates[k - 1][1] if k > 0 else 0
-        right_edge = candidates[k + 1][0] if k + 1 < len(candidates) else n - 1
-        ok = True
+    for a, b in candidates:
+        top = v[a]
+        bases = []
         if a > 0:
-            ok = ok and v[a] - v[left_edge : a + 1].min() >= threshold
+            higher = np.flatnonzero(v[:a] >= top)
+            start = higher[-1] + 1 if higher.size else 0
+            bases.append(v[start:a].min())
         if b < n - 1:
-            ok = ok and v[b] - v[b : right_edge + 1].min() >= threshold
-        if ok:
+            higher = np.flatnonzero(v[b + 1 :] > top)
+            stop = b + 1 + higher[0] if higher.size else n
+            bases.append(v[b + 1 : stop].min())
+        if top - max(bases) >= threshold:
             count += 1
     return count

@@ -46,6 +46,17 @@ def brute_force_convolution(grid, kernel, values) -> np.ndarray:
     return out
 
 
+def exact_gibbs_image(problem, rho) -> tuple[np.ndarray, np.ndarray]:
+    """(exponent, image) of the Gibbs map with the dense product of the exact
+    kernel: the reference for the clipped FFT operator."""
+    grid = rho.grid
+    kmat = problem.kernel(grid.nodes[:, None] - grid.nodes[None, :])
+    u = (kmat * grid.weights) @ rho.values + problem.v
+    exponent = np.maximum(-(u - u.min()) / problem.nu, -700.0)
+    values = np.exp(exponent)
+    return exponent, values / (grid.weights @ values)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -220,6 +220,10 @@ class TestNanDiffusionRejected:
         with pytest.raises(ValueError, match="diffusion parameter"):
             solve_critical_shift(math.nan, 0.1)
 
+    def test_critical_shift_nan_slope(self):
+        with pytest.raises(ValueError, match="g <= 0"):
+            solve_critical_shift(0.1, math.nan)
+
     def test_unit_interval_state(self):
         with pytest.raises(ValueError, match="diffusion parameter"):
             UnitIntervalState(ZeroPotential(), math.nan)

@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from conftest import exact_gibbs_image
 
-from swarmeq import KernelOperator
+from swarmeq import KernelOperator, PowerLawKernel, Problem, ZeroPotential, apply_gibbs_map
 from swarmeq.cli import main
 from swarmeq.experiments import (
     EXPERIMENT_NAMES,
@@ -123,15 +124,53 @@ class TestRunners:
         assert record.metrics["mass_in_window"] > 0.9
         assert record.converged
 
-    @pytest.mark.parametrize("p,energy", [(32.0, -0.00130251), (64.0, -0.000983798)])
-    def test_kplarge_hard_kernel_on_large_uniform_grid(self, p, energy):
-        # hard kernels must not take the FFT path, whose roundoff swamps K*rho
-        # on the support; the N = 2048 solve matches the N = 1024 energy
+    @pytest.mark.parametrize("p,energy,n", [
+        (32.0, -0.00130251, 2048), (64.0, -0.000983798, 2048),
+        (32.0, -0.00130251, 4096), (64.0, -0.000983798, 4096),
+    ], ids=["32.0--0.00130251", "64.0--0.000983798", "32.0-N4096", "64.0-N4096"])
+    def test_kplarge_hard_kernel_on_large_uniform_grid(self, p, energy, n):
+        # the FFT path clips these kernels (max|K| = 4**p / p) at a cap
+        # proportional to nu, so that its roundoff leaves K*rho on the support
+        # intact; the N = 2048 and 4096 solves match the N = 1024 energy
         (record,) = run_experiment(
-            ExperimentConfig("kplarge", overrides={"p": [p], "g": [0.0], "N": 2048})
+            ExperimentConfig("kplarge", overrides={"p": [p], "g": [0.0], "N": n})
         )
         assert record.metrics["converged"]
         assert record.metrics["total_energy"] == pytest.approx(energy, rel=1e-6)
+
+    def test_kpsmall_kernel_above_the_cap_at_small_nu(self):
+        # at nu = 2^-11 the p = 11 kernel (max|K| = 4**11 / 11, below the old
+        # fixed gate of 1e6) lies above the cap; an unclipped FFT product took
+        # 574 and 395 iterations where the dense product takes 45 and 26, and
+        # moved the energy by 7.9e-9 relative
+        records = run_experiment(
+            ExperimentConfig("kpsmall", overrides={"p": [8.0, 11.0], "nu": 2.0**-11})
+        )
+        assert all(record.converged for record in records)
+        hard = {record.parameters["g"]: record.metrics for record in records
+                if record.parameters["p"] == 11.0}
+        dense = {0.0: (45, 1.2649165535e-4), 2.0**-11: (26, 3.2084710612e-4)}
+        for g, (iterations, energy) in dense.items():
+            assert hard[g]["iterations"] <= 2 * iterations
+            assert hard[g]["total_energy"] == pytest.approx(energy, rel=1e-9)
+
+    def test_continuation_stages_keep_the_gibbs_image(self):
+        # each stage of a clipped continuation applies the operator built for
+        # its own nu, so its image matches the exact dense product on the support
+        (record,) = run_experiment(ExperimentConfig(
+            "custom", overrides={"kernel": "power", "p": 32.0, "stages": 3}
+        ))
+        assert record.converged
+        reports = record.solve_reports
+        grid = reports[-1].density.grid
+        problem = Problem(grid, PowerLawKernel(32.0), ZeroPotential(), reports[-1].nu)
+        for report in reports:
+            stage = problem.with_nu(report.nu)
+            rho = report.density
+            _, exact = exact_gibbs_image(stage, rho)
+            image = apply_gibbs_map(stage, rho).values
+            support = rho.values >= 1e-6 * rho.values.max()
+            assert np.max(np.abs(image - exact)[support] / exact[support]) <= 2e-9
 
     def test_gamma_energy_curves(self):
         records = run_experiment(ExperimentConfig("gamma-energy"))
@@ -245,6 +284,14 @@ class TestOperatorBuilds:
         ))
         assert builds[0] == len(records)
 
+    def test_clipped_kernel_builds_one_operator_per_stage(self, builds):
+        # at N = 1024 the p = 32 kernel is clipped at a cap proportional to nu,
+        # so each of the 3 stages builds the operator for its own nu
+        run_experiment(ExperimentConfig(
+            "custom", overrides={"kernel": "power", "p": 32.0, "stages": 3, "N_max": 5}
+        ))
+        assert builds[0] == 3
+
 
 class TestEmit:
     def test_empty_records(self, tmp_path):
@@ -342,12 +389,13 @@ class TestCli:
         (["experiment", "multistate", "--set", "g=5"], "g"),
         (["experiment", "multistate", *SCHEDULE, "--set", "nu=0.5"], "nu"),
         (["experiment", "multistate", *SCHEDULE, "--set", "stages=5"], "stages"),
+        (["experiment", "multistate", "--set", "stages=1"], "stages"),
         (["solve", *SCHEDULE, "--set", "nu=0.5"], "nu"),
         (["solve", *SCHEDULE, "--set", "stages=5"], "stages"),
         (["solve", "--set", "eps=0.3"], "eps"),
         (["solve", "--set", "kernel=qanr", "--set", "p=2"], "p"),
-    ], ids=["multistate-g", "multistate-nu", "multistate-stages", "custom-nu",
-            "custom-stages", "power-eps", "qanr-p"])
+    ], ids=["multistate-g", "multistate-nu", "multistate-stages", "multistate-one-stage",
+            "custom-nu", "custom-stages", "power-eps", "qanr-p"])
     def test_ignored_combination_exits_two(self, command, key, capsys):
         # each of these inputs would otherwise be accepted and have no effect
         assert main([*command, "--set", "N=64", "--set", "N_max=5"]) == 2

@@ -6,21 +6,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import brute_force_convolution, zero_kernel
+from conftest import brute_force_convolution, exact_gibbs_image, zero_kernel
 
 import swarmeq
 from swarmeq import (
     Density,
     Grid,
     KernelOperator,
+    LinearPotential,
     PowerLawKernel,
+    Problem,
     RegularizedQanrKernel,
     SpacingMode,
+    ZeroPotential,
+    apply_gibbs_map,
     convolve_kernel,
     indicator_density,
     integrate,
     make_grid,
 )
+from swarmeq.experiments import ExperimentConfig, run_experiment
 
 
 class TestMakeGrid:
@@ -144,7 +149,7 @@ class TestConvolution:
 
     @pytest.mark.parametrize("n,fft", [(511, False), (512, True)])
     def test_fft_threshold(self, n, fft):
-        op = KernelOperator(make_grid(4.0, n, SpacingMode.UNIFORM), PowerLawKernel(2.0))
+        op = KernelOperator(make_grid(4.0, n, SpacingMode.UNIFORM), PowerLawKernel(2.0), 2.0**-6)
         assert (op._matrix is None) is fft
 
     def test_fft_path_matches_matrix(self, rng):
@@ -153,17 +158,30 @@ class TestConvolution:
             g = make_grid(4.0, n, SpacingMode.UNIFORM)
             rho = Density.normalized(g, rng.random(n) + 0.01)
             for kernel in (RegularizedQanrKernel(0.3), PowerLawKernel(8.0)):
-                op = KernelOperator(g, kernel)
+                op = KernelOperator(g, kernel, 2.0**-6)  # max|K| = 8192 is below the cap
                 assert op._matrix is None  # FFT path active
                 fast = op.apply(rho.values)
                 direct = (kernel(g.nodes[:, None] - g.nodes[None, :]) * g.weights) @ rho.values
                 scale = np.max(np.abs(direct))
                 assert np.max(np.abs(fast - direct)) <= 1e-12 * scale
 
-    def test_hard_kernel_stays_dense(self):
-        # max|K| = 4**32 / 32 is far above the FFT roundoff gate
-        op = KernelOperator(make_grid(4.0, 4096, SpacingMode.UNIFORM), PowerLawKernel(32.0))
-        assert op._matrix is not None
+    @pytest.mark.parametrize("nu", [2.0**-4, 2.0**-6, 2.0**-9])
+    def test_clipped_kernel_keeps_the_gibbs_image(self, nu):
+        # every kplarge kernel (max|K| = 4**p / p, p >= 16) is clipped at the
+        # cap; on the support and at the exponent floor the image of the solved
+        # density matches the exact dense product to twice the cap's exponent
+        # roundoff budget of 1e-9
+        for record in run_experiment(ExperimentConfig("kplarge", {"nu": nu})):
+            rho = record.solve_reports[-1].density
+            g = record.parameters["g"]
+            problem = Problem(rho.grid, PowerLawKernel(record.parameters["p"]),
+                              ZeroPotential() if g == 0 else LinearPotential(g), nu)
+            assert problem.operator._matrix is None
+            assert problem.operator._peak > problem.operator._cap
+            exponent, exact = exact_gibbs_image(problem, rho)
+            image = apply_gibbs_map(problem, rho).values
+            keep = (rho.values >= 1e-6 * rho.values.max()) | (exponent <= -700)
+            assert np.max(np.abs(image - exact)[keep] / exact[keep]) <= 2e-9
 
     def test_import_leaves_scipy_signal_unloaded(self):
         # importing scipy.signal dominated the package's start-up time
@@ -191,4 +209,4 @@ class TestConvolution:
 
         g = make_grid(1.0, 9)
         with pytest.raises(ValueError, match="displacement"):
-            KernelOperator(g, BadKernel(2.0))
+            KernelOperator(g, BadKernel(2.0), 2.0**-6)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,10 @@ class TestPowerLaw:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError, match="positive"):
             PowerLawKernel(0.0)
+
+    def test_rejects_nan_exponent(self):
+        with pytest.raises(ValueError, match="positive"):
+            PowerLawKernel(math.nan)
 
     def test_monotone_in_distance(self, rng):
         for p in (0.5, 1.0, 2.0, 8.0):
@@ -111,6 +117,10 @@ class TestExternalPotentials:
     def test_linear_rejects_negative_slope(self):
         with pytest.raises(ValueError):
             LinearPotential(-0.5)
+
+    def test_linear_rejects_nan_slope(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            LinearPotential(math.nan)
 
     def test_tabulated_potential(self, tmp_path):
         v = TabulatedPotential([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])

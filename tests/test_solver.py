@@ -58,7 +58,7 @@ class TestContinuationSchedule:
         with pytest.raises(TypeError, match="stages"):
             ContinuationSchedule.geometric(1e-2, 1e-3)
 
-    @pytest.mark.parametrize("nus", [(), (0.1, 0.2), (0.1, -0.01), (0.1, 0.1)])
+    @pytest.mark.parametrize("nus", [(), (0.1, 0.2), (0.1, -0.01), (0.1, 0.1), (math.nan,)])
     def test_validation(self, nus):
         with pytest.raises(ValueError):
             ContinuationSchedule(nus)
@@ -292,3 +292,24 @@ class TestCountAggregates:
     def test_rejects_bad_prominence(self):
         with pytest.raises(ValueError):
             count_aggregates(self.grid_density(np.ones(9)), 0.0)
+
+    def test_rejects_nan_prominence(self):
+        with pytest.raises(ValueError, match="prominence"):
+            count_aggregates(self.grid_density(np.ones(9)), math.nan)
+
+    def test_roundoff_ripples_on_a_flat_top_count_once(self):
+        # an FFT product leaves the top of a saturated cluster as runs of
+        # equal values a unit in the last place apart, several at the maximum
+        x = np.arange(65.0)
+        v = self.grid_density(np.clip(8 - np.abs(x - 32), 0, 4)).values
+        top = np.flatnonzero(v == v.max())
+        v[top[1::3]] = np.nextafter(v.max(), 0.0)
+        assert count_aggregates(Density(make_grid(64.0, 65), v), 0.05) == 1
+
+    def test_shoulder_counts_with_its_cluster(self):
+        # a bump just below the top of a cluster, behind a dip shallower than
+        # the prominence, is not a cluster of its own and does not hide it
+        x = np.arange(65.0)
+        v = np.clip(10 - np.abs(x - 32), 0, None)
+        v[33:35] = (9.6, 9.7)
+        assert count_aggregates(self.grid_density(v), 0.05) == 1
