@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Compare the records that two source trees emit for a fixed list of CLI runs.
+
+Run from anywhere:
+
+    python3 scripts/compare_records.py OLD_SRC NEW_SRC
+
+where each argument is a ``src`` directory that holds the ``swarmeq``
+package.  Every run in ``RUNS`` goes through ``python -m swarmeq.cli`` once
+with each directory on ``PYTHONPATH``, writing into a temporary directory.
+The JSON records are compared field by field, key order included, and
+``wall_time_s`` is ignored.  The CSV run compares the main file without its
+``wall_time_s`` column, and every sidecar.  For each run the script prints
+``identical``, or each field that moved with its largest relative change
+over the records; it exits 1 if anything moved.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+IGNORED = "wall_time_s"
+SCHEDULE = ["--set", "schedule=[0.02,0.01]", "--set", "N=128", "--set", "N_max=300"]
+# CLI arguments of each compared run, without --output.
+RUNS = (
+    ["experiment", "kp2"],
+    ["experiment", "kpsmall"],
+    ["experiment", "kplarge"],
+    ["experiment", "multistate"],
+    ["experiment", "gamma-energy"],
+    ["experiment", "effdim", "--seed", "0"],
+    ["experiment", "kpsmall", "--set", "N=8192"],
+    ["experiment", "kpsmall", "--set", "tau_c=0.2", "--set", "p=[2.0]",
+     "--set", "grid=quadratic"],
+    ["experiment", "multistate", "--set", "nu=0.015625", "--set", "N=128",
+     "--set", "stages=2", "--set", "N_max=300"],
+    ["experiment", "multistate", *SCHEDULE],
+    ["solve"],
+    ["solve", "--set", "kernel=qanr", "--set", "eps=0.3", "--set", "nu=0.001",
+     "--set", "stages=6"],
+    ["solve", *SCHEDULE],
+    ["experiment", "kp2", "--format", "csv"],
+)
+
+
+def _number(value) -> float | None:
+    """The value as a float if it is a number or a CSV cell that reads as one."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _change(old, new) -> float | None:
+    """None when old and new are the same value (NaN is the same as NaN);
+    otherwise their relative change, the largest over equal-length lists, and
+    inf when they are not both numbers."""
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        changes = [c for c in map(_change, old, new) if c is not None]
+        return max(changes) if changes else None
+    if type(old) is type(new) and (old == new or old != old and new != new):
+        return None
+    a, b = _number(old), _number(new)
+    if a is None or b is None:
+        return math.inf
+    if a == b:
+        return 0.0  # the same number written another way, as 1 and 1.0
+    change = abs(a - b) / max(abs(a), abs(b))
+    return change if math.isfinite(change) else math.inf
+
+
+def _fields(record: dict, prefix: str = "") -> dict:
+    """The record's fields in order, nested keys joined by dots, without IGNORED."""
+    out = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            out.update(_fields(value, f"{prefix}{key}."))
+        elif key != IGNORED:
+            out[prefix + key] = value
+    return out
+
+
+def compare_records(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per change between two record lists: the record count, the
+    keys or their order, and each field that moved with its largest relative
+    change over the records."""
+    if len(old) != len(new):
+        return [f"record count {len(old)} -> {len(new)}"]
+    key_lines: dict[str, None] = {}
+    moved: dict[str, float] = {}
+    for a, b in zip(map(_fields, old), map(_fields, new)):
+        if list(a) != list(b):
+            added = [k for k in b if k not in a]
+            removed = [k for k in a if k not in b]
+            line = "; ".join([f"added keys {added}"] * bool(added)
+                             + [f"removed keys {removed}"] * bool(removed)) or "key order"
+            key_lines[line] = None
+        for key in (k for k in a if k in b):
+            change = _change(a[key], b[key])
+            if change is not None:
+                moved[key] = max(moved.get(key, 0.0), change)
+    return [*key_lines, *(f"{key}: largest relative change {change:.3g}"
+                          for key, change in moved.items())]
+
+
+def compare_documents(old: dict, new: dict) -> list[str]:
+    """compare_records on two JSON documents, with their schema."""
+    lines = [] if old["schema"] == new["schema"] else [
+        f"schema {old['schema']!r} -> {new['schema']!r}"]
+    return lines + compare_records(old["records"], new["records"])
+
+
+def _csv_records(path: Path) -> list[dict]:
+    header, *rows = csv.reader(path.read_text().splitlines())
+    return [dict(zip(header, row)) for row in rows]
+
+
+def compare_run(old_src: str, new_src: str, args: list[str], workdir: Path) -> list[str]:
+    """Run one CLI call on both trees and list what moved between their outputs."""
+    fmt = args[args.index("--format") + 1] if "--format" in args else "json"
+    dirs, codes, lines = [], [], []
+    for side, src in (("old", old_src), ("new", new_src)):
+        directory = workdir / side
+        directory.mkdir(parents=True)
+        out = directory / f"out.{fmt}"
+        done = subprocess.run(
+            [sys.executable, "-m", "swarmeq.cli", *args, "--output", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(src).resolve())},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        if not out.exists():
+            error = " ".join(done.stderr.strip().splitlines()[-1:])
+            lines.append(f"{side} wrote nothing (exit {done.returncode}): {error}")
+        dirs.append(directory)
+        codes.append(done.returncode)
+    if codes[0] != codes[1]:
+        lines.append(f"exit code {codes[0]} -> {codes[1]}")
+    names = [sorted(p.name for p in d.iterdir()) for d in dirs]
+    if names[0] != names[1]:
+        return lines + [f"files {names[0]} -> {names[1]}"]
+    for name in names[0]:
+        old, new = (d / name for d in dirs)
+        if fmt == "json":
+            lines += compare_documents(json.loads(old.read_text()), json.loads(new.read_text()))
+        else:
+            lines += [f"{name}: {line}"
+                      for line in compare_records(_csv_records(old), _csv_records(new))]
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: compare_records.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old_src, new_src = argv
+    any_moved = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, args in enumerate(RUNS):
+            lines = compare_run(old_src, new_src, args, Path(tmp) / str(i))
+            any_moved = any_moved or bool(lines)
+            print(f"{' '.join(args)}: {'identical' if not lines else 'moved'}", flush=True)
+            for line in lines:
+                print(f"  {line}", flush=True)
+    return 1 if any_moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

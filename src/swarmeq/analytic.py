@@ -24,6 +24,8 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 # 4e-16 relative error (checked against 60-digit arithmetic on [4, 1e6]).
 _CF_START = 4.0
 _CF_TERMS = 32
+# solve_critical_shift bisects until |f' - target| is at most this.
+_SHIFT_VALUE_TOL = 1e-12
 
 
 def log_retained_mass(t: float) -> tuple[float, float, float]:
@@ -141,14 +143,14 @@ def truncated_gaussian_energy_derivative(c: float, nu: float, g: float = 0.0) ->
     return spread * (g - math.sqrt(nu / 2.0) * d1)
 
 
-def solve_critical_shift(nu: float, g: float, value_tol: float = 1e-12) -> float:
+def solve_critical_shift(nu: float, g: float) -> float:
     """Solve f'(c / sqrt(2 nu)) = sqrt(2/nu) g for the unique critical shift.
 
     The left side is smooth, positive and strictly decreasing with range
     (0, inf), so a root exists and is unique for every g > 0; it is found by
     outward bracket doubling followed by bisection until the residual in
-    function value is below value_tol.  For g = 0 there is no root (the
-    family energy decreases forever), which is reported as an error.
+    function value is at most _SHIFT_VALUE_TOL.  For g = 0 there is no root
+    (the family energy decreases forever), which is reported as an error.
     """
     if not nu > 0:
         raise ValueError(f"diffusion parameter must be positive, got {nu}")
@@ -174,7 +176,7 @@ def solve_critical_shift(nu: float, g: float, value_tol: float = 1e-12) -> float
     for _ in range(500):
         mid = 0.5 * (lo + hi)
         val = d1(mid)
-        if abs(val - target) <= value_tol:
+        if abs(val - target) <= _SHIFT_VALUE_TOL:
             return math.sqrt(2.0 * nu) * mid
         if val > target:
             lo = mid
@@ -182,7 +184,7 @@ def solve_critical_shift(nu: float, g: float, value_tol: float = 1e-12) -> float
             hi = mid
     raise RuntimeError(
         f"bisection stalled at interval [{lo}, {hi}] without reaching "
-        f"|f' - target| <= {value_tol}"
+        f"|f' - target| <= {_SHIFT_VALUE_TOL}"
     )
 
 

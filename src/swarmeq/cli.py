@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override an experiment parameter (repeatable); values parse as JSON",
     )
     common.add_argument("--output", help="write results to this path")
-    common.add_argument("--format", choices=("csv", "json"), default="json")
+    common.add_argument("--format", choices=("csv", "json"),
+                        help="format of --output (default json)")
     common.add_argument("--seed", type=int, help="random seed (stochastic experiments)")
 
     run = sub.add_parser("experiment", parents=[common], help="run a named experiment")
@@ -87,10 +88,12 @@ def _summary_line(record: ResultRecord) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = dict(args.overrides)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     name = args.name if args.command == "experiment" else "custom"
     try:
+        if args.format and not args.output:
+            raise ValueError("--format needs --output")
+        if args.seed is not None and overrides.setdefault("seed", args.seed) != args.seed:
+            raise ValueError(f"--seed {args.seed} disagrees with seed={overrides['seed']!r}")
         records = run_experiment(ExperimentConfig(name, overrides))
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -98,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     for record in records:
         print(_summary_line(record))
     if args.output:
-        written = emit(records, args.format, args.output)
+        written = emit(records, args.format or "json", args.output)
         print(f"wrote {len(written)} file(s); primary: {written[0]}")
     return 1 if any(r.converged is False for r in records) else 0
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import EnergyBreakdown, Problem, total_energy
+from .energy import EnergyBreakdown, Problem, _check_grid, total_energy
 from .gibbs import DEFAULT_CLAMP_FLOOR, log_partition
 from .grid import Density, integrate
 from .potentials import LinearPotential
@@ -46,25 +46,14 @@ class DiagnosticsReport:
     moments: Moments
 
 
-def _el_deviation(
-    problem: Problem, rho: Density, conv: np.ndarray, breakdown: EnergyBreakdown
-) -> np.ndarray:
-    """| K*rho + nu log(rho) + V - (total + interaction energy) | per node;
-    inf on zero nodes."""
-    with np.errstate(divide="ignore"):
-        profile = conv + problem.nu * np.log(rho.values) + problem.v
-    return np.abs(profile - (breakdown.total + breakdown.interaction))
-
-
 def _support_mask(values: np.ndarray) -> np.ndarray:
     """Nodes whose value is clearly above the exponent-clamp floor."""
     return values > values.max() * math.exp(DEFAULT_CLAMP_FLOOR) * 1e6
 
 
-def euler_lagrange_residual(
-    problem: Problem, rho: Density, conv: np.ndarray | None = None
-) -> float:
-    """max_i | K*rho + nu log(rho) + V - (total + interaction energy) |.
+def euler_lagrange_residual(problem: Problem, rho: Density) -> float:
+    """max_i | K*rho + nu log(rho) + V - (total + interaction energy) |, the
+    `lambda_inf` of `diagnose`.
 
     Vanishes (to accumulated roundoff) exactly on discrete fixed points of the
     Gibbs map.  Requires a strictly positive density, which Gibbs-map outputs
@@ -77,15 +66,13 @@ def euler_lagrange_residual(
             f"density is not strictly positive at node {i} "
             f"(x = {rho.grid.nodes[i]!r}); not a Gibbs-map output"
         )
-    if conv is None:
-        conv = problem.operator.apply(values)
-    breakdown = total_energy(problem, rho, conv=conv)
-    return float(np.max(_el_deviation(problem, rho, conv, breakdown)))
+    return diagnose(problem, rho).lambda_inf
 
 
 def boundary_condition_error(problem: Problem, rho: Density) -> float:
     """Relative error of the boundary identity rho(0) = g/nu (exact on the
     half-line when the far tail is negligible)."""
+    _check_grid(problem, rho)
     potential = problem.potential
     if not isinstance(potential, LinearPotential) or potential.g <= 0:
         raise ValueError(
@@ -103,6 +90,7 @@ def com_drift(problem: Problem, rho: Density) -> float:
     it vanishes at critical points.  Positive drift pushes the swarm right
     (mass escaping from the x = 0 wall).
     """
+    _check_grid(problem, rho)
     nodes = rho.grid.nodes
     vprime = np.asarray(problem.potential.derivative(nodes), dtype=float)
     forcing = integrate(rho.grid, vprime * rho.values)
@@ -119,9 +107,14 @@ def moments(rho: Density) -> Moments:
 
 def diagnose(problem: Problem, rho: Density) -> DiagnosticsReport:
     """Run all diagnostics on a density and collect them in one report."""
+    _check_grid(problem, rho)
     conv = problem.operator.apply(rho.values)
     breakdown = total_energy(problem, rho, conv=conv)
-    deviation = _el_deviation(problem, rho, conv, breakdown)
+    # | K*rho + nu log(rho) + V - (total + interaction energy) | per node; inf
+    # on zero nodes
+    with np.errstate(divide="ignore"):
+        profile = conv + problem.nu * np.log(rho.values) + problem.v
+    deviation = np.abs(profile - (breakdown.total + breakdown.interaction))
     potential = problem.potential
     e0: float | None = None
     if isinstance(potential, LinearPotential) and potential.g > 0:

@@ -58,6 +58,13 @@ def _check_nu(nu: float) -> None:
         raise ValueError(f"diffusion parameter must be positive, got {nu}")
 
 
+def _check_grid(problem: Problem, rho: Density) -> None:
+    """Every function of a problem and a density goes through this check:
+    its operator and V are sampled on `problem.grid` only."""
+    if rho.grid is not problem.grid:
+        raise ValueError("the density must be on the problem's grid")
+
+
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """The three energy components and their weighted total."""
@@ -68,16 +75,9 @@ class EnergyBreakdown:
     total: float
 
 
-def interaction_energy(
-    problem: Problem, rho: Density, conv: np.ndarray | None = None
-) -> float:
-    """(1/2) sum_ij w_i w_j K(x_i - x_j) rho_i rho_j.
-
-    `conv` may carry a precomputed K * rho to avoid redoing the convolution.
-    """
-    if conv is None:
-        conv = problem.operator.apply(rho.values)
-    return 0.5 * integrate(rho.grid, rho.values * conv)
+def interaction_energy(problem: Problem, rho: Density) -> float:
+    """(1/2) sum_ij w_i w_j K(x_i - x_j) rho_i rho_j."""
+    return total_energy(problem, rho).interaction
 
 
 def entropy(rho: Density) -> float:
@@ -88,6 +88,7 @@ def entropy(rho: Density) -> float:
 
 
 def potential_energy(problem: Problem, rho: Density) -> float:
+    _check_grid(problem, rho)
     return integrate(rho.grid, problem.v * rho.values)
 
 
@@ -95,7 +96,10 @@ def total_energy(
     problem: Problem, rho: Density, conv: np.ndarray | None = None
 ) -> EnergyBreakdown:
     """Assemble the full breakdown; reuses `conv` = K * rho when given."""
-    interaction = interaction_energy(problem, rho, conv=conv)
+    _check_grid(problem, rho)
+    if conv is None:
+        conv = problem.operator.apply(rho.values)
+    interaction = 0.5 * integrate(rho.grid, rho.values * conv)
     ent = entropy(rho)
     potential = potential_energy(problem, rho)
     return EnergyBreakdown(

@@ -11,6 +11,7 @@ parameter set (no hidden defaults), scalar metrics, and a sampled curve
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -315,10 +316,6 @@ def _custom_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve
     )
 
 
-def _total_iterations(point: _Solve, reports: list[SolveReport]) -> dict[str, Any]:
-    return {"total_iterations": sum(r.iterations for r in reports)}
-
-
 def _run_gamma_energy(experiment: str, ov: dict[str, Any]) -> list[ResultRecord]:
     nu = float(ov.get("nu", 2.0**-6))
     gc = critical_slope(nu)
@@ -409,7 +406,7 @@ _EXPERIMENTS: dict[str, tuple[frozenset[str], Callable[[str, dict], list[ResultR
     "gamma-energy": (frozenset({"nu", "g", "c_min", "c_max", "n_c"}), _run_gamma_energy),
     "effdim": (frozenset({"seed", "samples"}), _run_effdim),
     "custom": (_SOLVE_KEYS | _CONTINUATION_KEYS | {"kernel", "p", "rho0_interval"}, _Solving(
-        2.0**-6, 4.0, "uniform", _custom_points, _total_iterations,
+        2.0**-6, 4.0, "uniform", _custom_points, _stage_metrics,
     )),
 }
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
@@ -432,93 +429,69 @@ _SAMPLE_HEADERS = {
 
 
 def _json_safe(value):
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
 def record_scalars(record: ResultRecord) -> dict[str, Any]:
-    """Flat scalar view of a record (parameters then metrics)."""
-    out: dict[str, Any] = {"experiment": record.experiment}
-    for key, val in record.parameters.items():
-        out[f"param_{key}"] = val
-    for key, val in record.metrics.items():
-        out[key] = val
-    return out
+    """Flat scalar view of a record (parameters then metrics), with numpy
+    scalars as the Python numbers they hold."""
+    out = {
+        "experiment": record.experiment,
+        **{f"param_{key}": val for key, val in record.parameters.items()},
+        **record.metrics,
+    }
+    return {key: val.item() if isinstance(val, np.generic) else val for key, val in out.items()}
 
 
 def emit(records: list[ResultRecord], fmt: str, path: str | Path) -> list[Path]:
     """Write records to disk; returns the list of files written.
 
     JSON is a single document with embedded samples.  CSV writes one row per
-    record plus a two-column sidecar file per record for the samples.
-    Floats are serialized with repr, which round-trips exactly.
+    record plus a two-column sidecar file per record for the samples.  Both
+    modules serialize floats with repr, which round-trips exactly; CSV writes
+    None as an empty cell, JSON writes it and every non-finite scalar as null.
     """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     path = Path(path)
+    scalars = [record_scalars(r) for r in records]
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "json":
             doc = {
                 "schema": "swarmeq.records.v1",
                 "records": [
                     {
-                        **{k: _json_safe(v) for k, v in record_scalars(r).items()},
+                        **{k: _json_safe(v) for k, v in row.items()},
                         "wall_time_s": r.wall_time_s,
                         "samples_kind": r.samples_kind,
                         "samples": {
-                            "x": [float(v) for v in r.samples_x],
-                            "y": [float(v) for v in r.samples_y],
+                            "x": r.samples_x.tolist(),
+                            "y": r.samples_y.tolist(),
                         },
                     }
-                    for r in records
+                    for r, row in zip(records, scalars)
                 ],
             }
-            path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "w") as fh:
                 json.dump(doc, fh, indent=1)
             return [path]
-        if fmt == "csv":
-            import csv as _csv
-
-            path.parent.mkdir(parents=True, exist_ok=True)
-            columns: list[str] = ["record"]
-            for r in records:
-                for key in record_scalars(r):
-                    if key not in columns:
-                        columns.append(key)
-            columns += ["wall_time_s", "samples_file"]
-            written = [path]
-            with open(path, "w", newline="") as fh:
-                writer = _csv.writer(fh)
-                writer.writerow(columns)
-                for i, r in enumerate(records):
-                    sidecar = path.with_name(f"{path.stem}_record{i}_{r.samples_kind}.csv")
-                    xh, yh = _SAMPLE_HEADERS.get(r.samples_kind, ("x", "y"))
-                    with open(sidecar, "w", newline="") as sfh:
-                        swriter = _csv.writer(sfh)
-                        swriter.writerow([xh, yh])
-                        for x, y in zip(r.samples_x, r.samples_y):
-                            swriter.writerow([repr(float(x)), repr(float(y))])
-                    written.append(sidecar)
-                    scalars = record_scalars(r)
-                    scalars["wall_time_s"] = r.wall_time_s
-                    row = [i]
-                    for col in columns[1:-1]:
-                        row.append(_csv_cell(scalars.get(col)))
-                    row.append(sidecar.name)
-                    writer.writerow(row)
-            return written
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+        columns = [*dict.fromkeys(key for row in scalars for key in row), "wall_time_s"]
+        written = [path]
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["record", *columns, "samples_file"])
+            for i, (r, row) in enumerate(zip(records, scalars)):
+                sidecar = path.with_name(f"{path.stem}_record{i}_{r.samples_kind}.csv")
+                with open(sidecar, "w", newline="") as sfh:
+                    samples = csv.writer(sfh)
+                    samples.writerow(_SAMPLE_HEADERS.get(r.samples_kind, ("x", "y")))
+                    samples.writerows(zip(r.samples_x.tolist(), r.samples_y.tolist()))
+                written.append(sidecar)
+                row = {**row, "wall_time_s": r.wall_time_s}
+                writer.writerow([i, *(row.get(col) for col in columns), sidecar.name])
+        return written
     except OSError as exc:
         raise OSError(f"failed writing results to {path}: {exc}") from exc
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, (np.floating,)):
-        value = float(value)
-    if isinstance(value, float):
-        return repr(value)
-    return value

@@ -151,11 +151,11 @@ def ball_domain(radius: float, dim: int) -> DomainSpec:
     )
 
 
-def half_space_domain(dim: int, axis: int = -1) -> DomainSpec:
-    """Points with nonnegative coordinate along the given axis."""
+def half_space_domain(dim: int) -> DomainSpec:
+    """Points with nonnegative last coordinate."""
 
     def indicator(points: np.ndarray) -> np.ndarray:
-        return points[:, axis] >= 0
+        return points[:, -1] >= 0
 
     return DomainSpec(dim=dim, indicator=indicator, probe_centers=np.zeros((1, dim)))
 

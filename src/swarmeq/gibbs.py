@@ -4,7 +4,7 @@ One application sends rho to exp(-(K*rho + V)/nu) / Z.  For small nu the raw
 exponents span thousands of log units, so each application shifts the
 exponent by its minimum before exponentiating, which changes nothing
 algebraically.  The multiplier of the critical-point equation is
--nu log Z, evaluated stably by `log_partition`.
+-nu log Z, evaluated stably by `log_partition` from the same exponent.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .energy import Problem
+from .energy import Problem, _check_grid
 from .grid import Density, integrate
 
 # Shifted exponents below this are flushed to the floor instead of
@@ -25,6 +25,25 @@ class GibbsMapError(RuntimeError):
     """Raised when a map application produces a non-finite partition value."""
 
 
+def _exponent(
+    problem: Problem, rho: Density, conv: np.ndarray | None
+) -> tuple[np.ndarray, float]:
+    """(-(u - min u)/nu floored at DEFAULT_CLAMP_FLOOR, min u) for
+    u = K*rho + V; `conv` may carry a precomputed K * rho."""
+    _check_grid(problem, rho)
+    if conv is None:
+        conv = problem.operator.apply(rho.values)
+    u = conv + problem.v
+    if not np.all(np.isfinite(u)):
+        i = int(np.argmax(~np.isfinite(u)))
+        raise GibbsMapError(
+            f"non-finite exponent at node {i} (x = {problem.grid.nodes[i]!r}); "
+            "check kernel and potential values"
+        )
+    shift = float(u.min())
+    return np.maximum(-(u - shift) / problem.nu, DEFAULT_CLAMP_FLOOR), shift
+
+
 def apply_gibbs_map(
     problem: Problem, rho: Density, conv: np.ndarray | None = None
 ) -> Density:
@@ -32,18 +51,8 @@ def apply_gibbs_map(
 
     `conv` may carry a precomputed K * rho.
     """
-    grid = rho.grid
-    if conv is None:
-        conv = problem.operator.apply(rho.values)
-    u = conv + problem.v
-    if not np.all(np.isfinite(u)):
-        i = int(np.argmax(~np.isfinite(u)))
-        raise GibbsMapError(
-            f"non-finite exponent at node {i} (x = {grid.nodes[i]!r}); "
-            "check kernel and potential values"
-        )
-    exponent = np.maximum(-(u - float(u.min())) / problem.nu, DEFAULT_CLAMP_FLOOR)
-    values = np.exp(exponent)
+    grid = problem.grid
+    values = np.exp(_exponent(problem, rho, conv)[0])
     scale = float(grid.weights @ values)
     if not math.isfinite(scale) or scale <= 0:
         raise GibbsMapError(
@@ -61,11 +70,8 @@ def log_partition(
     Minus nu times this is the multiplier estimate; at a critical point it
     equals total + interaction energy.
     """
-    if conv is None:
-        conv = problem.operator.apply(rho.values)
-    u = conv + problem.v
-    shift = float(u.min())
-    total = float(rho.grid.weights @ np.exp(-(u - shift) / problem.nu))
+    exponent, shift = _exponent(problem, rho, conv)
+    total = float(problem.grid.weights @ np.exp(exponent))
     return math.log(total) - shift / problem.nu
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsReport, diagnose
-from .energy import EnergyBreakdown, Problem, total_energy
+from .energy import EnergyBreakdown, Problem, _check_grid, total_energy
 from .gibbs import GibbsMapError, apply_gibbs_map
 from .grid import Density, integrate
 
@@ -120,9 +120,8 @@ def solve(
     """Iterate the safeguarded scheme from rho0 until the L1 residual is below
     tolerance or the iteration budget runs out (the latter is reported, not
     raised)."""
+    _check_grid(problem, rho0)
     grid = problem.grid
-    if rho0.grid is not grid:
-        raise ValueError("rho0 must be a density on the problem's grid")
     config = config or SolverConfig()
     tau_c = config.effective_tau_c(problem.nu)
     operator = problem.operator

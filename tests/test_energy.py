@@ -6,16 +6,25 @@ from conftest import zero_kernel
 
 from swarmeq import (
     Density,
+    LinearPotential,
     PowerLawKernel,
     Problem,
     SpacingMode,
     ZeroPotential,
+    apply_gibbs_map,
+    boundary_condition_error,
+    com_drift,
+    diagnose,
     entropy,
+    euler_lagrange_residual,
+    fixed_point_residual,
     indicator_density,
     interaction_energy,
     make_grid,
+    potential_energy,
     total_energy,
 )
+from swarmeq.gibbs import log_partition
 
 
 def interaction(kernel, rho):
@@ -115,3 +124,22 @@ class TestTotalEnergy:
             b = total_energy(Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu), rho)
             expected = b.interaction + nu * b.entropy + b.potential
             assert abs(b.total - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+class TestDensityOnAnotherGrid:
+    """The operator and V of a problem are sampled on its own grid, so every
+    function of a problem and a density rejects a density on any other grid
+    object, even one with the same nodes (`solve` has its own test)."""
+
+    @pytest.mark.parametrize("function", [
+        interaction_energy, potential_energy, total_energy, apply_gibbs_map,
+        log_partition, fixed_point_residual, euler_lagrange_residual,
+        boundary_condition_error, com_drift, diagnose,
+    ], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("mode", list(SpacingMode), ids=lambda m: m.value)
+    def test_rejected(self, function, mode):
+        problem = Problem(make_grid(2.0, 64), PowerLawKernel(2.0), LinearPotential(0.1), 0.1)
+        other = make_grid(2.0, 64, mode)
+        rho = Density.normalized(other, np.exp(-other.nodes))  # strictly positive
+        with pytest.raises(ValueError, match="problem's grid"):
+            function(problem, rho)

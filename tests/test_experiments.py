@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from swarmeq.cli import main
 from swarmeq.experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
+    ResultRecord,
     emit,
     record_scalars,
     run_experiment,
@@ -50,7 +52,7 @@ RECORD_KEYS = {
                    *METRIC_KEYS, "total_iterations", "stages_converged"],
     "custom": ["experiment", "param_kernel", "param_nu", "param_g", *ECHO_KEYS,
                "param_prominence", "param_rho0_interval", "param_p", *METRIC_KEYS,
-               "total_iterations"],
+               "total_iterations", "stages_converged"],
 }
 
 
@@ -303,6 +305,50 @@ class TestEmit:
         rows = list(csv.reader(cpath.open()))
         assert len(rows) == 1  # header only
 
+    def test_written_bytes(self, tmp_path):
+        # None, a bool, ints, NaN and floats (numpy scalars among them) as the
+        # CSV main file, its sidecars and the JSON document write them; the
+        # second record lacks some of the first record's keys
+        records = [
+            ResultRecord("demo", {"n": 3, "flag": True},
+                         {"converged": None, "value": np.float64(0.1), "bad": math.nan},
+                         "density", np.array([0.0, 0.5]), np.array([2.0, 1e-300]), 0.25),
+            ResultRecord("demo", {"n": np.int64(4)}, {"converged": False, "extra": 1e16},
+                         "volume_profile", np.array([1.0]), np.array([math.pi]), 0.5),
+        ]
+        written = emit(records, "csv", tmp_path / "r.csv")
+        assert [p.name for p in written] == [
+            "r.csv", "r_record0_density.csv", "r_record1_volume_profile.csv"]
+        assert [p.read_bytes().decode() for p in written] == [
+            "record,experiment,param_n,param_flag,converged,value,bad,extra,wall_time_s,"
+            "samples_file\r\n"
+            "0,demo,3,True,,0.1,nan,,0.25,r_record0_density.csv\r\n"
+            "1,demo,4,,False,,,1e+16,0.5,r_record1_volume_profile.csv\r\n",
+            "x,density\r\n0.0,2.0\r\n0.5,1e-300\r\n",
+            "radius,volume\r\n1.0,3.141592653589793\r\n",
+        ]
+        emit(records, "json", tmp_path / "r.json")
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc == {"schema": "swarmeq.records.v1", "records": [
+            {"experiment": "demo", "param_n": 3, "param_flag": True, "converged": None,
+             "value": 0.1, "bad": None, "wall_time_s": 0.25, "samples_kind": "density",
+             "samples": {"x": [0.0, 0.5], "y": [2.0, 1e-300]}},
+            {"experiment": "demo", "param_n": 4, "converged": False, "extra": 1e16,
+             "wall_time_s": 0.5, "samples_kind": "volume_profile",
+             "samples": {"x": [1.0], "y": [math.pi]}},
+        ]}
+        assert [list(r) for r in doc["records"]] == [
+            ["experiment", "param_n", "param_flag", "converged", "value", "bad",
+             "wall_time_s", "samples_kind", "samples"],
+            ["experiment", "param_n", "converged", "extra", "wall_time_s",
+             "samples_kind", "samples"],
+        ]
+        emit([], "csv", tmp_path / "e.csv")
+        assert (tmp_path / "e.csv").read_bytes() == b"record,wall_time_s,samples_file\r\n"
+        emit([], "json", tmp_path / "e.json")
+        assert (tmp_path / "e.json").read_text() == (
+            '{\n "schema": "swarmeq.records.v1",\n "records": []\n}')
+
     def test_json_round_trip(self, tmp_path):
         records = tiny_kp2()
         path = tmp_path / "kp2.json"
@@ -417,6 +463,26 @@ class TestCli:
     def test_empty_sweep_exits_two(self, name, item, capsys):
         assert main(["experiment", name, "--set", item]) == 2
         assert "sweeps no values" in capsys.readouterr().err
+
+    def test_continuation_converges_only_if_every_stage_does(self, tmp_path):
+        # stage 0 runs out of its 15 iterations; the last three converge
+        out = tmp_path / "run.json"
+        code = main(["solve", "--set", "N=128", "--set", "stages=4", "--set", "N_max=15",
+                     "--set", "p=4", "--output", str(out)])
+        (record,) = json.loads(out.read_text())["records"]
+        assert (record["converged"], record["stages_converged"], code) == (False, 3, 1)
+
+    def test_seed_flag_beside_set_seed_must_agree(self, capsys):
+        run = ["experiment", "effdim", "--set", "seed=5", "--set", "samples=10000"]
+        assert main([*run, "--seed", "1"]) == 2
+        assert "--seed 1 disagrees with seed=5" in capsys.readouterr().err
+        assert main([*run, "--seed", "5"]) == 0
+
+    def test_format_without_output_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "kp2", "--format", "csv"]) == 2
+        assert "--format needs --output" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_flag_feeds_experiment(self, tmp_path):
         out = tmp_path / "eff.json"

@@ -111,6 +111,19 @@ class TestApplyMap:
             )
 
 
+class TestLogPartition:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_exponent_aborts(self, bad):
+        # the same check as apply_gibbs_map: one bad node is an error, not a
+        # NaN or a finite log Z that ignores the node
+        g = make_grid(1.0, 16)
+        rho = Density.normalized(g, np.ones(16))
+        conv = np.zeros(16)
+        conv[5] = bad
+        with pytest.raises(GibbsMapError, match="non-finite exponent at node 5"):
+            log_partition(Problem(g, zero_kernel(), ZeroPotential(), 0.5), rho, conv=conv)
+
+
 class TestResidual:
     def test_exact_fixed_point(self):
         g = make_grid(2.0, 65)
