@@ -37,6 +37,7 @@ RUNS = (
     ["experiment", "gamma-energy"],
     ["experiment", "effdim", "--seed", "0"],
     ["experiment", "kpsmall", "--set", "N=8192"],
+    ["experiment", "kplarge", "--set", "N=4096"],
     ["experiment", "kpsmall", "--set", "tau_c=0.2", "--set", "p=[2.0]",
      "--set", "grid=quadratic"],
     ["experiment", "multistate", "--set", "nu=0.015625", "--set", "N=128",

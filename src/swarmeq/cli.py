@@ -74,8 +74,8 @@ def _summary_line(record: ResultRecord) -> str:
     status = record.metrics.get("converged")
     tag = {True: "converged", False: "NOT CONVERGED", None: "done"}[status]
     extras = []
-    for key in ("total_energy", "lambda_inf", "iterations", "aggregates",
-                "effective_dimension", "l1_error_exact"):
+    for key in ("total_energy", "lambda_inf", "iterations", "total_iterations",
+                "stages_converged", "aggregates", "effective_dimension", "l1_error_exact"):
         if key in record.metrics and record.metrics[key] is not None:
             val = record.metrics[key]
             extras.append(f"{key}={val:.6g}" if isinstance(val, float) else f"{key}={val}")

@@ -82,26 +82,39 @@ def interaction_energy(problem: Problem, rho: Density) -> float:
 
 def entropy(rho: Density) -> float:
     """sum_i w_i rho_i log(rho_i), with 0 log 0 = 0."""
-    v = rho.values
+    return _entropy(rho.grid, rho.values)
+
+
+def _entropy(grid: Grid, v: np.ndarray) -> float:
     terms = v * np.log(v, out=np.zeros_like(v), where=v > 0)
-    return integrate(rho.grid, terms)
+    return integrate(grid, terms)
 
 
 def potential_energy(problem: Problem, rho: Density) -> float:
+    """sum_i w_i V(x_i) rho_i."""
+    return total_energy(problem, rho).potential
+
+
+def convolved(problem: Problem, rho: Density, conv: np.ndarray | None) -> np.ndarray:
+    """K * rho after the grid check: `conv` when it carries it, else one apply."""
     _check_grid(problem, rho)
-    return integrate(rho.grid, problem.v * rho.values)
+    return problem.operator.apply(rho.values) if conv is None else conv
 
 
 def total_energy(
     problem: Problem, rho: Density, conv: np.ndarray | None = None
 ) -> EnergyBreakdown:
     """Assemble the full breakdown; reuses `conv` = K * rho when given."""
-    _check_grid(problem, rho)
-    if conv is None:
-        conv = problem.operator.apply(rho.values)
-    interaction = 0.5 * integrate(rho.grid, rho.values * conv)
-    ent = entropy(rho)
-    potential = potential_energy(problem, rho)
+    return energy_breakdown(problem, rho.values, convolved(problem, rho, conv))
+
+
+def energy_breakdown(problem: Problem, values: np.ndarray, conv: np.ndarray) -> EnergyBreakdown:
+    """The breakdown of the density with `values` on `problem.grid`, given
+    conv = K * values; the array-level form of `total_energy`."""
+    grid = problem.grid
+    interaction = 0.5 * integrate(grid, values * conv)
+    ent = _entropy(grid, values)
+    potential = integrate(grid, problem.v * values)
     return EnergyBreakdown(
         interaction, ent, potential, interaction + problem.nu * ent + potential
     )

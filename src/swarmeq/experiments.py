@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -58,6 +59,7 @@ from .solver import (
 
 _PROMINENCE = 0.05  # default relative drop that separates two aggregates
 _QANR_EPS = 0.3  # default regularization width of the qanr kernel
+_STAGES = 8  # default number of continuation stages
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -101,6 +103,17 @@ def _spacing(name: str) -> SpacingMode:
         raise ValueError(
             f"unknown grid mode {name!r}; use 'uniform' or 'quadratic'"
         ) from None
+
+
+def _integer(ov: dict[str, Any], key: str, default: int) -> int:
+    """The override `key`, or the default, as an int; a value that is not a
+    whole number would be truncated, so it is a configuration error."""
+    value = ov.get(key, default)
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_list(value) -> list:
@@ -182,13 +195,13 @@ class _Solving:
     def __call__(self, experiment: str, ov: dict[str, Any]) -> list[ResultRecord]:
         nu = float(ov.get("nu", self.nu))
         grid = make_grid(
-            float(ov.get("L", self.length)), int(ov.get("N", 1024)),
+            float(ov.get("L", self.length)), _integer(ov, "N", 1024),
             _spacing(ov.get("grid", self.mode)),
         )
         cfg = SolverConfig(
             tau_c=ov.get("tau_c"),
             tol=float(ov.get("tol", SolverConfig.tol)),
-            max_iterations=int(ov.get("N_max", SolverConfig.max_iterations)),
+            max_iterations=_integer(ov, "N_max", SolverConfig.max_iterations),
         )
         records = []
         for point in self.points(ov, grid, nu):
@@ -213,7 +226,8 @@ def _schedule(ov: dict[str, Any], nu: float, start: float | None) -> Continuatio
     """The explicit `schedule` override, whose last value and length a `nu` or `stages`
     beside it must equal, else `stages` geometric stages from start * nu down to nu."""
     if "schedule" not in ov:
-        return ContinuationSchedule.geometric(start * nu, nu, stages=int(ov.get("stages", 8)))
+        stages = _integer(ov, "stages", _STAGES)
+        return ContinuationSchedule.geometric(start * nu, nu, stages=stages)
     schedule = ContinuationSchedule(tuple(float(v) for v in ov["schedule"]))
     for key, fixed in (("nu", schedule.nus[-1]), ("stages", len(schedule.nus))):
         if key in ov and float(ov[key]) != fixed:
@@ -270,7 +284,7 @@ def _multistate_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_S
     eps = float(ov.get("eps", _QANR_EPS))
     prominence = float(ov.get("prominence", _PROMINENCE))
     rho0 = indicator_density(grid, 0.0, grid.length)
-    if "schedule" not in ov and int(ov.get("stages", 8)) < 2:
+    if "schedule" not in ov and _integer(ov, "stages", _STAGES) < 2:
         # one stage ignores the start, so both records would be the same solve
         raise ValueError(f"multistate needs stages >= 2, got {ov['stages']!r}")
     for start in [None] if "schedule" in ov else [10.0, 2.0]:
@@ -322,7 +336,7 @@ def _run_gamma_energy(experiment: str, ov: dict[str, Any]) -> list[ResultRecord]
     gs = [float(g) for g in _as_list(ov.get("g", [0.0, 0.25 * gc, gc, 2 * gc, 4 * gc]))]
     c_min = float(ov.get("c_min", -0.3))
     c_max = float(ov.get("c_max", 1.0))
-    n_c = int(ov.get("n_c", 200))
+    n_c = _integer(ov, "n_c", 200)
     cs = np.linspace(c_min, c_max, n_c)
     records = []
     for g in gs:
@@ -366,8 +380,8 @@ def ball_cylinder_domain(radius: float) -> DomainSpec:
 
 
 def _run_effdim(experiment: str, ov: dict[str, Any]) -> list[ResultRecord]:
-    seed = int(ov.get("seed", 0))
-    samples = int(ov.get("samples", 100_000))
+    seed = _integer(ov, "seed", 0)
+    samples = _integer(ov, "samples", 100_000)
     records = []
     for name, (spec, radii) in builtin_domains().items():
         t0 = time.perf_counter()

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .energy import Problem, _check_grid
+from .energy import Problem, convolved
 from .grid import Density, integrate
 
 # Shifted exponents below this are flushed to the floor instead of
@@ -25,14 +25,9 @@ class GibbsMapError(RuntimeError):
     """Raised when a map application produces a non-finite partition value."""
 
 
-def _exponent(
-    problem: Problem, rho: Density, conv: np.ndarray | None
-) -> tuple[np.ndarray, float]:
+def _exponent(problem: Problem, conv: np.ndarray) -> tuple[np.ndarray, float]:
     """(-(u - min u)/nu floored at DEFAULT_CLAMP_FLOOR, min u) for
-    u = K*rho + V; `conv` may carry a precomputed K * rho."""
-    _check_grid(problem, rho)
-    if conv is None:
-        conv = problem.operator.apply(rho.values)
+    u = conv + V, where conv = K * rho."""
     u = conv + problem.v
     if not np.all(np.isfinite(u)):
         i = int(np.argmax(~np.isfinite(u)))
@@ -44,6 +39,19 @@ def _exponent(
     return np.maximum(-(u - shift) / problem.nu, DEFAULT_CLAMP_FLOOR), shift
 
 
+def gibbs_values(problem: Problem, conv: np.ndarray) -> np.ndarray:
+    """The values of the image of the density whose K * rho is `conv`; the
+    array-level form of `apply_gibbs_map`."""
+    values = np.exp(_exponent(problem, conv)[0])
+    scale = float(problem.grid.weights @ values)
+    if not math.isfinite(scale) or scale <= 0:
+        raise GibbsMapError(
+            f"partition value {scale!r} after normalization; "
+            f"nu = {problem.nu} is too small for this grid"
+        )
+    return values / scale
+
+
 def apply_gibbs_map(
     problem: Problem, rho: Density, conv: np.ndarray | None = None
 ) -> Density:
@@ -51,15 +59,7 @@ def apply_gibbs_map(
 
     `conv` may carry a precomputed K * rho.
     """
-    grid = problem.grid
-    values = np.exp(_exponent(problem, rho, conv)[0])
-    scale = float(grid.weights @ values)
-    if not math.isfinite(scale) or scale <= 0:
-        raise GibbsMapError(
-            f"partition value {scale!r} after normalization; "
-            f"nu = {problem.nu} is too small for this grid"
-        )
-    return Density(grid=grid, values=values / scale)
+    return Density(problem.grid, gibbs_values(problem, convolved(problem, rho, conv)))
 
 
 def log_partition(
@@ -70,7 +70,7 @@ def log_partition(
     Minus nu times this is the multiplier estimate; at a critical point it
     equals total + interaction energy.
     """
-    exponent, shift = _exponent(problem, rho, conv)
+    exponent, shift = _exponent(problem, convolved(problem, rho, conv))
     total = float(problem.grid.weights @ np.exp(exponent))
     return math.log(total) - shift / problem.nu
 

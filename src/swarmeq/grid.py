@@ -117,6 +117,18 @@ def integrate(grid: Grid, values: np.ndarray) -> float:
     return float(grid.weights @ values)
 
 
+def check_density(grid: Grid, values: np.ndarray) -> None:
+    """Raise ValueError unless `values` is a nonnegative grid function of unit
+    mass within MASS_TOL: what makes a `Density`, checked on a raw array."""
+    if values.shape != grid.nodes.shape:
+        raise ValueError(f"density has {values.shape} values for {grid.size} nodes")
+    if np.any(values < 0):
+        raise ValueError("density values must be nonnegative")
+    mass = float(grid.weights @ values)
+    if not abs(mass - 1.0) <= MASS_TOL:
+        raise ValueError(f"density mass {mass!r} differs from 1 by more than {MASS_TOL}")
+
+
 @dataclass(frozen=True)
 class Density:
     """Nonnegative grid function with unit mass under the grid quadrature."""
@@ -125,17 +137,7 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != self.grid.nodes.shape:
-            raise ValueError(
-                f"density has {self.values.shape} values for {self.grid.size} nodes"
-            )
-        if np.any(self.values < 0):
-            raise ValueError("density values must be nonnegative")
-        mass = float(self.grid.weights @ self.values)
-        if not abs(mass - 1.0) <= MASS_TOL:
-            raise ValueError(
-                f"density mass {mass!r} differs from 1 by more than {MASS_TOL}"
-            )
+        check_density(self.grid, self.values)
 
     @classmethod
     def normalized(cls, grid: Grid, values: np.ndarray) -> "Density":

@@ -8,17 +8,27 @@ candidate (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
 
 with beta = tau_c and gamma the trapezoid-weighted least-squares fit of f by
 the last ANDERSON_DEPTH differences df_j of f (dx_j are the differences of the
-iterates), and accepts it when it is finite, positive and of lower energy.
-Failing that it takes the conservative step (1 - tau_c) rho + tau_c T(rho),
-with tau_c proportional to the diffusion parameter.  The history is cleared
-on every full step, so a solve of full steps only is the plain relaxed scheme.
+iterates), and accepts it when it is finite, positive, of unit mass and of
+lower energy.  Failing that it takes the conservative step
+(1 - tau_c) rho + tau_c T(rho), with tau_c proportional to the diffusion
+parameter.  The history is cleared on every full step, so a solve of full
+steps only is the plain relaxed scheme.
 Iteration stops when the L1 residual ||rho - T(rho)|| drops below tolerance.
 Small diffusion values are reached by continuation: solve along a decreasing
 sequence of nu, warm-starting each stage from the previous solution.
 
+The fit ignores subnormal entries.  Where a density sits at the exponent
+floor (values near e^-700), the weighted f and df_j fall below the smallest
+normal float, and subnormal arithmetic made the SVD fit more than twice as
+slow.  Setting those entries to zero moves the fitted matrix by at most
+sqrt(N m) times that float in Frobenius norm, far below its roundoff; the
+step itself keeps them.
+
 Every step reuses the kernel operator of the `Problem` and applies it once:
 K * rho is linear, so the convolution of a conservative or Anderson step is
-the same combination of stored convolutions.  The stages of a continuation
+the same combination of stored convolutions.  The iterates are raw arrays,
+checked as a `Density` would check them where a step could break it, and one
+`Density` is built for the returned state.  The stages of a continuation
 share the operator through `Problem.with_nu`, unless the kernel is clipped at
 a cap that depends on nu; then each stage builds its own.  The report carries
 `diagnose` of the returned density.
@@ -32,13 +42,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsReport, diagnose
-from .energy import EnergyBreakdown, Problem, _check_grid, total_energy
-from .gibbs import GibbsMapError, apply_gibbs_map
-from .grid import Density, integrate
+from .energy import Problem, _check_grid, energy_breakdown
+from .gibbs import GibbsMapError, gibbs_values
+from .grid import Density, check_density, integrate
 
 # Anderson history depth.  Measured on the default multistate schedules:
 # depths 5 and 6, and the undamped mixing beta = 1, left stages unconverged.
 ANDERSON_DEPTH = 4
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -126,49 +138,47 @@ def solve(
     tau_c = config.effective_tau_c(problem.nu)
     operator = problem.operator
     sqrt_w = np.sqrt(grid.weights)
-    # Ring buffer of the differences, over successive non-full steps, of
-    # f = T(rho) - rho, of y = rho + tau_c f and of K * y; `stored` counts the
-    # differences pushed since the last full step.
+    # Ring buffer of the differences, over successive non-full steps, of the
+    # weighted and flushed f = T(rho) - rho, of y = rho + tau_c f and of
+    # K * y; `stored` counts the differences pushed since the last full step.
     d_f, d_y, d_conv = np.empty((3, ANDERSON_DEPTH, grid.size))
     stored = 0
     previous = None  # (f, y, K * y) of the last non-full step
 
-    rho = rho0
-    conv = operator.apply(rho.values)
-    breakdown = total_energy(problem, rho, conv=conv)
-    energy_trace = [breakdown.total]
+    rho = rho0.values
+    conv = operator.apply(rho)
+    energy = energy_breakdown(problem, rho, conv).total
+    energy_trace = [energy]
     tau_trace: list[float] = []
     step_trace: list[str] = []
     iterations = 0
 
     while True:
         try:
-            image = apply_gibbs_map(problem, rho, conv=conv)
+            image = gibbs_values(problem, conv)
         except GibbsMapError as exc:
             raise GibbsMapError(f"iteration {iterations}: {exc}") from exc
-        residual = integrate(grid, np.abs(rho.values - image.values))
+        residual = integrate(grid, np.abs(rho - image))
         converged = residual < config.tol
         if iterations >= config.max_iterations:
             break  # budget exhausted; keep whatever the residual test said
 
-        image_conv = operator.apply(image.values)
-        image_breakdown = total_energy(problem, image, conv=image_conv)
-        if not math.isfinite(image_breakdown.total):
-            raise GibbsMapError(
-                f"iteration {iterations}: non-finite energy {image_breakdown.total!r}"
-            )
-        if image_breakdown.total < breakdown.total:
+        image_conv = operator.apply(image)
+        image_energy = energy_breakdown(problem, image, image_conv).total
+        if not math.isfinite(image_energy):
+            raise GibbsMapError(f"iteration {iterations}: non-finite energy {image_energy!r}")
+        if image_energy < energy:
             step = "full"
-            rho, conv, breakdown = image, image_conv, image_breakdown
+            rho, conv, energy = image, image_conv, image_energy
             stored, previous = 0, None
         else:
-            f = image.values - rho.values
-            y = (1 - tau_c) * rho.values + tau_c * image.values
+            f = image - rho
+            y = (1 - tau_c) * rho + tau_c * image
             # K * rho is linear in rho, so the combined convolution is exact.
             y_conv = (1 - tau_c) * conv + tau_c * image_conv
             if previous is not None:
                 slot = stored % ANDERSON_DEPTH
-                d_f[slot] = f - previous[0]
+                d_f[slot] = _flush_subnormals(sqrt_w * (f - previous[0]))
                 d_y[slot] = y - previous[1]
                 d_conv[slot] = y_conv - previous[2]
                 stored += 1
@@ -176,21 +186,21 @@ def solve(
             candidate = None
             if stored:
                 m = min(stored, ANDERSON_DEPTH)
-                gamma = np.linalg.lstsq((d_f[:m] * sqrt_w).T, f * sqrt_w, rcond=None)[0]
+                gamma = _fit(d_f[:m], f * sqrt_w)
                 candidate = _anderson_candidate(
-                    problem, y - gamma @ d_y[:m], y_conv - gamma @ d_conv[:m],
-                    breakdown.total,
+                    problem, y - gamma @ d_y[:m], y_conv - gamma @ d_conv[:m], energy
                 )
             if candidate is not None:
                 step = "anderson"
-                rho, conv, breakdown = candidate
+                rho, conv, energy = candidate
             else:
                 step = "conservative"
-                rho, conv = Density(grid, y), y_conv
-                breakdown = total_energy(problem, rho, conv=conv)
+                check_density(grid, y)
+                rho, conv = y, y_conv
+                energy = energy_breakdown(problem, rho, conv).total
         step_trace.append(step)
         tau_trace.append(1.0 if step == "full" else tau_c)
-        energy_trace.append(breakdown.total)
+        energy_trace.append(energy)
         iterations += 1
         if converged:
             # The residual test passed, so this last scheme update (a Gibbs
@@ -198,11 +208,12 @@ def solve(
             # minimizer) is the reported state.
             break
 
+    density = Density(grid, rho)
     return SolveReport(
-        density=rho,
+        density=density,
         iterations=iterations,
         residual=residual,
-        diagnostics=diagnose(problem, rho),
+        diagnostics=diagnose(problem, density),
         converged=converged,
         energy_trace=energy_trace,
         tau_trace=tau_trace,
@@ -211,20 +222,34 @@ def solve(
     )
 
 
+def _flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """Set the entries of `a` below the smallest normal float in magnitude to
+    zero, in place, and return `a`."""
+    a[np.abs(a) < _TINY] = 0.0
+    return a
+
+
+def _fit(d_f: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares gamma of `f` by the rows of `d_f`, both
+    weighted; the subnormal entries of `f` are flushed first (module
+    docstring), those of `d_f` when they were stored."""
+    return np.linalg.lstsq(d_f.T, _flush_subnormals(f), rcond=None)[0]
+
+
 def _anderson_candidate(
     problem: Problem, values: np.ndarray, conv: np.ndarray, energy: float
-) -> tuple[Density, np.ndarray, EnergyBreakdown] | None:
-    """(density, K * density, energy breakdown) of an Anderson combination,
-    or None unless its values are finite and positive, its mass is unit and
-    its energy is below `energy`."""
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(values, K * values, energy) of an Anderson combination, or None unless
+    its values are finite and positive, its mass is unit and its energy is
+    below `energy`."""
     if not np.all(np.isfinite(values) & (values > 0)):
         return None
     try:
-        rho = Density(problem.grid, values)
+        check_density(problem.grid, values)
     except ValueError:  # mass drifted beyond the density tolerance
         return None
-    breakdown = total_energy(problem, rho, conv=conv)
-    return (rho, conv, breakdown) if breakdown.total < energy else None
+    total = energy_breakdown(problem, values, conv).total
+    return (values, conv, total) if total < energy else None
 
 
 def solve_with_continuation(

@@ -472,6 +472,32 @@ class TestCli:
         (record,) = json.loads(out.read_text())["records"]
         assert (record["converged"], record["stages_converged"], code) == (False, 3, 1)
 
+    def test_continuation_summary_line_counts_every_stage(self, capsys):
+        main(["solve", "--set", "N=128", "--set", "stages=4", "--set", "N_max=15",
+              "--set", "p=4"])
+        line = capsys.readouterr().out
+        assert "NOT CONVERGED" in line
+        for field in ("iterations=15", "total_iterations=60", "stages_converged=3"):
+            assert re.search(rf"\b{field}\b", line), field
+
+    @pytest.mark.parametrize("name,item", [
+        ("kp2", "N=128.9"), ("kp2", "N_max=30.7"), ("kp2", "N=true"),
+        ("multistate", "stages=3.5"), ("solve", "stages=3.5"), ("effdim", "seed=1.9"),
+        ("effdim", "samples=10000.5"), ("gamma-energy", "n_c=20.5"),
+    ])
+    def test_non_integral_integer_override_exits_two(self, name, item, capsys):
+        command = ["solve"] if name == "solve" else ["experiment", name]
+        assert main([*command, "--set", item]) == 2
+        key = item.split("=")[0]
+        assert f"{key} must be an integer, got" in capsys.readouterr().err
+
+    def test_whole_float_integer_override_is_accepted(self, tmp_path):
+        out = tmp_path / "run.json"
+        main(["experiment", "kp2", "--set", "N=64.0", "--set", "N_max=5.0",
+              "--output", str(out)])
+        record = json.loads(out.read_text())["records"][0]
+        assert (record["param_N"], record["param_N_max"]) == (64, 5)
+
     def test_seed_flag_beside_set_seed_must_agree(self, capsys):
         run = ["experiment", "effdim", "--set", "seed=5", "--set", "samples=10000"]
         assert main([*run, "--seed", "1"]) == 2

@@ -8,6 +8,8 @@ from scipy.interpolate import CubicSpline
 from swarmeq import (
     ContinuationSchedule,
     Density,
+    ExternalPotential,
+    GibbsMapError,
     PowerLawKernel,
     Problem,
     RegularizedQanrKernel,
@@ -23,6 +25,8 @@ from swarmeq import (
     solve,
     solve_with_continuation,
 )
+from swarmeq import solver
+from swarmeq.grid import MASS_TOL
 
 
 class TestSolverConfig:
@@ -182,6 +186,79 @@ class TestSolve:
         b = Density.normalized(g, rng.random(128) + 0.01)
         combo = Density(g, 0.7 * a.values + 0.3 * b.values)
         assert abs(combo.mass - 1.0) <= 1e-10
+
+
+class _NanAt(ExternalPotential):
+    """V = 0 except at x = x0, where it is NaN."""
+
+    def __init__(self, x0):
+        self.x0 = x0
+
+    def __call__(self, x):
+        return np.where(np.asarray(x) == self.x0, np.nan, 0.0)
+
+
+class TestSolveErrors:
+    def test_non_finite_exponent_names_the_iteration(self):
+        g = make_grid(2.0, 65)
+        problem = Problem(g, PowerLawKernel(2.0), _NanAt(g.nodes[7]), 0.1)
+        with pytest.raises(GibbsMapError, match=r"^iteration 0: non-finite exponent at node 7"):
+            solve(problem, indicator_density(g, 0, 1))
+
+    def test_zero_partition_value_names_the_iteration(self):
+        # unreachable with positive weights, where the node of least exponent
+        # maps to 1; weights zeroed after the start density is built reach it
+        g = make_grid(2.0, 65)
+        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), 0.1)
+        rho0 = indicator_density(g, 0, 1)
+        g.weights[:] = 0.0
+        with pytest.raises(GibbsMapError, match=r"^iteration 0: partition value 0\.0"):
+            solve(problem, rho0)
+
+
+class TestAnderson:
+    def test_flushed_fit_equals_lstsq_on_unflushed_inputs(self, rng):
+        # floored tails as on a multistate solution: entries far below the
+        # smallest normal float, many of them subnormal
+        tiny = np.finfo(float).tiny
+        for m in range(1, solver.ANDERSON_DEPTH + 1):
+            d_f = rng.standard_normal((m, 1024)) * 1e-3
+            f = rng.standard_normal(1024) * 1e-3
+            d_f[:, 600:] *= 10.0 ** rng.uniform(-312, -300, (m, 424))
+            f[600:] *= 10.0 ** rng.uniform(-312, -300, 424)
+            assert np.any((f != 0) & (np.abs(f) < tiny))
+            expected = np.linalg.lstsq(d_f.T, f, rcond=None)[0]
+            flushed = solver._flush_subnormals(d_f.copy())
+            assert not np.any((flushed != 0) & (np.abs(flushed) < tiny))
+            np.testing.assert_array_equal(solver._fit(flushed, f.copy()), expected)
+
+    def _problem(self):
+        g = make_grid(8.0, 128)
+        return Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), 2.0**-6)
+
+    def test_candidate_mass_gate(self):
+        problem = self._problem()
+        values = indicator_density(problem.grid, 0, 8).values
+        conv = problem.operator.apply(values)
+        assert solver._anderson_candidate(problem, values, conv, math.inf) is not None
+        drifted = (1 + 10 * MASS_TOL) * values
+        assert solver._anderson_candidate(problem, drifted, conv, math.inf) is None
+
+    def test_drifted_candidate_gives_conservative_step(self, monkeypatch):
+        problem = self._problem()
+        rho0 = indicator_density(problem.grid, 0, 8)
+        config = SolverConfig(max_iterations=20)
+        plain = solve(problem, rho0, config)
+        k = plain.step_trace.index("anderson")
+        real = solver._anderson_candidate
+        monkeypatch.setattr(
+            solver, "_anderson_candidate",
+            lambda problem, values, conv, energy: real(
+                problem, (1 + 10 * MASS_TOL) * values, conv, energy),
+        )
+        drifted = solve(problem, rho0, config)
+        assert "anderson" not in drifted.step_trace
+        assert drifted.step_trace[: k + 1] == [*plain.step_trace[:k], "conservative"]
 
 
 class TestContinuation:
