@@ -8,6 +8,7 @@ diffusion entropy + potential.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,8 @@ class Problem:
 
 
 def _check_nu(nu: float) -> None:
-    if not nu > 0:
-        raise ValueError(f"diffusion parameter must be positive, got {nu}")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"diffusion parameter must be positive and finite, got {nu}")
 
 
 def _check_grid(problem: Problem, rho: Density) -> None:

@@ -143,3 +143,21 @@ class TestDensityOnAnotherGrid:
         rho = Density.normalized(other, np.exp(-other.nodes))  # strictly positive
         with pytest.raises(ValueError, match="problem's grid"):
             function(problem, rho)
+
+
+class TestProblemNu:
+    """nu must be positive and finite at construction and in `with_nu`: at
+    nu = inf the entropy term is infinite and a solve could only fail later."""
+
+    BAD = [0.0, -1.0, math.nan, math.inf]
+
+    @pytest.mark.parametrize("nu", BAD, ids=repr)
+    def test_rejected_at_construction(self, nu):
+        with pytest.raises(ValueError, match="diffusion parameter must be positive and finite"):
+            Problem(make_grid(2.0, 65), PowerLawKernel(2.0), ZeroPotential(), nu)
+
+    @pytest.mark.parametrize("nu", BAD, ids=repr)
+    def test_rejected_by_with_nu(self, nu):
+        problem = Problem(make_grid(2.0, 65), PowerLawKernel(2.0), ZeroPotential(), 0.1)
+        with pytest.raises(ValueError, match="diffusion parameter must be positive and finite"):
+            problem.with_nu(nu)

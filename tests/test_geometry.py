@@ -16,7 +16,7 @@ from swarmeq import (
     slab_domain,
     wedge_domain,
 )
-from swarmeq.experiments import ball_cylinder_domain
+from swarmeq.experiments import ball_cylinder_domain, builtin_domains
 
 SAMPLES = 10_000  # light for unit tests; the acceptance suite uses 10^5
 
@@ -72,6 +72,14 @@ class TestVolumeEstimates:
         with pytest.raises(ValueError, match="10\\^4"):
             estimate_volume_profile(spec, [1.0, 2.0], 100)
 
+    @pytest.mark.parametrize("radii", [
+        [1.0, math.nan, 3.0], [-2.0, 1.0, 3.0], [1.0, 2.0, math.inf], [0.0, 1.0, 2.0],
+    ], ids=repr)
+    def test_rejects_radii_not_positive_and_finite(self, radii):
+        # without the check these gave the volumes -inf, -7.95 and -inf
+        with pytest.raises(ValueError, match="radii must be positive and finite"):
+            estimate_volume_profile(box_domain([2.0] * 3), radii, SAMPLES)
+
     def test_probe_center_must_lie_inside(self):
         with pytest.raises(ValueError, match="probe center"):
             DomainSpec(
@@ -84,6 +92,108 @@ class TestVolumeEstimates:
         with pytest.raises(ValueError, match="dimension"):
             DomainSpec(dim=3, indicator=lambda pts: np.ones(len(pts), bool),
                        probe_centers=np.zeros((1, 2)))
+
+
+def _sample_in_ball(rng, center, radius, n):
+    """The whole-task sampler the chunked count replaced."""
+    dim = center.size
+    directions = rng.standard_normal((n, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = radius * rng.random(n) ** (1.0 / dim)
+    return center[None, :] + radii[:, None] * directions
+
+
+def _reference_profile(spec, radii, samples, seed):
+    """Volumes and standard errors as the whole-task sampler computed them."""
+    radii = np.asarray(radii, dtype=float)
+    n_probes = spec.probe_centers.shape[0]
+    streams = np.random.SeedSequence(seed).spawn(radii.size * n_probes)
+    volumes, stderr = [], []
+    for i, r in enumerate(radii):
+        vball = ball_volume(float(r), spec.dim)
+        best = (-math.inf, math.nan)
+        for j in range(n_probes):
+            rng = np.random.default_rng(streams[i * n_probes + j])
+            points = _sample_in_ball(rng, spec.probe_centers[j], float(r), samples)
+            frac = float(np.asarray(spec.indicator(points), dtype=bool).mean())
+            vol = frac * vball
+            if vol > best[0]:
+                best = (vol, vball * math.sqrt(frac * (1 - frac) / samples))
+        volumes.append(best[0])
+        stderr.append(best[1])
+    return np.array(volumes), np.array(stderr)
+
+
+def _extra_domains():
+    three_probes = DomainSpec(dim=2, indicator=lambda pts: pts[:, 1] >= 0.0,
+                              probe_centers=[[0.0, 0.0], [0.0, 1.5], [3.0, 0.5]])
+    integer_cylinder = DomainSpec(
+        dim=3, indicator=lambda pts: (pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 1.0).astype(int),
+        probe_centers=np.zeros((1, 3)),
+    )
+    radii = np.geomspace(1.0, 10.0, 4)
+    return {
+        "three-probes-2d": (three_probes, radii),
+        "integer-indicator-3d": (integer_cylinder, radii),
+        # nine columns: NumPy's pairwise row sum, not the column-by-column one
+        "box-9d": (box_domain([2.0] * 9), radii),
+        "paraboloid-9d": (paraboloid_domain(9, probe_height=5.0), radii),
+    }
+
+
+class TestStreamedSampler:
+    """The chunked count reproduces the whole-task sampler bit for bit: below
+    one chunk (10 000 samples) and with a ragged last chunk (40 001)."""
+
+    @pytest.mark.parametrize("samples", [10_000, 40_001])
+    @pytest.mark.parametrize("name", [*builtin_domains(), *_extra_domains()])
+    def test_bit_equal_to_whole_task_sampler(self, name, samples):
+        spec, radii = {**builtin_domains(), **_extra_domains()}[name]
+        profile = estimate_volume_profile(spec, radii, samples, seed=4)
+        volumes, stderr = _reference_profile(spec, radii, samples, seed=4)
+        np.testing.assert_array_equal(profile.volumes, volumes)
+        np.testing.assert_array_equal(profile.stderr, stderr)
+
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_indicator_sees_the_whole_task_points(self, dim):
+        # A one-ulp change in a point rarely flips a hit, so compare the points.
+        seen = []
+
+        def indicator(pts):
+            seen.append(pts.copy())
+            return pts[:, 0] >= 0
+
+        spec = DomainSpec(dim=dim, indicator=indicator, probe_centers=np.full((2, dim), 0.25))
+        seen.clear()  # the probe check
+        radii, samples = [1.5, 7.0], 40_001
+        estimate_volume_profile(spec, radii, samples, seed=2)
+        streams = np.random.SeedSequence(2).spawn(len(radii) * 2)
+        tasks = [(r, j) for r in radii for j in range(2)]
+        points = np.concatenate(seen)
+        assert len(seen) == len(tasks) * 3 and points.shape == (len(tasks) * samples, dim)
+        for k, (stream, (r, j)) in enumerate(zip(streams, tasks)):
+            expected = _sample_in_ball(np.random.default_rng(stream), spec.probe_centers[j],
+                                       r, samples)
+            np.testing.assert_array_equal(points[k * samples:(k + 1) * samples], expected)
+
+    def test_column_indicators_match_row_formulas_on_the_boundary(self):
+        sides = np.array([2.0, 0.5, 3.0])
+        half = sides / 2
+        edge = [-half, half, np.nextafter(half, 0), np.nextafter(half, 4), np.zeros(3)]
+        points = np.array([[a[0], b[1], c[2]] for a in edge for b in edge for c in edge])
+        assert np.any(np.abs(points) == half)
+        np.testing.assert_array_equal(box_domain(sides).indicator(points),
+                                      np.all(np.abs(points) <= half[None, :], axis=1))
+        slab = slab_domain(sides[:2], free_dims=1)
+        np.testing.assert_array_equal(slab.indicator(points),
+                                      np.all(np.abs(points[:, :2]) <= half[None, :2], axis=1))
+        # z equal to the rounded x^2 + y^2, and one ulp either side of it
+        x, y = points[:, 0], points[:, 1]
+        on = x**2 + y**2
+        for z in (on, np.nextafter(on, -1), np.nextafter(on, 9)):
+            pts = np.column_stack([x, y, z])
+            np.testing.assert_array_equal(paraboloid_domain(3).indicator(pts),
+                                          pts[:, -1] >= np.sum(pts[:, :-1] ** 2, axis=1))
 
 
 class TestEffectiveDimension:
