@@ -9,10 +9,13 @@ where each argument is a ``src`` directory that holds the ``swarmeq``
 package.  Every run in ``RUNS`` goes through ``python -m swarmeq.cli`` once
 with each directory on ``PYTHONPATH``, writing into a temporary directory.
 The JSON records are compared field by field, key order included, and
-``wall_time_s`` is ignored.  The CSV run compares the main file without its
-``wall_time_s`` column, and every sidecar.  For each run the script prints
-``identical``, or each field that moved with its largest relative change
-over the records; it exits 1 if anything moved.
+``wall_time_s`` is ignored; when they parse equal, the raw texts are compared
+too, with each ``"wall_time_s": <number>`` masked, so that a change of layout
+or of how a number is written (``1e16`` as ``1e+16``) shows.  The CSV run
+compares the main file without its ``wall_time_s`` column, and every sidecar.
+For each run the script prints ``identical``, or each field that moved with its
+largest relative change over the records (``bytes differ`` and the first
+differing line when only the text moved); it exits 1 if anything moved.
 """
 
 from __future__ import annotations
@@ -21,12 +24,16 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 IGNORED = "wall_time_s"
+# IGNORED with its value as the JSON text writes it; a string value that holds
+# the key has its quotes escaped, so it cannot match.
+_IGNORED_TEXT = re.compile(r'"wall_time_s": -?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
 SCHEDULE = ["--set", "schedule=[0.02,0.01]", "--set", "N=128", "--set", "N_max=300"]
 # CLI arguments of each compared run, without --output.
 RUNS = (
@@ -121,6 +128,19 @@ def compare_documents(old: dict, new: dict) -> list[str]:
     return lines + compare_records(old["records"], new["records"])
 
 
+def compare_json(old: str, new: str) -> list[str]:
+    """compare_documents on two JSON texts, and when their records parse equal,
+    the texts themselves with each IGNORED value masked."""
+    lines = compare_documents(json.loads(old), json.loads(new))
+    if lines:
+        return lines
+    old, new = (_IGNORED_TEXT.sub('"wall_time_s": ?', text).split("\n") for text in (old, new))
+    if old == new:
+        return []
+    line = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    return [f"bytes differ, first at line {line + 1}"]
+
+
 def _csv_records(path: Path) -> list[dict]:
     header, *rows = csv.reader(path.read_text().splitlines())
     return [dict(zip(header, row)) for row in rows]
@@ -152,7 +172,7 @@ def compare_run(old_src: str, new_src: str, args: list[str], workdir: Path) -> l
     for name in names[0]:
         old, new = (d / name for d in dirs)
         if fmt == "json":
-            lines += compare_documents(json.loads(old.read_text()), json.loads(new.read_text()))
+            lines += compare_json(old.read_text(), new.read_text())
         else:
             lines += [f"{name}: {line}"
                       for line in compare_records(_csv_records(old), _csv_records(new))]

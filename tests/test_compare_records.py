@@ -2,7 +2,10 @@
 
 import copy
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_records.py"
 spec = importlib.util.spec_from_file_location("compare_records", SCRIPT)
@@ -49,3 +52,30 @@ def test_added_key():
     for record in new["records"]:
         record["stages_converged"] = 1
     assert compare_records.compare_documents(DOC, new) == ["added keys ['stages_converged']"]
+
+
+@pytest.mark.parametrize("indent", [1, 2], ids=["wall-time-only", "indent"])
+def test_text_compared_with_wall_time_masked(indent):
+    new = copy.deepcopy(DOC)
+    new["records"][1]["wall_time_s"] = 1.5e-05
+    old_text, new_text = json.dumps(DOC, indent=1), json.dumps(new, indent=indent)
+    expected = [] if indent == 1 else ["bytes differ, first at line 2"]
+    assert compare_records.compare_json(old_text, new_text) == expected
+
+
+def test_same_number_written_another_way():
+    new = copy.deepcopy(DOC)
+    new["records"][1]["e0"] = 1e16
+    old_text = json.dumps(new, indent=1)
+    assert '"e0": 1e+16' in old_text
+    new_text = old_text.replace('"e0": 1e+16', '"e0": 1e16')
+    assert compare_records.compare_documents(json.loads(old_text), json.loads(new_text)) == []
+    assert compare_records.compare_json(old_text, new_text) == [
+        f"bytes differ, first at line {old_text[:old_text.index('1e+16')].count(chr(10)) + 1}"]
+
+
+def test_moved_field_is_reported_without_byte_line():
+    new = copy.deepcopy(DOC)
+    new["records"][0]["iterations"] = 36
+    assert compare_records.compare_json(json.dumps(DOC), json.dumps(new)) == [
+        "iterations: largest relative change 0.0278"]

@@ -65,6 +65,41 @@ def tiny_kp2():
     )
 
 
+def v1_document(records):
+    """The v1 JSON text of `records` as `json.dump(doc, fh, indent=1)` writes it."""
+    return json.dumps({"schema": "swarmeq.records.v1", "records": [
+        {**{k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in record_scalars(r).items()},
+         "wall_time_s": r.wall_time_s, "samples_kind": r.samples_kind,
+         "samples": {"x": r.samples_x.tolist(), "y": r.samples_y.tolist()}}
+        for r in records
+    ]}, indent=1)
+
+
+def demo_record(xs=(0.0, 0.5), ys=(2.0, 1.0), **parameters):
+    return ResultRecord("demo", parameters, {"converged": True}, "density",
+                        np.array(xs, dtype=float), np.array(ys, dtype=float), 0.125)
+
+
+FLOAT_SPELLINGS = [-0.0, 5e-324, 1e-300, 1e16, 1e22, 2.0, -3.0, 0.1, 123456789.0]
+# Records whose JSON text must be the v1 layout byte for byte.
+V1_CASES = {
+    "one-record": lambda: [demo_record()],
+    "many-records": lambda: [*tiny_kp2(), demo_record(), demo_record((1.0,), (2.0,))],
+    "empty-samples": lambda: [demo_record((), ()), demo_record(), demo_record((), ())],
+    "non-finite-samples": lambda: [demo_record(
+        [math.nan, math.inf, -math.inf, 1.0], [-math.inf, 0.0, math.nan, math.inf],
+        lo=math.nan, hi=math.inf, low=-math.inf)],
+    "float-spellings": lambda: [demo_record(
+        FLOAT_SPELLINGS, FLOAT_SPELLINGS[::-1], spread=FLOAT_SPELLINGS,
+        **{f"f{i}": v for i, v in enumerate(FLOAT_SPELLINGS)})],
+    "awkward-strings": lambda: [demo_record(
+        quote='say "hi"', backslash="C:\\dir\\", nul="\u0000", newline="a\nb",
+        layout=',\n     ]', separator="1.0, 2.0", key='"samples": {', unicode="\u00e9\u2603",
+        nested={"x": ["a, b", [1.0, -0.0]]})],
+}
+
+
 class TestConfigs:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
@@ -256,6 +291,18 @@ class TestRecordKeys:
         for record in records:
             assert list(record_scalars(record)) == RECORD_KEYS[name]
 
+    @pytest.mark.parametrize("overrides,echo", [
+        ({"stages": 4, "p": 4}, {"param_stages": 4}),
+        ({"schedule": [0.02, 0.01]}, {"param_stages": 2, "param_schedule": [0.02, 0.01]}),
+    ], ids=["stages", "schedule"])
+    def test_custom_continuation_echoes_its_stages(self, overrides, echo):
+        (record,) = run_experiment(ExperimentConfig("custom", {"N": 64, "N_max": 15, **overrides}))
+        scalars = record_scalars(record)
+        keys = RECORD_KEYS["custom"]
+        at = keys.index("param_g") + 1
+        assert list(scalars) == [*keys[:at], *echo, *keys[at:]]
+        assert {key: scalars[key] for key in echo} == echo
+
 
 class TestOperatorBuilds:
     """Each solved record builds its kernel operator once; a continuation
@@ -337,17 +384,28 @@ class TestEmit:
              "wall_time_s": 0.5, "samples_kind": "volume_profile",
              "samples": {"x": [1.0], "y": [math.pi]}},
         ]}
-        assert [list(r) for r in doc["records"]] == [
-            ["experiment", "param_n", "param_flag", "converged", "value", "bad",
-             "wall_time_s", "samples_kind", "samples"],
-            ["experiment", "param_n", "converged", "extra", "wall_time_s",
-             "samples_kind", "samples"],
-        ]
+        assert (tmp_path / "r.json").read_text() == (
+            '{\n "schema": "swarmeq.records.v1",\n "records": [\n'
+            '  {\n   "experiment": "demo",\n   "param_n": 3,\n   "param_flag": true,\n'
+            '   "converged": null,\n   "value": 0.1,\n   "bad": null,\n'
+            '   "wall_time_s": 0.25,\n   "samples_kind": "density",\n'
+            '   "samples": {\n    "x": [\n     0.0,\n     0.5\n    ],\n'
+            '    "y": [\n     2.0,\n     1e-300\n    ]\n   }\n  },\n'
+            '  {\n   "experiment": "demo",\n   "param_n": 4,\n   "converged": false,\n'
+            '   "extra": 1e+16,\n   "wall_time_s": 0.5,\n   "samples_kind": "volume_profile",\n'
+            '   "samples": {\n    "x": [\n     1.0\n    ],\n'
+            '    "y": [\n     3.141592653589793\n    ]\n   }\n  }\n ]\n}')
         emit([], "csv", tmp_path / "e.csv")
         assert (tmp_path / "e.csv").read_bytes() == b"record,wall_time_s,samples_file\r\n"
         emit([], "json", tmp_path / "e.json")
         assert (tmp_path / "e.json").read_text() == (
             '{\n "schema": "swarmeq.records.v1",\n "records": []\n}')
+
+    @pytest.mark.parametrize("case", list(V1_CASES))
+    def test_json_bytes_match_v1(self, case, tmp_path):
+        records = V1_CASES[case]()
+        emit(records, "json", tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text() == v1_document(records)
 
     def test_json_round_trip(self, tmp_path):
         records = tiny_kp2()
@@ -417,11 +475,11 @@ class TestCli:
         assert code == 2
         assert "unknown override" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,ratio", [
-        (["experiment", "multistate"], {"param_nu0_over_nu": 2.0}),
-        (["solve"], {}),
+    @pytest.mark.parametrize("command,echo", [
+        (["experiment", "multistate"], {"param_nu0_over_nu": 2.0, "param_stages": 2}),
+        (["solve"], {"param_stages": 2, "param_schedule": [0.02, 0.01]}),
     ], ids=["multistate", "custom"])
-    def test_explicit_schedule_echoes_last_stage(self, tmp_path, command, ratio):
+    def test_explicit_schedule_echoes_last_stage(self, tmp_path, command, echo):
         out = tmp_path / "run.json"
         code = main([*command, "--set", "schedule=[0.02,0.01]", "--set", "N=128",
                      "--set", "N_max=300", "--output", str(out)])
@@ -429,7 +487,7 @@ class TestCli:
         (record,) = json.loads(out.read_text())["records"]
         assert record["param_nu"] == 0.01
         assert record["param_tau_c"] == 0.05
-        assert {key: record[key] for key in ratio} == ratio
+        assert {key: record[key] for key in echo} == echo
 
     @pytest.mark.parametrize("command,key", [
         (["experiment", "multistate", "--set", "g=5"], "g"),
