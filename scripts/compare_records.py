@@ -45,6 +45,7 @@ RUNS = (
     ["experiment", "effdim", "--seed", "0"],
     ["experiment", "effdim", "--seed", "3", "--set", "samples=123457"],
     ["experiment", "kpsmall", "--set", "N=8192"],
+    ["experiment", "kpsmall", "--set", "N=1000", "--set", "p=[2.0]"],  # FFT length 2000
     ["experiment", "kplarge", "--set", "N=4096"],
     ["experiment", "kpsmall", "--set", "tau_c=0.2", "--set", "p=[2.0]",
      "--set", "grid=quadratic"],

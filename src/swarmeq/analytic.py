@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import erf  # re-exported: the package's error function
 
 import numpy as np
-from scipy.special import erfcx
 
 from .grid import Density, Grid
 from .potentials import ExternalPotential
@@ -53,6 +52,8 @@ def log_retained_mass(t: float) -> tuple[float, float, float]:
         d1 = _TWO_OVER_SQRT_PI * math.exp(-t * t) / mass
         d2 = -2.0 * t * d1 - d1 * d1
     else:
+        from scipy.special import erfcx  # loaded on first use: it takes ~0.25 s
+
         scaled = float(erfcx(-t))  # exp(t^2) * (1 + erf(t)), no cancellation
         value = math.log(scaled) - t * t
         d1 = _TWO_OVER_SQRT_PI / scaled

@@ -9,6 +9,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,7 +46,10 @@ def _finite(value: object) -> bool:
         return True
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    and the appended `--set` list starts from a copy of its default."""
     parser = argparse.ArgumentParser(
         prog="swarmeq",
         description="Compute and verify critical points of the aggregation-diffusion energy",

@@ -323,7 +323,10 @@ def _custom_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve
     lo, hi = (float(v) for v in ov.get("rho0_interval", (0.0, grid.length)))
     schedule = _schedule(ov, nu, 10.0) if "schedule" in ov or "stages" in ov else None
     lead = {"kernel": kind, "nu": schedule.nus[-1] if schedule else nu, "g": g}
-    if schedule is not None:  # a continuation echoes its stage count, and a given schedule
+    if schedule is not None:
+        # a continuation echoes its span and stage count, as multistate records
+        # do, and a given schedule itself
+        lead["nu0_over_nu"] = schedule.nus[0] / schedule.nus[-1]
         lead["stages"] = len(schedule.nus)
         if "schedule" in ov:
             lead["schedule"] = list(schedule.nus)

@@ -6,10 +6,11 @@ map is a critical point of the discrete energy.
 
 The convolution K * rho is a dense matrix-vector product, except on uniform
 grids of at least 512 nodes: there it is a real FFT product with the kernel
-spectrum computed once per operator.  FFT roundoff is spread over every node
-in proportion to max|K|, so the lags are first clipped to a cap proportional
-to the diffusion parameter nu, above which the Gibbs image cannot see them;
-`KernelOperator` derives the cap.
+spectrum computed once per operator, through NumPy's pocketfft (`numpy.fft`,
+the same C++ code as `scipy.fft`, so the package loads no SciPy to solve).
+FFT roundoff is spread over every node in proportion to max|K|, so the lags
+are first clipped to a cap proportional to the diffusion parameter nu, above
+which the Gibbs image cannot see them; `KernelOperator` derives the cap.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 if TYPE_CHECKING:
     from .potentials import InteractionKernel
@@ -42,6 +43,23 @@ _FFT_ROUNDOFF = 4 * np.finfo(float).eps
 # The largest perturbation kappa eps C / nu of the Gibbs exponent that the cap
 # C may cause: a thousandth of the solver's default tolerance.
 _EXPONENT_ROUNDOFF = 1e-9
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 5-smooth number 2^a 3^b 5^c at or above target: a length
+    that pocketfft transforms with its fastest radices."""
+    best = 1 << max(target - 1, 0).bit_length()  # the power of two at or above
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            n = p35
+            while n < target:
+                n *= 2
+            best = min(best, n)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _kernel_cap(nu: float) -> float:
@@ -219,7 +237,7 @@ class KernelOperator:
             self._cap = _kernel_cap(nu)
             # a circular convolution of length >= 2N-1 leaves outputs
             # N-1 .. 2N-2 of the linear one free of wrap-around
-            self._fft_len = next_fast_len(2 * n - 1, real=True)
+            self._fft_len = _next_fast_len(2 * n - 1)
             self._spectrum = rfft(np.clip(kvals, -self._cap, self._cap), self._fft_len)
             return
         disp = grid.nodes[:, None] - grid.nodes[None, :]

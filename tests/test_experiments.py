@@ -8,7 +8,7 @@ import pytest
 from conftest import exact_gibbs_image
 
 from swarmeq import KernelOperator, PowerLawKernel, Problem, ZeroPotential, apply_gibbs_map
-from swarmeq.cli import main
+from swarmeq.cli import build_parser, main
 from swarmeq.experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
@@ -292,9 +292,11 @@ class TestRecordKeys:
             assert list(record_scalars(record)) == RECORD_KEYS[name]
 
     @pytest.mark.parametrize("overrides,echo", [
-        ({"stages": 4, "p": 4}, {"param_stages": 4}),
-        ({"schedule": [0.02, 0.01]}, {"param_stages": 2, "param_schedule": [0.02, 0.01]}),
-    ], ids=["stages", "schedule"])
+        ({"stages": 4, "p": 4}, {"param_nu0_over_nu": 10.0, "param_stages": 4}),
+        ({"stages": 1}, {"param_nu0_over_nu": 1.0, "param_stages": 1}),
+        ({"schedule": [0.02, 0.01]},
+         {"param_nu0_over_nu": 2.0, "param_stages": 2, "param_schedule": [0.02, 0.01]}),
+    ], ids=["stages", "one-stage", "schedule"])
     def test_custom_continuation_echoes_its_stages(self, overrides, echo):
         (record,) = run_experiment(ExperimentConfig("custom", {"N": 64, "N_max": 15, **overrides}))
         scalars = record_scalars(record)
@@ -457,6 +459,23 @@ class TestCli:
         assert code == 0
         assert "converged" in capsys.readouterr().out
 
+    def test_reused_parser_keeps_no_overrides(self, tmp_path, capsys):
+        # the parser is built once per process; each call's --set list is its own
+        assert build_parser() is build_parser()
+        assert main(["experiment", "kp2", "--set", "bogus=1"]) == 2
+        params = []
+        for sets in (["N=64", "g=[0.1]"], ["N_max=40"]):
+            out = tmp_path / f"run{len(params)}.json"
+            main(["experiment", "kp2", *(a for s in sets for a in ("--set", s)),
+                  "--output", str(out)])
+            params.append([(r["param_N"], r["param_g"], r["param_N_max"])
+                           for r in json.loads(out.read_text())["records"]])
+        defaults = run_experiment(ExperimentConfig("kp2"))
+        assert params == [
+            [(64, 0.1, defaults[0].parameters["N_max"])],
+            [(r.parameters["N"], r.parameters["g"], 40) for r in defaults],
+        ]
+
     def test_unknown_override_exits_nonzero(self, capsys):
         code = main(["experiment", "kp2", "--set", "bogus=1"])
         assert code == 2
@@ -477,7 +496,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command,echo", [
         (["experiment", "multistate"], {"param_nu0_over_nu": 2.0, "param_stages": 2}),
-        (["solve"], {"param_stages": 2, "param_schedule": [0.02, 0.01]}),
+        (["solve"], {"param_nu0_over_nu": 2.0, "param_stages": 2,
+                     "param_schedule": [0.02, 0.01]}),
     ], ids=["multistate", "custom"])
     def test_explicit_schedule_echoes_last_stage(self, tmp_path, command, echo):
         out = tmp_path / "run.json"

@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from swarmeq import (
     make_grid,
 )
 from swarmeq.experiments import ExperimentConfig, run_experiment
+from swarmeq.grid import _kernel_cap, _next_fast_len
 
 
 class TestMakeGrid:
@@ -183,14 +186,60 @@ class TestConvolution:
             keep = (rho.values >= 1e-6 * rho.values.max()) | (exponent <= -700)
             assert np.max(np.abs(image - exact)[keep] / exact[keep]) <= 2e-9
 
-    def test_import_leaves_scipy_signal_unloaded(self):
-        # importing scipy.signal dominated the package's start-up time
-        code = "import sys, swarmeq; print('scipy.signal' in sys.modules)"
+    def test_next_fast_len_matches_scipy(self):
+        import scipy.fft
+
+        assert all(_next_fast_len(n) == scipy.fft.next_fast_len(n, real=True)
+                   for n in range(1, 20_001))
+
+    @pytest.mark.parametrize("n", [512, 1000, 1023, 4096])
+    @pytest.mark.parametrize("kernel,clipped", [
+        (PowerLawKernel(32.0), True), (RegularizedQanrKernel(0.3), False),
+    ], ids=["clipped", "unclipped"])
+    def test_fft_product_bit_equal_to_scipy(self, rng, n, kernel, clipped):
+        # NumPy's pocketfft gives the bits of the same product through scipy.fft
+        import scipy.fft
+
+        nu = 2.0**-6
+        g = make_grid(4.0, n, SpacingMode.UNIFORM)
+        values = rng.random(n)
+        op = KernelOperator(g, kernel, nu)
+        assert op._matrix is None and (op._peak > op._cap) == clipped
+        lags = np.arange(-(n - 1), n) * (g.length / (n - 1))
+        cap = _kernel_cap(nu)
+        m = scipy.fft.next_fast_len(2 * n - 1, real=True)
+        spectrum = scipy.fft.rfft(np.clip(kernel(lags), -cap, cap), m)
+        product = scipy.fft.irfft(spectrum * scipy.fft.rfft(g.weights * values, m), m)
+        assert np.array_equal(op.apply(values), product[n - 1 : 2 * n - 1])
+
+    def test_solve_path_loads_no_scipy(self, tmp_path):
+        # importing SciPy took over half of a CLI call's start-up; only the
+        # closed forms at a negative shift (kp2, gamma-energy) need it
+        code = textwrap.dedent("""
+            import json, sys
+            import swarmeq, swarmeq.cli
+
+            def loaded():
+                return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+            seen = [loaded()]
+            swarmeq.cli.main(["experiment", "kpsmall", "--set", "N=512", "--set", "p=[4.0]"])
+            seen.append(loaded())
+            swarmeq.cli.main(["experiment", "effdim", "--seed", "0", "--set", "samples=10000"])
+            seen.append(loaded())
+            swarmeq.cli.main(["experiment", "kp2", "--set", "N=64", "--output", sys.argv[1]])
+            with open(sys.argv[1]) as fh:
+                shifts = [r["exact_shift"] for r in json.load(fh)["records"]]
+            print(json.dumps({"loaded": seen, "shifts": shifts}))
+        """)
         # the fresh interpreter imports the same package as this one
         env = {**os.environ, "PYTHONPATH": str(Path(swarmeq.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code],
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "kp2.json")],
                              capture_output=True, text=True, check=True, env=env)
-        assert out.stdout.strip() == "False"
+        result = json.loads(out.stdout.splitlines()[-1])
+        assert result["loaded"] == [[], [], []]  # after import, FFT solve, effdim
+        records = run_experiment(ExperimentConfig("kp2", {"N": 64}))
+        assert result["shifts"] == [r.metrics["exact_shift"] for r in records]
 
     def test_bilinear_symmetry(self, rng):
         g = make_grid(2.0, 48, SpacingMode.QUADRATIC)
