@@ -15,7 +15,8 @@ or of how a number is written (``1e16`` as ``1e+16``) shows.  The CSV run
 compares the main file without its ``wall_time_s`` column, and every sidecar.
 For each run the script prints ``identical``, or each field that moved with its
 largest relative change over the records (``bytes differ`` and the first
-differing line when only the text moved); it exits 1 if anything moved.
+differing line when only the text moved) and, for a solving run, its total
+iterations before and after; it exits 1 if anything moved.
 """
 
 from __future__ import annotations
@@ -122,6 +123,22 @@ def compare_records(old: list[dict], new: list[dict]) -> list[str]:
                           for key, change in moved.items())]
 
 
+def total_iterations(records: list[dict]) -> int | None:
+    """The iterations of a run: per record its ``total_iterations`` (a
+    continuation) or else its ``iterations``, summed; None when no record has
+    either."""
+    counts = [_number(r.get("total_iterations", r.get("iterations"))) for r in records]
+    counts = [int(c) for c in counts if c is not None]
+    return sum(counts) if counts else None
+
+
+def iteration_change(old: list[dict], new: list[dict]) -> list[str]:
+    """The line ``total iterations OLD -> NEW`` of two record lists, or none
+    when neither holds an iteration count."""
+    counts = total_iterations(old), total_iterations(new)
+    return [] if counts == (None, None) else [f"total iterations {counts[0]} -> {counts[1]}"]
+
+
 def compare_documents(old: dict, new: dict) -> list[str]:
     """compare_records on two JSON documents, with their schema."""
     lines = [] if old["schema"] == new["schema"] else [
@@ -170,14 +187,18 @@ def compare_run(old_src: str, new_src: str, args: list[str], workdir: Path) -> l
     names = [sorted(p.name for p in d.iterdir()) for d in dirs]
     if names[0] != names[1]:
         return lines + [f"files {names[0]} -> {names[1]}"]
+    counts = []
     for name in names[0]:
         old, new = (d / name for d in dirs)
         if fmt == "json":
-            lines += compare_json(old.read_text(), new.read_text())
+            texts = old.read_text(), new.read_text()
+            lines += compare_json(*texts)
+            records = [json.loads(text)["records"] for text in texts]
         else:
-            lines += [f"{name}: {line}"
-                      for line in compare_records(_csv_records(old), _csv_records(new))]
-    return lines
+            records = [_csv_records(old), _csv_records(new)]
+            lines += [f"{name}: {line}" for line in compare_records(*records)]
+        counts += iteration_change(*records)
+    return lines + counts if lines else []
 
 
 def main(argv: list[str] | None = None) -> int:

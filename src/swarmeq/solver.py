@@ -1,8 +1,23 @@
 """Safeguarded fixed-point iteration on the Gibbs map, with continuation.
 
-Each step starts from the image T(rho).  The full step rho -> T(rho) is taken
-whenever it lowers the energy.  Otherwise the step tries a damped Anderson
-candidate (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
+Each step starts from the image T(rho).  When the image lowers the energy the
+step is full.  It takes the image, or a secant step when the step before was
+full too: the undamped Anderson(1) combination (Walker & Ni, SIAM J. Numer.
+Anal. 49, 2011)
+
+    x = (1 - gamma) T(rho) + gamma T(rho_prev),   gamma = <df, f> / <df, df>,
+
+where f = T(rho) - rho, df = f - f_prev, rho_prev is the iterate of the step
+before, and <., .> is the trapezoid-weighted inner product.  x is taken when
+it is finite, positive, of unit mass and of lower energy than the image.  A
+secant step is tried only while the residual falls by less than
+SECANT_CONTRACTION per step and the fit predicts a gain of SECANT_MIN_GAIN,
+and not in the SECANT_BACKOFF full steps after a failed try.  It is never
+tried on the step that passes the residual test, so a converged solve returns
+a Gibbs image.
+
+When the image does not lower the energy, the step tries a damped Anderson
+candidate
 
     x = rho + beta f - sum_j gamma_j (dx_j + beta df_j),   f = T(rho) - rho,
 
@@ -11,27 +26,28 @@ the last ANDERSON_DEPTH differences df_j of f (dx_j are the differences of the
 iterates), and accepts it when it is finite, positive, of unit mass and of
 lower energy.  Failing that it takes the conservative step
 (1 - tau_c) rho + tau_c T(rho), with tau_c proportional to the diffusion
-parameter.  The history is cleared on every full step, so a solve of full
-steps only is the plain relaxed scheme.
+parameter.  The Anderson history is cleared on every full step, and the
+secant history on every other step.
 Iteration stops when the L1 residual ||rho - T(rho)|| drops below tolerance.
 Small diffusion values are reached by continuation: solve along a decreasing
 sequence of nu, warm-starting each stage from the previous solution.
 
-The fit ignores subnormal entries.  Where a density sits at the exponent
-floor (values near e^-700), the weighted f and df_j fall below the smallest
-normal float, and subnormal arithmetic made the SVD fit more than twice as
-slow.  Setting those entries to zero moves the fitted matrix by at most
-sqrt(N m) times that float in Frobenius norm, far below its roundoff; the
-step itself keeps them.
+The fits ignore subnormal entries.  Where a density sits at the exponent
+floor (values near e^-700), f, df and df_j fall below the smallest normal
+float, and subnormal arithmetic made the SVD fit more than twice as slow.
+Setting those entries to zero moves the fitted matrix by at most sqrt(N m)
+times that float in Frobenius norm, far below its roundoff; the step itself
+keeps them.  The secant step is formed from the two images, not from their
+difference, which is subnormal at the same nodes.
 
 Every step reuses the kernel operator of the `Problem` and applies it once:
-K * rho is linear, so the convolution of a conservative or Anderson step is
-the same combination of stored convolutions.  The iterates are raw arrays,
-checked as a `Density` would check them where a step could break it, and one
-`Density` is built for the returned state.  The stages of a continuation
-share the operator through `Problem.with_nu`, unless the kernel is clipped at
-a cap that depends on nu; then each stage builds its own.  The report carries
-`diagnose` of the returned density.
+K * rho is linear, so the convolution of a secant, conservative or Anderson
+step is the same combination of stored convolutions.  The iterates are raw
+arrays, checked as a `Density` would check them where a step could break it,
+and one `Density` is built for the returned state.  The stages of a
+continuation share the operator through `Problem.with_nu`, unless the kernel
+is clipped at a cap that depends on nu; then each stage builds its own.  The
+report carries `diagnose` of the returned density.
 """
 
 from __future__ import annotations
@@ -49,6 +65,24 @@ from .grid import Density, check_density, integrate
 # Anderson history depth.  Measured on the default multistate schedules:
 # depths 5 and 6, and the undamped mixing beta = 1, left stages unconverged.
 ANDERSON_DEPTH = 4
+
+# When the secant step is tried (module docstring).  Measured as total
+# iterations of kp2 / kpsmall / kplarge at their defaults, and of kplarge
+# p = 256, g = 0, with 55 / 1654 / 1443 and 1048 without the step and
+# 35 / 1103 / 1230 and 1048 with these values:
+# - Only while the residual falls by less than this factor per step.  At 0 the
+#   p = 256, g = 0 record takes a secant step at iteration 70, where the
+#   residual had fallen to a third, and needs 1074 iterations; at 0.8 kp2 and
+#   kpsmall take 55 and 1176.
+SECANT_CONTRACTION = 0.5
+# - Only when the fit removes at least this share of ||f||_w^2.  At 0 the
+#   p = 256, g = 0 record takes candidates that remove about 1e-5 of it and
+#   needs 1059 iterations; at 0.1 kpsmall takes 1119.
+SECANT_MIN_GAIN = 0.01
+# - Not in this many full steps after a failed try.  The p = 256, g = 0 record
+#   fails every try; at 4 / 8 / 16 it makes 195 / 108 / 58 fits and kpsmall
+#   takes 1075 / 1103 / 1145 iterations.
+SECANT_BACKOFF = 8
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -122,7 +156,7 @@ class SolveReport:
     converged: bool
     energy_trace: list[float]
     tau_trace: list[float]
-    step_trace: list[str]  # per step: "full", "anderson" or "conservative"
+    step_trace: list[str]  # per step: "full", "secant", "anderson" or "conservative"
     nu: float
 
 
@@ -144,6 +178,9 @@ def solve(
     d_f, d_y, d_conv = np.empty((3, ANDERSON_DEPTH, grid.size))
     stored = 0
     previous = None  # (f, y, K * y) of the last non-full step
+    last_full = None  # (f, T(rho), K * T(rho)) of the last full or secant step
+    wait = 0  # full steps left before the next secant try
+    residual = math.inf
 
     rho = rho0.values
     conv = operator.apply(rho)
@@ -158,7 +195,8 @@ def solve(
             image = gibbs_values(problem, conv)
         except GibbsMapError as exc:
             raise GibbsMapError(f"iteration {iterations}: {exc}") from exc
-        residual = integrate(grid, np.abs(rho - image))
+        f = image - rho
+        previous_residual, residual = residual, integrate(grid, np.abs(f))
         converged = residual < config.tol
         if iterations >= config.max_iterations:
             break  # budget exhausted; keep whatever the residual test said
@@ -168,11 +206,25 @@ def solve(
         if not math.isfinite(image_energy):
             raise GibbsMapError(f"iteration {iterations}: non-finite energy {image_energy!r}")
         if image_energy < energy:
-            step = "full"
-            rho, conv, energy = image, image_conv, image_energy
             stored, previous = 0, None
+            candidate = None
+            if wait:
+                wait -= 1
+            elif (last_full is not None and not converged
+                  and residual > SECANT_CONTRACTION * previous_residual):
+                candidate = _secant_candidate(
+                    problem, f, image, image_conv, last_full, image_energy)
+                if candidate is None:
+                    wait = SECANT_BACKOFF
+            last_full = (f, image, image_conv)
+            if candidate is not None:
+                step = "secant"
+                rho, conv, energy = candidate
+            else:
+                step = "full"
+                rho, conv, energy = image, image_conv, image_energy
         else:
-            f = image - rho
+            last_full = None
             y = (1 - tau_c) * rho + tau_c * image
             # K * rho is linear in rho, so the combined convolution is exact.
             y_conv = (1 - tau_c) * conv + tau_c * image_conv
@@ -199,7 +251,7 @@ def solve(
                 rho, conv = y, y_conv
                 energy = energy_breakdown(problem, rho, conv).total
         step_trace.append(step)
-        tau_trace.append(1.0 if step == "full" else tau_c)
+        tau_trace.append(tau_c if step in ("anderson", "conservative") else 1.0)
         energy_trace.append(energy)
         iterations += 1
         if converged:
@@ -234,6 +286,41 @@ def _fit(d_f: np.ndarray, f: np.ndarray) -> np.ndarray:
     weighted; the subnormal entries of `f` are flushed first (module
     docstring), those of `d_f` when they were stored."""
     return np.linalg.lstsq(d_f.T, _flush_subnormals(f), rcond=None)[0]
+
+
+def _secant_candidate(
+    problem: Problem,
+    f: np.ndarray,
+    image: np.ndarray,
+    image_conv: np.ndarray,
+    last: tuple[np.ndarray, np.ndarray, np.ndarray],
+    energy: float,
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(values, K * values, energy) of the secant step from the iterate whose
+    image is `image` = rho + `f`, given `last` = (f, image, K * image) of the
+    step before, or None unless the fit predicts a gain and the step passes
+    `_anderson_candidate` against `energy`.  Flushes both f in place."""
+    last_f, last_image, last_conv = last
+    f = _flush_subnormals(f)
+    df = _flush_subnormals(f - _flush_subnormals(last_f))
+    gamma = _secant_gamma(problem.grid.weights, f, df)
+    if gamma is None:
+        return None
+    values = (1 - gamma) * image + gamma * last_image
+    conv = (1 - gamma) * image_conv + gamma * last_conv
+    return _anderson_candidate(problem, values, conv, energy)
+
+
+def _secant_gamma(weights: np.ndarray, f: np.ndarray, df: np.ndarray) -> float | None:
+    """The gamma that minimizes ||f - gamma df||_w, in closed form, or None
+    unless it removes at least SECANT_MIN_GAIN of ||f||_w^2 (the removed part
+    is gamma <df, f>_w)."""
+    w_df = weights * df
+    norm, cross = w_df @ df, w_df @ f
+    if not norm > 0:
+        return None
+    gamma = float(cross / norm)
+    return gamma if gamma * cross > SECANT_MIN_GAIN * (weights * f @ f) else None
 
 
 def _anderson_candidate(

@@ -202,10 +202,13 @@ def test_criterion_6_property_suite(kp2_records, multistate_records, kplarge_sub
             failures.append("(a) mass/positivity violated")
             break
 
-    # (b) energy decreases on every full and Anderson step, across all
-    # experiment runs
+    # (b) energy decreases on every full, secant and Anderson step, across all
+    # experiment runs, which take steps of each kind
     all_reports = [rep for rec in (*kp2_records, *multistate_records, *kplarge_subset)
                    for rep in rec.solve_reports]
+    kinds = {step for rep in all_reports for step in rep.step_trace}
+    if not {"full", "secant", "anderson"} <= kinds:
+        failures.append(f"(b) step kinds {sorted(kinds)} miss full, secant or anderson")
     for rep in all_reports:
         for k, step in enumerate(rep.step_trace):
             if step != "conservative" and not rep.energy_trace[k + 1] < rep.energy_trace[k]:

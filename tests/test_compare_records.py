@@ -79,3 +79,16 @@ def test_moved_field_is_reported_without_byte_line():
     new["records"][0]["iterations"] = 36
     assert compare_records.compare_json(json.dumps(DOC), json.dumps(new)) == [
         "iterations: largest relative change 0.0278"]
+
+
+def test_total_iterations_of_moved_run():
+    new = copy.deepcopy(DOC)
+    new["records"][0]["iterations"] = 20
+    assert compare_records.iteration_change(DOC["records"], new["records"]) == [
+        "total iterations 48 -> 33"]
+
+
+def test_total_iterations_counts_every_stage_and_csv_cells():
+    staged = [{"iterations": 15, "total_iterations": 60}, {"iterations": "7"}]
+    assert compare_records.total_iterations(staged) == 67
+    assert compare_records.iteration_change([{"n_c": 3}], [{"n_c": 4}]) == []

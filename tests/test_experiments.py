@@ -543,19 +543,19 @@ class TestCli:
         assert "sweeps no values" in capsys.readouterr().err
 
     def test_continuation_converges_only_if_every_stage_does(self, tmp_path):
-        # stage 0 runs out of its 15 iterations; the last three converge
+        # stage 0 runs out of its 10 iterations; the last three converge
         out = tmp_path / "run.json"
-        code = main(["solve", "--set", "N=128", "--set", "stages=4", "--set", "N_max=15",
-                     "--set", "p=4", "--output", str(out)])
+        code = main(["solve", "--set", "N=128", "--set", "stages=4", "--set", "N_max=10",
+                     "--set", "p=3", "--output", str(out)])
         (record,) = json.loads(out.read_text())["records"]
         assert (record["converged"], record["stages_converged"], code) == (False, 3, 1)
 
     def test_continuation_summary_line_counts_every_stage(self, capsys):
-        main(["solve", "--set", "N=128", "--set", "stages=4", "--set", "N_max=15",
-              "--set", "p=4"])
+        main(["solve", "--set", "N=128", "--set", "stages=4", "--set", "N_max=10",
+              "--set", "p=3"])
         line = capsys.readouterr().out
         assert "NOT CONVERGED" in line
-        for field in ("iterations=15", "total_iterations=60", "stages_converged=3"):
+        for field in ("iterations=10", "total_iterations=40", "stages_converged=3"):
             assert re.search(rf"\b{field}\b", line), field
 
     @pytest.mark.parametrize("name,item", [

@@ -26,6 +26,7 @@ from swarmeq import (
     solve_with_continuation,
 )
 from swarmeq import solver
+from swarmeq.experiments import ExperimentConfig, run_experiment
 from swarmeq.grid import MASS_TOL
 
 
@@ -112,15 +113,23 @@ class TestSolve:
                 assert report.energy_trace[k + 1] < report.energy_trace[k]
 
     def test_full_steps_only_leave_plain_trace(self):
+        # every image lowers the energy: the steps are full or secant, both of
+        # step size 1, and a converged solve returns a Gibbs image; at half the
+        # critical slope the solve takes secant steps, at the slope itself none
         from swarmeq import LinearPotential, critical_slope
 
         nu = 2.0**-6
         g = make_grid(2.0, 512, SpacingMode.QUADRATIC)
-        problem = Problem(g, PowerLawKernel(2.0), LinearPotential(critical_slope(nu)), nu)
-        report = solve(problem, indicator_density(g, 0, 0.25))
-        assert report.converged
-        assert report.step_trace == ["full"] * report.iterations
-        assert report.tau_trace == [1.0] * report.iterations
+        kinds = set()
+        for slope in (0.5 * critical_slope(nu), critical_slope(nu)):
+            problem = Problem(g, PowerLawKernel(2.0), LinearPotential(slope), nu)
+            report = solve(problem, indicator_density(g, 0, 0.25))
+            assert report.converged
+            assert set(report.step_trace) <= {"full", "secant"}
+            assert report.step_trace[-1] == "full"
+            assert report.tau_trace == [1.0] * report.iterations
+            kinds |= set(report.step_trace)
+        assert kinds == {"full", "secant"}
 
     def test_partition_value_settles_at_one(self):
         from swarmeq import LinearPotential, apply_gibbs_map, critical_slope
@@ -261,6 +270,95 @@ class TestAnderson:
         assert drifted.step_trace[: k + 1] == [*plain.step_trace[:k], "conservative"]
 
 
+def _subnormal(a: np.ndarray) -> bool:
+    return bool(np.any((a != 0) & (np.abs(a) < np.finfo(float).tiny)))
+
+
+class TestSecant:
+    @pytest.mark.parametrize("mode,length,p,slope_factor,support", [
+        (SpacingMode.QUADRATIC, 2.0, 2.0, 0.5, 0.25),  # dense product
+        (SpacingMode.UNIFORM, 4.0, 1.5, None, 1.0),  # FFT product, g = nu
+    ], ids=["dense", "fft"])
+    def test_accepted_step_carries_its_convolution_and_lowers_energy(
+        self, monkeypatch, mode, length, p, slope_factor, support
+    ):
+        from swarmeq import LinearPotential, critical_slope
+
+        nu = 2.0**-6
+        g = make_grid(length, 512, mode)
+        slope = nu if slope_factor is None else slope_factor * critical_slope(nu)
+        problem = Problem(g, PowerLawKernel(p), LinearPotential(slope), nu)
+        taken = []
+        real = solver._secant_candidate
+
+        def spy(*args):
+            out = real(*args)
+            if out is not None:
+                taken.append(out)
+            return out
+
+        monkeypatch.setattr(solver, "_secant_candidate", spy)
+        report = solve(problem, indicator_density(g, 0, support))
+        assert report.converged
+        assert len(taken) == report.step_trace.count("secant") > 0
+        for values, conv, _ in taken:
+            # relative to the largest entry: an FFT product's roundoff scales with it
+            exact = problem.operator.apply(values)
+            assert np.max(np.abs(conv - exact)) <= 1e-12 * np.max(np.abs(exact))
+        for k, step in enumerate(report.step_trace):
+            if step == "secant":
+                assert report.energy_trace[k + 1] < report.energy_trace[k]
+
+    def test_gamma_is_the_weighted_least_squares_coefficient(self, rng):
+        w = rng.random(64) + 0.1
+        df = rng.standard_normal(64)
+        f = 0.7 * df + 0.1 * rng.standard_normal(64)
+        expected = np.linalg.lstsq((np.sqrt(w) * df)[:, None], np.sqrt(w) * f, rcond=None)[0][0]
+        assert solver._secant_gamma(w, f, df) == pytest.approx(expected, rel=1e-13)
+
+    def test_gamma_needs_a_difference_and_a_gain(self, rng):
+        w = rng.random(64) + 0.1
+        f = rng.standard_normal(64)
+        assert solver._secant_gamma(w, f, np.zeros(64)) is None
+        # df orthogonal to f in the weighted product: the fit removes nothing
+        df = rng.standard_normal(64)
+        df -= (w * df @ f) / (w * f @ f) * f
+        assert solver._secant_gamma(w, f, df) is None
+
+    def test_floored_record_keeps_subnormals_out_of_the_fit(self, monkeypatch):
+        # kplarge p = 256, g = 0 at N = 1024: most of f sits at the exponent
+        # floor, where it is subnormal, and the secant tries all fail
+        raw, fits = [], []
+        real_candidate, real_gamma = solver._secant_candidate, solver._secant_gamma
+
+        def candidate(problem, f, *args):
+            raw.append(_subnormal(f))
+            return real_candidate(problem, f, *args)
+
+        def gamma(weights, f, df):
+            fits.append(_subnormal(f) or _subnormal(df))
+            return real_gamma(weights, f, df)
+
+        monkeypatch.setattr(solver, "_secant_candidate", candidate)
+        monkeypatch.setattr(solver, "_secant_gamma", gamma)
+        (record,) = run_experiment(ExperimentConfig("kplarge", {"p": [256.0], "g": [0.0]}))
+        (report,) = record.solve_reports
+        assert report.converged
+        assert report.iterations <= 1048  # the count without the secant step
+        assert any(raw) and fits and not any(fits)
+        # every try fails, and each failure skips the next SECANT_BACKOFF full steps
+        assert "secant" not in report.step_trace
+        assert len(fits) <= report.iterations // (solver.SECANT_BACKOFF + 1) + 1
+
+    def test_converged_step_returns_the_image(self):
+        # kpsmall p = 1.125, g = nu takes secant steps up to the step whose
+        # residual test passes; that step takes the Gibbs image
+        (record,) = run_experiment(ExperimentConfig("kpsmall", {"p": [1.125], "g": [2.0**-6]}))
+        (report,) = record.solve_reports
+        assert report.converged
+        assert report.step_trace[-2:] == ["secant", "full"]
+
+
 class TestContinuation:
     def test_single_entry_equals_plain_solve(self):
         nu = 2.0**-6
@@ -287,14 +385,16 @@ class TestContinuation:
         g = make_grid(2.0, 256, SpacingMode.QUADRATIC)
         schedule = ContinuationSchedule.geometric(2.0**-4, 2.0**-6, stages=3)
         potential = LinearPotential(critical_slope(2.0**-6))
-        reports = solve_with_continuation(
-            Problem(g, PowerLawKernel(2.0), potential, 2.0**-6),
-            schedule, indicator_density(g, 0, 0.25),
-        )
+        problem = Problem(g, PowerLawKernel(2.0), potential, 2.0**-6)
+        rho0 = indicator_density(g, 0, 2.0)
+        reports = solve_with_continuation(problem, schedule, rho0)
         assert [r.nu for r in reports] == list(schedule.nus)
         assert all(r.converged for r in reports)
-        # warm-started stages need far fewer iterations than the cold stage
-        assert reports[-1].iterations < reports[0].iterations
+        # the warm-started last stage needs far fewer iterations than the
+        # same stage started cold from the uniform density
+        cold = solve(problem, rho0)
+        assert cold.converged
+        assert reports[-1].iterations < 0.75 * cold.iterations
 
     def test_metastable_schedule_converges(self):
         # attractive-repulsive aggregates translate slowly at nu = 2**-13:
@@ -311,7 +411,7 @@ class TestContinuation:
         for report in reports:
             tau_c = min(5 * report.nu, 0.95)
             for k, step in enumerate(report.step_trace):
-                assert report.tau_trace[k] == (1.0 if step == "full" else tau_c)
+                assert report.tau_trace[k] == (1.0 if step in ("full", "secant") else tau_c)
                 if step != "conservative":
                     assert report.energy_trace[k + 1] < report.energy_trace[k]
 
