@@ -5,6 +5,21 @@ exponents span thousands of log units, so each application shifts the
 exponent by its minimum before exponentiating, which changes nothing
 algebraically.  The multiplier of the critical-point equation is
 -nu log Z, evaluated stably by `log_partition` from the same exponent.
+
+The shifted exponent is floored at F = DEFAULT_CLAMP_FLOOR, so every value of
+an image is positive, and F is chosen so that the solver's arithmetic on
+images stays normal.  The exponent is at most 0 (0 at the node of least u),
+so Z <= sum(w) = L and every value of an image is at least v = e^F / L.  All
+doubles at or above v are multiples of ulp(v) > 2^-53 v.  So when rho is at
+least v too, as an image and a convex combination of images are,
+f = T(rho) - rho, a difference df of two such f, and sqrt(w) df are either 0
+or at least about 2^-53 v sqrt(w_min), with w_min the least trapezoid weight.
+At L = 4 and N = 1024 that bound is 2e-322 for F = -700, which is subnormal
+(below 2.2e-308), and 5e-279 for F = -600, normal with a margin of 1e29 that
+no grid of this package uses up.  Subnormal operands made the Anderson fit
+more than twice as slow and the residual about five times as slow.  A floored
+node carries a mass of at most L e^F, about 1e-260, so the floor moves no
+unfloored value of an image.
 """
 
 from __future__ import annotations
@@ -16,9 +31,9 @@ import numpy as np
 from .energy import Problem, convolved
 from .grid import Density, integrate
 
-# Shifted exponents below this are flushed to the floor instead of
-# underflowing to zero, keeping every output value strictly positive.
-DEFAULT_CLAMP_FLOOR = -700.0
+# Shifted exponents below this are raised to it instead of underflowing to
+# zero; the module docstring derives the value.
+DEFAULT_CLAMP_FLOOR = -600.0
 
 
 class GibbsMapError(RuntimeError):

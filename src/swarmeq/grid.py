@@ -7,7 +7,7 @@ map is a critical point of the discrete energy.
 The convolution K * rho is a dense matrix-vector product, except on uniform
 grids of at least 512 nodes: there it is a real FFT product with the kernel
 spectrum computed once per operator, through NumPy's pocketfft (`numpy.fft`,
-the same C++ code as `scipy.fft`, so the package loads no SciPy to solve).
+the same C++ code as `scipy.fft`; the package loads no SciPy).
 FFT roundoff is spread over every node in proportion to max|K|, so the lags
 are first clipped to a cap proportional to the diffusion parameter nu, above
 which the Gibbs image cannot see them; `KernelOperator` derives the cap.
@@ -209,12 +209,15 @@ class KernelOperator:
     and the capped lags still add C times the mass beyond them.  So it changes
     no exponent the map keeps while the support spans no lag above C and every
     node that does reach mass across such a lag has u_i - min u of at least
-    700 nu, the exponent floor, with the cap as without it.  Both conditions
-    scale with nu.  On the kplarge solutions (p = 16 to 256 on [0, 4],
-    N = 1024, nu = 2^-4, 2^-6 and 2^-9, solved with the dense product) the
-    smallest cap that keeps the exponents on the support to 1e-12 is at most
-    5.1e4 nu, and the smallest that keeps every floored node at the floor is
-    at most 1.5e5 nu, or 8.0e5 nu for p = 256 at nu = 2^-4.
+    -F nu with the cap as without it, where F = -600 is the exponent floor of
+    the Gibbs map.  Both conditions scale with nu.  On the kplarge solutions
+    (p = 16 to 256 on [0, 4], N = 1024, nu = 2^-4, 2^-6 and 2^-9, solved with
+    the dense product) the smallest cap that keeps the exponents on the
+    support to 1e-12 is at most 5.1e4 nu, and the smallest that keeps every
+    floored node at the floor is at most 1.5e5 nu, or 8.0e5 nu for p = 256 at
+    nu = 2^-4.  Those caps were measured at F = -700.  The condition only
+    weakens as F rises, since u_i - min u >= 700 nu implies >= 600 nu, and
+    tests/test_grid.py checks the clipped image at F = -600.
 
     Both bounds are linear in nu, so one ratio C / nu meets them at every nu.
     The lower bound assumes that K stays well below C over the lags within the

@@ -31,14 +31,8 @@ secant history on every other step.
 Iteration stops when the L1 residual ||rho - T(rho)|| drops below tolerance.
 Small diffusion values are reached by continuation: solve along a decreasing
 sequence of nu, warm-starting each stage from the previous solution.
-
-The fits ignore subnormal entries.  Where a density sits at the exponent
-floor (values near e^-700), f, df and df_j fall below the smallest normal
-float, and subnormal arithmetic made the SVD fit more than twice as slow.
-Setting those entries to zero moves the fitted matrix by at most sqrt(N m)
-times that float in Frobenius norm, far below its roundoff; the step itself
-keeps them.  The secant step is formed from the two images, not from their
-difference, which is subnormal at the same nodes.
+The exponent floor keeps f and its differences out of subnormal range (the
+`gibbs` module docstring), so the fits take them as they are.
 
 Every step reuses the kernel operator of the `Problem` and applies it once:
 K * rho is linear, so the convolution of a secant, conservative or Anderson
@@ -83,9 +77,6 @@ SECANT_MIN_GAIN = 0.01
 #   fails every try; at 4 / 8 / 16 it makes 195 / 108 / 58 fits and kpsmall
 #   takes 1075 / 1103 / 1145 iterations.
 SECANT_BACKOFF = 8
-
-_TINY = np.finfo(float).tiny  # the smallest normal float
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -173,7 +164,7 @@ def solve(
     operator = problem.operator
     sqrt_w = np.sqrt(grid.weights)
     # Ring buffer of the differences, over successive non-full steps, of the
-    # weighted and flushed f = T(rho) - rho, of y = rho + tau_c f and of
+    # weighted f = T(rho) - rho, of y = rho + tau_c f and of
     # K * y; `stored` counts the differences pushed since the last full step.
     d_f, d_y, d_conv = np.empty((3, ANDERSON_DEPTH, grid.size))
     stored = 0
@@ -230,7 +221,7 @@ def solve(
             y_conv = (1 - tau_c) * conv + tau_c * image_conv
             if previous is not None:
                 slot = stored % ANDERSON_DEPTH
-                d_f[slot] = _flush_subnormals(sqrt_w * (f - previous[0]))
+                d_f[slot] = sqrt_w * (f - previous[0])
                 d_y[slot] = y - previous[1]
                 d_conv[slot] = y_conv - previous[2]
                 stored += 1
@@ -238,7 +229,7 @@ def solve(
             candidate = None
             if stored:
                 m = min(stored, ANDERSON_DEPTH)
-                gamma = _fit(d_f[:m], f * sqrt_w)
+                gamma = np.linalg.lstsq(d_f[:m].T, f * sqrt_w, rcond=None)[0]
                 candidate = _anderson_candidate(
                     problem, y - gamma @ d_y[:m], y_conv - gamma @ d_conv[:m], energy
                 )
@@ -274,20 +265,6 @@ def solve(
     )
 
 
-def _flush_subnormals(a: np.ndarray) -> np.ndarray:
-    """Set the entries of `a` below the smallest normal float in magnitude to
-    zero, in place, and return `a`."""
-    a[np.abs(a) < _TINY] = 0.0
-    return a
-
-
-def _fit(d_f: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The minimum-norm least-squares gamma of `f` by the rows of `d_f`, both
-    weighted; the subnormal entries of `f` are flushed first (module
-    docstring), those of `d_f` when they were stored."""
-    return np.linalg.lstsq(d_f.T, _flush_subnormals(f), rcond=None)[0]
-
-
 def _secant_candidate(
     problem: Problem,
     f: np.ndarray,
@@ -299,11 +276,9 @@ def _secant_candidate(
     """(values, K * values, energy) of the secant step from the iterate whose
     image is `image` = rho + `f`, given `last` = (f, image, K * image) of the
     step before, or None unless the fit predicts a gain and the step passes
-    `_anderson_candidate` against `energy`.  Flushes both f in place."""
+    `_anderson_candidate` against `energy`."""
     last_f, last_image, last_conv = last
-    f = _flush_subnormals(f)
-    df = _flush_subnormals(f - _flush_subnormals(last_f))
-    gamma = _secant_gamma(problem.grid.weights, f, df)
+    gamma = _secant_gamma(problem.grid.weights, f, f - last_f)
     if gamma is None:
         return None
     values = (1 - gamma) * image + gamma * last_image
@@ -327,9 +302,10 @@ def _anderson_candidate(
     problem: Problem, values: np.ndarray, conv: np.ndarray, energy: float
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
     """(values, K * values, energy) of an Anderson combination, or None unless
-    its values are finite and positive, its mass is unit and its energy is
-    below `energy`."""
-    if not np.all(np.isfinite(values) & (values > 0)):
+    its values are positive, its mass is unit and its energy is below
+    `energy`.  `values > 0` rejects NaN and -inf, and a value of +inf fails
+    the mass check."""
+    if not np.all(values > 0):
         return None
     try:
         check_density(problem.grid, values)

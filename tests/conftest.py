@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swarmeq import TabulatedKernel
+from swarmeq.gibbs import DEFAULT_CLAMP_FLOOR
 
 
 def zero_kernel(reach: float = 100.0) -> TabulatedKernel:
@@ -52,7 +53,7 @@ def exact_gibbs_image(problem, rho) -> tuple[np.ndarray, np.ndarray]:
     grid = rho.grid
     kmat = problem.kernel(grid.nodes[:, None] - grid.nodes[None, :])
     u = (kmat * grid.weights) @ rho.values + problem.v
-    exponent = np.maximum(-(u - u.min()) / problem.nu, -700.0)
+    exponent = np.maximum(-(u - u.min()) / problem.nu, DEFAULT_CLAMP_FLOOR)
     values = np.exp(exponent)
     return exponent, values / (grid.weights @ values)
 

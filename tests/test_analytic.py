@@ -71,6 +71,19 @@ class TestLogRetainedMass:
             d2 = log_retained_mass(t)[2]
             assert fd == pytest.approx(d2, rel=1e-6, abs=1e-8)
 
+    @pytest.mark.parametrize("shifts", [
+        np.concatenate([np.linspace(1e-9, 4.0, 4001)[:-1], np.geomspace(1e-12, 1e-3, 100)]),
+        np.geomspace(4.0, 1e8, 4001),
+    ], ids=["erfc", "continued-fraction"])
+    def test_scaled_mass_matches_scipy_erfcx(self, shifts):
+        # exp(t^2) (1 + erf t) = erfcx(-t), read back from f' = (2/sqrt(pi)) / erfcx(-t)
+        from scipy.special import erfcx
+
+        for s in shifts:
+            reference = float(erfcx(s))
+            d1 = log_retained_mass(-s)[1]
+            assert TWO_OVER_SQRT_PI / d1 == pytest.approx(reference, rel=4e-15, abs=0), s
+
     def test_deep_left_tail_is_finite_and_asymptotic(self):
         # d1 ~ -2t for strongly negative arguments; naive formulas underflow
         _, d1, d2 = log_retained_mass(-30.0)

@@ -28,6 +28,7 @@ from swarmeq import (
     make_grid,
 )
 from swarmeq.experiments import ExperimentConfig, run_experiment
+from swarmeq.gibbs import DEFAULT_CLAMP_FLOOR
 from swarmeq.grid import _kernel_cap, _next_fast_len
 
 
@@ -183,7 +184,7 @@ class TestConvolution:
             assert problem.operator._peak > problem.operator._cap
             exponent, exact = exact_gibbs_image(problem, rho)
             image = apply_gibbs_map(problem, rho).values
-            keep = (rho.values >= 1e-6 * rho.values.max()) | (exponent <= -700)
+            keep = (rho.values >= 1e-6 * rho.values.max()) | (exponent <= DEFAULT_CLAMP_FLOOR)
             assert np.max(np.abs(image - exact)[keep] / exact[keep]) <= 2e-9
 
     def test_next_fast_len_matches_scipy(self):
@@ -213,8 +214,8 @@ class TestConvolution:
         assert np.array_equal(op.apply(values), product[n - 1 : 2 * n - 1])
 
     def test_solve_path_loads_no_scipy(self, tmp_path):
-        # importing SciPy took over half of a CLI call's start-up; only the
-        # closed forms at a negative shift (kp2, gamma-energy) need it
+        # importing SciPy took over half of a CLI call's start-up; no solve,
+        # sampling or closed form (kp2, gamma-energy) needs it
         code = textwrap.dedent("""
             import json, sys
             import swarmeq, swarmeq.cli
@@ -228,6 +229,9 @@ class TestConvolution:
             swarmeq.cli.main(["experiment", "effdim", "--seed", "0", "--set", "samples=10000"])
             seen.append(loaded())
             swarmeq.cli.main(["experiment", "kp2", "--set", "N=64", "--output", sys.argv[1]])
+            seen.append(loaded())
+            swarmeq.cli.main(["experiment", "gamma-energy"])
+            seen.append(loaded())
             with open(sys.argv[1]) as fh:
                 shifts = [r["exact_shift"] for r in json.load(fh)["records"]]
             print(json.dumps({"loaded": seen, "shifts": shifts}))
@@ -237,7 +241,8 @@ class TestConvolution:
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "kp2.json")],
                              capture_output=True, text=True, check=True, env=env)
         result = json.loads(out.stdout.splitlines()[-1])
-        assert result["loaded"] == [[], [], []]  # after import, FFT solve, effdim
+        # after import, FFT solve, effdim, kp2 and gamma-energy
+        assert result["loaded"] == [[], [], [], [], []]
         records = run_experiment(ExperimentConfig("kp2", {"N": 64}))
         assert result["shifts"] == [r.metrics["exact_shift"] for r in records]
 

@@ -225,21 +225,46 @@ class TestSolveErrors:
             solve(problem, rho0)
 
 
+def _subnormal(a: np.ndarray) -> bool:
+    return bool(np.any((a != 0) & (np.abs(a) < np.finfo(float).tiny)))
+
+
+def _watch_subnormals(monkeypatch) -> dict[str, list[bool]]:
+    """Spy on `solve`: per step whether |f| = |T(rho) - rho| holds a subnormal
+    entry ("f"), and per fit whether its inputs do ("secant", "lstsq")."""
+    seen = {"f": [], "secant": [], "lstsq": []}
+    real_integrate, real_gamma, real_lstsq = (
+        solver.integrate, solver._secant_gamma, np.linalg.lstsq)
+
+    def integrate(grid, values):  # `solve` integrates only |f|, once per step
+        seen["f"].append(_subnormal(values))
+        return real_integrate(grid, values)
+
+    def gamma(weights, f, df):
+        seen["secant"].append(_subnormal(f) or _subnormal(df))
+        return real_gamma(weights, f, df)
+
+    def lstsq(a, b, rcond=None):
+        seen["lstsq"].append(_subnormal(a) or _subnormal(b))
+        return real_lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(solver, "integrate", integrate)
+    monkeypatch.setattr(solver, "_secant_gamma", gamma)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    return seen
+
+
 class TestAnderson:
-    def test_flushed_fit_equals_lstsq_on_unflushed_inputs(self, rng):
-        # floored tails as on a multistate solution: entries far below the
-        # smallest normal float, many of them subnormal
-        tiny = np.finfo(float).tiny
-        for m in range(1, solver.ANDERSON_DEPTH + 1):
-            d_f = rng.standard_normal((m, 1024)) * 1e-3
-            f = rng.standard_normal(1024) * 1e-3
-            d_f[:, 600:] *= 10.0 ** rng.uniform(-312, -300, (m, 424))
-            f[600:] *= 10.0 ** rng.uniform(-312, -300, 424)
-            assert np.any((f != 0) & (np.abs(f) < tiny))
-            expected = np.linalg.lstsq(d_f.T, f, rcond=None)[0]
-            flushed = solver._flush_subnormals(d_f.copy())
-            assert not np.any((flushed != 0) & (np.abs(flushed) < tiny))
-            np.testing.assert_array_equal(solver._fit(flushed, f.copy()), expected)
+    def test_floored_stage_keeps_subnormals_out_of_the_fit(self, monkeypatch):
+        # the first stage of the default multistate run, whose aggregates leave
+        # nodes between them at the exponent floor
+        seen = _watch_subnormals(monkeypatch)
+        g = make_grid(8.0, 1024, SpacingMode.UNIFORM)
+        problem = Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), 10 * 2.0**-13)
+        report = solve(problem, indicator_density(g, 0, 8))
+        assert report.converged and "anderson" in report.step_trace
+        assert len(seen["f"]) == report.iterations and not any(seen["f"])
+        assert seen["lstsq"] and not any(seen["lstsq"])
 
     def _problem(self):
         g = make_grid(8.0, 128)
@@ -252,6 +277,11 @@ class TestAnderson:
         assert solver._anderson_candidate(problem, values, conv, math.inf) is not None
         drifted = (1 + 10 * MASS_TOL) * values
         assert solver._anderson_candidate(problem, drifted, conv, math.inf) is None
+        # a NaN fails the positivity test, and +inf the mass test
+        for bad in (math.nan, math.inf):
+            broken = values.copy()
+            broken[5] = bad
+            assert solver._anderson_candidate(problem, broken, conv, math.inf) is None
 
     def test_drifted_candidate_gives_conservative_step(self, monkeypatch):
         problem = self._problem()
@@ -268,10 +298,6 @@ class TestAnderson:
         drifted = solve(problem, rho0, config)
         assert "anderson" not in drifted.step_trace
         assert drifted.step_trace[: k + 1] == [*plain.step_trace[:k], "conservative"]
-
-
-def _subnormal(a: np.ndarray) -> bool:
-    return bool(np.any((a != 0) & (np.abs(a) < np.finfo(float).tiny)))
 
 
 class TestSecant:
@@ -326,29 +352,19 @@ class TestSecant:
         assert solver._secant_gamma(w, f, df) is None
 
     def test_floored_record_keeps_subnormals_out_of_the_fit(self, monkeypatch):
-        # kplarge p = 256, g = 0 at N = 1024: most of f sits at the exponent
-        # floor, where it is subnormal, and the secant tries all fail
-        raw, fits = [], []
-        real_candidate, real_gamma = solver._secant_candidate, solver._secant_gamma
-
-        def candidate(problem, f, *args):
-            raw.append(_subnormal(f))
-            return real_candidate(problem, f, *args)
-
-        def gamma(weights, f, df):
-            fits.append(_subnormal(f) or _subnormal(df))
-            return real_gamma(weights, f, df)
-
-        monkeypatch.setattr(solver, "_secant_candidate", candidate)
-        monkeypatch.setattr(solver, "_secant_gamma", gamma)
+        # kplarge p = 256, g = 0 at N = 1024: most of the density sits at the
+        # exponent floor, which keeps f and the secant inputs normal, and the
+        # secant tries all fail
+        seen = _watch_subnormals(monkeypatch)
         (record,) = run_experiment(ExperimentConfig("kplarge", {"p": [256.0], "g": [0.0]}))
         (report,) = record.solve_reports
         assert report.converged
         assert report.iterations <= 1048  # the count without the secant step
-        assert any(raw) and fits and not any(fits)
+        assert len(seen["f"]) == report.iterations and not any(seen["f"])
+        assert seen["secant"] and not any(seen["secant"])
         # every try fails, and each failure skips the next SECANT_BACKOFF full steps
         assert "secant" not in report.step_trace
-        assert len(fits) <= report.iterations // (solver.SECANT_BACKOFF + 1) + 1
+        assert len(seen["secant"]) <= report.iterations // (solver.SECANT_BACKOFF + 1) + 1
 
     def test_converged_step_returns_the_image(self):
         # kpsmall p = 1.125, g = nu takes secant steps up to the step whose
