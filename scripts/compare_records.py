@@ -50,6 +50,7 @@ RUNS = (
     ["experiment", "kplarge", "--set", "N=4096"],
     ["experiment", "kpsmall", "--set", "tau_c=0.2", "--set", "p=[2.0]",
      "--set", "grid=quadratic"],
+    ["experiment", "kpsmall", "--set", "grid=quadratic"],  # exits 1: 3 records hit N_max
     ["experiment", "multistate", "--set", "nu=0.015625", "--set", "N=128",
      "--set", "stages=2", "--set", "N_max=300"],
     ["experiment", "multistate", *SCHEDULE],

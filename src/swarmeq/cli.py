@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .experiments import (
@@ -103,11 +104,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for record in records:
-        print(_summary_line(record))
+        _print(_summary_line(record))
     if args.output:
         written = emit(records, args.format or "json", args.output)
-        print(f"wrote {len(written)} file(s); primary: {written[0]}")
+        _print(f"wrote {len(written)} file(s); primary: {written[0]}")
     return 1 if any(r.converged is False for r in records) else 0
+
+
+def _print(line: str) -> None:
+    """Print a line to stdout at once.  When the reader has closed stdout (as
+    `swarmeq ... | head -1` does), this and later output go to os.devnull, so
+    the run still writes its files and exits with its own status."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -1,47 +1,45 @@
 """Safeguarded fixed-point iteration on the Gibbs map, with continuation.
 
-Each step starts from the image T(rho).  When the image lowers the energy the
-step is full.  It takes the image, or a secant step when the step before was
-full too: the undamped Anderson(1) combination (Walker & Ni, SIAM J. Numer.
-Anal. 49, 2011)
+Each step forms, from f = T(rho) - rho, the point
 
-    x = (1 - gamma) T(rho) + gamma T(rho_prev),   gamma = <df, f> / <df, df>,
+    y = rho + beta f,
 
-where f = T(rho) - rho, df = f - f_prev, rho_prev is the iterate of the step
-before, and <., .> is the trapezoid-weighted inner product.  x is taken when
-it is finite, positive, of unit mass and of lower energy than the image.  A
-secant step is tried only while the residual falls by less than
-SECANT_CONTRACTION per step and the fit predicts a gain of SECANT_MIN_GAIN,
-and not in the SECANT_BACKOFF full steps after a failed try.  It is never
-tried on the step that passes the residual test, so a converged solve returns
-a Gibbs image.
+with beta = 1 (y is the image T(rho)) when the image lowers the energy and
+beta = tau_c, the paper's conservative step proportional to the diffusion
+parameter, when it does not.  Both accelerations are one Anderson step
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011) from one history of differences
+dy_j of y and df_j of f over successive steps of the same beta:
 
-When the image does not lower the energy, the step tries a damped Anderson
-candidate
+    x = y - sum_j gamma_j dy_j,
 
-    x = rho + beta f - sum_j gamma_j (dx_j + beta df_j),   f = T(rho) - rho,
+with gamma the trapezoid-weighted least-squares fit of f by the df_j.  The
+history holds the last ANDERSON_DEPTH differences at beta = tau_c and the
+last one at beta = 1, and it is cleared when beta switches.  x is taken when
+it is finite, positive, of unit mass and of lower energy than both rho and
+T(rho); otherwise the step takes y.  The steps are named "full" (y at
+beta = 1), "secant" (x at beta = 1), "anderson" (x at beta = tau_c) and
+"conservative" (y at beta = tau_c).
 
-with beta = tau_c and gamma the trapezoid-weighted least-squares fit of f by
-the last ANDERSON_DEPTH differences df_j of f (dx_j are the differences of the
-iterates), and accepts it when it is finite, positive, of unit mass and of
-lower energy.  Failing that it takes the conservative step
-(1 - tau_c) rho + tau_c T(rho), with tau_c proportional to the diffusion
-parameter.  The Anderson history is cleared on every full step, and the
-secant history on every other step.
+At beta = 1 with one difference, x is the secant step
+(1 - gamma) T(rho) + gamma T(rho_prev).  It is fitted only while the residual
+falls by less than SECANT_CONTRACTION per step, not in the SECANT_BACKOFF full
+steps after a failed try, and not on the step that passes the residual test,
+and it is tried only when the fit removes at least SECANT_MIN_GAIN of
+||f||_w^2.  A difference is formed only on a step that fits.
 Iteration stops when the L1 residual ||rho - T(rho)|| drops below tolerance.
 Small diffusion values are reached by continuation: solve along a decreasing
 sequence of nu, warm-starting each stage from the previous solution.
 The exponent floor keeps f and its differences out of subnormal range (the
-`gibbs` module docstring), so the fits take them as they are.
+`gibbs` module docstring), so the fit takes them as they are.
 
 Every step reuses the kernel operator of the `Problem` and applies it once:
-K * rho is linear, so the convolution of a secant, conservative or Anderson
-step is the same combination of stored convolutions.  The iterates are raw
-arrays, checked as a `Density` would check them where a step could break it,
-and one `Density` is built for the returned state.  The stages of a
-continuation share the operator through `Problem.with_nu`, unless the kernel
-is clipped at a cap that depends on nu; then each stage builds its own.  The
-report carries `diagnose` of the returned density.
+K * rho is linear, so the convolution of y and of x is the same combination
+of stored convolutions.  The iterates are raw arrays, checked as a `Density`
+would check them where a step could break it, and one `Density` is built for
+the returned state.  The stages of a continuation share the operator through
+`Problem.with_nu`, unless the kernel is clipped at a cap that depends on nu;
+then each stage builds its own.  The report carries `diagnose` of the
+returned density.
 """
 
 from __future__ import annotations
@@ -56,14 +54,17 @@ from .energy import Problem, _check_grid, energy_breakdown
 from .gibbs import GibbsMapError, gibbs_values
 from .grid import Density, check_density, integrate
 
-# Anderson history depth.  Measured on the default multistate schedules:
-# depths 5 and 6, and the undamped mixing beta = 1, left stages unconverged.
+# History depth at beta = tau_c.  Measured on the default multistate
+# schedules: depths 5 and 6, and the undamped mixing beta = 1, left stages
+# unconverged.  At beta = 1 a depth of 4 moved kplarge p = 16 and 32 at g = 0
+# from 16 and 20 iterations to 36 and 58, so that history holds one.
 ANDERSON_DEPTH = 4
 
-# When the secant step is tried (module docstring).  Measured as total
-# iterations of kp2 / kpsmall / kplarge at their defaults, and of kplarge
+# When the secant step is fitted and tried (module docstring).  Measured as
+# total iterations of kp2 / kpsmall / kplarge at their defaults, and of kplarge
 # p = 256, g = 0, with 55 / 1654 / 1443 and 1048 without the step and
-# 35 / 1103 / 1230 and 1048 with these values:
+# 35 / 1103 / 1230 and 1048 with these values, when gamma was computed in
+# closed form; through the shared least-squares fit kplarge takes 1235:
 # - Only while the residual falls by less than this factor per step.  At 0 the
 #   p = 256, g = 0 record takes a secant step at iteration 70, where the
 #   residual had fallen to a third, and needs 1074 iterations; at 0.8 kp2 and
@@ -71,7 +72,8 @@ ANDERSON_DEPTH = 4
 SECANT_CONTRACTION = 0.5
 # - Only when the fit removes at least this share of ||f||_w^2.  At 0 the
 #   p = 256, g = 0 record takes candidates that remove about 1e-5 of it and
-#   needs 1059 iterations; at 0.1 kpsmall takes 1119.
+#   needs 1059 iterations; at 0.1 kpsmall takes 1119.  Without the test kp2
+#   and kplarge take 38 and 1247 through the shared fit.
 SECANT_MIN_GAIN = 0.01
 # - Not in this many full steps after a failed try.  The p = 256, g = 0 record
 #   fails every try; at 4 / 8 / 16 it makes 195 / 108 / 58 fits and kpsmall
@@ -146,7 +148,7 @@ class SolveReport:
     diagnostics: DiagnosticsReport
     converged: bool
     energy_trace: list[float]
-    tau_trace: list[float]
+    tau_trace: list[float]  # per step: beta, 1 or tau_c
     step_trace: list[str]  # per step: "full", "secant", "anderson" or "conservative"
     nu: float
 
@@ -163,13 +165,12 @@ def solve(
     tau_c = config.effective_tau_c(problem.nu)
     operator = problem.operator
     sqrt_w = np.sqrt(grid.weights)
-    # Ring buffer of the differences, over successive non-full steps, of the
-    # weighted f = T(rho) - rho, of y = rho + tau_c f and of
-    # K * y; `stored` counts the differences pushed since the last full step.
+    # Ring buffer of the differences, over successive steps of one beta, of the
+    # weighted f = T(rho) - rho, of y = rho + beta f and of K * y; `stored`
+    # counts the differences pushed since beta last switched.
     d_f, d_y, d_conv = np.empty((3, ANDERSON_DEPTH, grid.size))
     stored = 0
-    previous = None  # (f, y, K * y) of the last non-full step
-    last_full = None  # (f, T(rho), K * T(rho)) of the last full or secant step
+    previous = None  # (f, y, K * y, beta) of the last step
     wait = 0  # full steps left before the next secant try
     residual = math.inf
 
@@ -197,58 +198,62 @@ def solve(
         if not math.isfinite(image_energy):
             raise GibbsMapError(f"iteration {iterations}: non-finite energy {image_energy!r}")
         if image_energy < energy:
-            stored, previous = 0, None
-            candidate = None
-            if wait:
-                wait -= 1
-            elif (last_full is not None and not converged
-                  and residual > SECANT_CONTRACTION * previous_residual):
-                candidate = _secant_candidate(
-                    problem, f, image, image_conv, last_full, image_energy)
-                if candidate is None:
-                    wait = SECANT_BACKOFF
-            last_full = (f, image, image_conv)
-            if candidate is not None:
-                step = "secant"
-                rho, conv, energy = candidate
-            else:
-                step = "full"
-                rho, conv, energy = image, image_conv, image_energy
+            beta, y, y_conv = 1.0, image, image_conv
         else:
-            last_full = None
+            beta = tau_c
             y = (1 - tau_c) * rho + tau_c * image
             # K * rho is linear in rho, so the combined convolution is exact.
             y_conv = (1 - tau_c) * conv + tau_c * image_conv
-            if previous is not None:
-                slot = stored % ANDERSON_DEPTH
-                d_f[slot] = sqrt_w * (f - previous[0])
-                d_y[slot] = y - previous[1]
-                d_conv[slot] = y_conv - previous[2]
-                stored += 1
-            previous = (f, y, y_conv)
-            candidate = None
-            if stored:
-                m = min(stored, ANDERSON_DEPTH)
-                gamma = np.linalg.lstsq(d_f[:m].T, f * sqrt_w, rcond=None)[0]
+        same = previous is not None and previous[3] == beta
+        if not same:
+            stored = 0
+        if beta < 1:
+            fits = same
+        elif wait:
+            wait -= 1
+            fits = False
+        else:
+            fits = same and not converged and residual > SECANT_CONTRACTION * previous_residual
+        candidate = None
+        if fits:
+            depth = ANDERSON_DEPTH if beta < 1 else 1
+            slot = stored % depth
+            d_f[slot] = sqrt_w * (f - previous[0])
+            d_y[slot] = y - previous[1]
+            d_conv[slot] = y_conv - previous[2]
+            stored += 1
+            m = min(stored, depth)
+            wf = f * sqrt_w
+            gamma = np.linalg.lstsq(d_f[:m].T, wf, rcond=None)[0]
+            if beta < 1 or gamma @ (d_f[:m] @ wf) > SECANT_MIN_GAIN * (wf @ wf):
                 candidate = _anderson_candidate(
-                    problem, y - gamma @ d_y[:m], y_conv - gamma @ d_conv[:m], energy
+                    problem, y - gamma @ d_y[:m], y_conv - gamma @ d_conv[:m],
+                    min(energy, image_energy),
                 )
-            if candidate is not None:
-                step = "anderson"
-                rho, conv, energy = candidate
-            else:
-                step = "conservative"
-                check_density(grid, y)
-                rho, conv = y, y_conv
-                energy = energy_breakdown(problem, rho, conv).total
+            if candidate is None and beta == 1:
+                wait = SECANT_BACKOFF
+        previous = (f, y, y_conv, beta)
+        if candidate is not None:
+            step = "secant" if beta == 1 else "anderson"
+            rho, conv, energy = candidate
+        elif beta == 1:
+            step = "full"
+            rho, conv, energy = image, image_conv, image_energy
+        else:
+            step = "conservative"
+            check_density(grid, y)
+            rho, conv = y, y_conv
+            energy = energy_breakdown(problem, rho, conv).total
         step_trace.append(step)
-        tau_trace.append(tau_c if step in ("anderson", "conservative") else 1.0)
+        tau_trace.append(beta)
         energy_trace.append(energy)
         iterations += 1
         if converged:
-            # The residual test passed, so this last scheme update (a Gibbs
-            # image whenever it lowers the energy, which it does near a
-            # minimizer) is the reported state.
+            # The residual test passed, so this last scheme update is the
+            # reported state.  It is a Gibbs image only when the image lowered
+            # the energy, which a state near a minimizer does not guarantee; on
+            # a conservative or Anderson step `residual` is that of the state
+            # before.
             break
 
     density = Density(grid, rho)
@@ -263,39 +268,6 @@ def solve(
         step_trace=step_trace,
         nu=problem.nu,
     )
-
-
-def _secant_candidate(
-    problem: Problem,
-    f: np.ndarray,
-    image: np.ndarray,
-    image_conv: np.ndarray,
-    last: tuple[np.ndarray, np.ndarray, np.ndarray],
-    energy: float,
-) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """(values, K * values, energy) of the secant step from the iterate whose
-    image is `image` = rho + `f`, given `last` = (f, image, K * image) of the
-    step before, or None unless the fit predicts a gain and the step passes
-    `_anderson_candidate` against `energy`."""
-    last_f, last_image, last_conv = last
-    gamma = _secant_gamma(problem.grid.weights, f, f - last_f)
-    if gamma is None:
-        return None
-    values = (1 - gamma) * image + gamma * last_image
-    conv = (1 - gamma) * image_conv + gamma * last_conv
-    return _anderson_candidate(problem, values, conv, energy)
-
-
-def _secant_gamma(weights: np.ndarray, f: np.ndarray, df: np.ndarray) -> float | None:
-    """The gamma that minimizes ||f - gamma df||_w, in closed form, or None
-    unless it removes at least SECANT_MIN_GAIN of ||f||_w^2 (the removed part
-    is gamma <df, f>_w)."""
-    w_df = weights * df
-    norm, cross = w_df @ df, w_df @ f
-    if not norm > 0:
-        return None
-    gamma = float(cross / norm)
-    return gamma if gamma * cross > SECANT_MIN_GAIN * (weights * f @ f) else None
 
 
 def _anderson_candidate(

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import exact_gibbs_image
 
+import swarmeq
 from swarmeq import KernelOperator, PowerLawKernel, Problem, ZeroPotential, apply_gibbs_map
 from swarmeq.cli import build_parser, main
 from swarmeq.experiments import (
@@ -475,6 +480,21 @@ class TestCli:
             [(64, 0.1, defaults[0].parameters["N_max"])],
             [(r.parameters["N"], r.parameters["g"], 40) for r in defaults],
         ]
+
+    def test_closed_stdout_keeps_the_status_and_the_file(self, tmp_path):
+        # as in `swarmeq experiment kp2 --output x.json | head -1`, the reader
+        # closes the pipe, here before the first summary line is written
+        out = tmp_path / "x.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(swarmeq.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "swarmeq.cli", "experiment", "kp2", "--set", "N=128",
+             "--output", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        stderr = proc.communicate()[1].decode()
+        assert (proc.returncode, stderr) == (0, "")
+        assert [r["converged"] for r in json.loads(out.read_text())["records"]] == [True] * 3
 
     def test_unknown_override_exits_nonzero(self, capsys):
         code = main(["experiment", "kp2", "--set", "bogus=1"])

@@ -229,27 +229,22 @@ def _subnormal(a: np.ndarray) -> bool:
     return bool(np.any((a != 0) & (np.abs(a) < np.finfo(float).tiny)))
 
 
-def _watch_subnormals(monkeypatch) -> dict[str, list[bool]]:
+def _watch_subnormals(monkeypatch) -> dict[str, list]:
     """Spy on `solve`: per step whether |f| = |T(rho) - rho| holds a subnormal
-    entry ("f"), and per fit whether its inputs do ("secant", "lstsq")."""
-    seen = {"f": [], "secant": [], "lstsq": []}
-    real_integrate, real_gamma, real_lstsq = (
-        solver.integrate, solver._secant_gamma, np.linalg.lstsq)
+    entry ("f"), and per fit its step and whether its inputs hold one
+    ("lstsq", as (step, subnormal))."""
+    seen = {"f": [], "lstsq": []}
+    real_integrate, real_lstsq = solver.integrate, np.linalg.lstsq
 
     def integrate(grid, values):  # `solve` integrates only |f|, once per step
         seen["f"].append(_subnormal(values))
         return real_integrate(grid, values)
 
-    def gamma(weights, f, df):
-        seen["secant"].append(_subnormal(f) or _subnormal(df))
-        return real_gamma(weights, f, df)
-
     def lstsq(a, b, rcond=None):
-        seen["lstsq"].append(_subnormal(a) or _subnormal(b))
+        seen["lstsq"].append((len(seen["f"]) - 1, _subnormal(a) or _subnormal(b)))
         return real_lstsq(a, b, rcond=rcond)
 
     monkeypatch.setattr(solver, "integrate", integrate)
-    monkeypatch.setattr(solver, "_secant_gamma", gamma)
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
     return seen
 
@@ -264,7 +259,7 @@ class TestAnderson:
         report = solve(problem, indicator_density(g, 0, 8))
         assert report.converged and "anderson" in report.step_trace
         assert len(seen["f"]) == report.iterations and not any(seen["f"])
-        assert seen["lstsq"] and not any(seen["lstsq"])
+        assert seen["lstsq"] and not any(subnormal for _, subnormal in seen["lstsq"])
 
     def _problem(self):
         g = make_grid(8.0, 128)
@@ -300,6 +295,17 @@ class TestAnderson:
         assert drifted.step_trace[: k + 1] == [*plain.step_trace[:k], "conservative"]
 
 
+def _secant_problem(mode=SpacingMode.QUADRATIC, length=2.0, p=2.0, slope_factor=0.5):
+    """A problem whose every image lowers the energy, so that each fit of its
+    solve is a secant fit."""
+    from swarmeq import LinearPotential, critical_slope
+
+    nu = 2.0**-6
+    g = make_grid(length, 512, mode)
+    slope = nu if slope_factor is None else slope_factor * critical_slope(nu)
+    return Problem(g, PowerLawKernel(p), LinearPotential(slope), nu)
+
+
 class TestSecant:
     @pytest.mark.parametrize("mode,length,p,slope_factor,support", [
         (SpacingMode.QUADRATIC, 2.0, 2.0, 0.5, 0.25),  # dense product
@@ -308,14 +314,9 @@ class TestSecant:
     def test_accepted_step_carries_its_convolution_and_lowers_energy(
         self, monkeypatch, mode, length, p, slope_factor, support
     ):
-        from swarmeq import LinearPotential, critical_slope
-
-        nu = 2.0**-6
-        g = make_grid(length, 512, mode)
-        slope = nu if slope_factor is None else slope_factor * critical_slope(nu)
-        problem = Problem(g, PowerLawKernel(p), LinearPotential(slope), nu)
+        problem = _secant_problem(mode, length, p, slope_factor)
         taken = []
-        real = solver._secant_candidate
+        real = solver._anderson_candidate
 
         def spy(*args):
             out = real(*args)
@@ -323,10 +324,11 @@ class TestSecant:
                 taken.append(out)
             return out
 
-        monkeypatch.setattr(solver, "_secant_candidate", spy)
-        report = solve(problem, indicator_density(g, 0, support))
+        monkeypatch.setattr(solver, "_anderson_candidate", spy)
+        report = solve(problem, indicator_density(problem.grid, 0, support))
         assert report.converged
-        assert len(taken) == report.step_trace.count("secant") > 0
+        assert report.step_trace.count("secant") > 0
+        assert len(taken) == report.step_trace.count("secant") + report.step_trace.count("anderson")
         for values, conv, _ in taken:
             # relative to the largest entry: an FFT product's roundoff scales with it
             exact = problem.operator.apply(values)
@@ -335,25 +337,65 @@ class TestSecant:
             if step == "secant":
                 assert report.energy_trace[k + 1] < report.energy_trace[k]
 
-    def test_gamma_is_the_weighted_least_squares_coefficient(self, rng):
-        w = rng.random(64) + 0.1
-        df = rng.standard_normal(64)
-        f = 0.7 * df + 0.1 * rng.standard_normal(64)
-        expected = np.linalg.lstsq((np.sqrt(w) * df)[:, None], np.sqrt(w) * f, rcond=None)[0][0]
-        assert solver._secant_gamma(w, f, df) == pytest.approx(expected, rel=1e-13)
+    def test_gamma_is_the_weighted_least_squares_coefficient(self, monkeypatch):
+        # every try is (1 - gamma) T(rho) + gamma T(rho_prev) with the closed
+        # form gamma = <df, f>_w / <df, df>_w, f = T(rho) - rho, df = f - f_prev
+        problem = _secant_problem()
+        rho0 = indicator_density(problem.grid, 0, 0.25)
+        images, tries = [], []
+        real_gibbs, real_candidate = solver.gibbs_values, solver._anderson_candidate
 
-    def test_gamma_needs_a_difference_and_a_gain(self, rng):
-        w = rng.random(64) + 0.1
-        f = rng.standard_normal(64)
-        assert solver._secant_gamma(w, f, np.zeros(64)) is None
-        # df orthogonal to f in the weighted product: the fit removes nothing
-        df = rng.standard_normal(64)
-        df -= (w * df @ f) / (w * f @ f) * f
-        assert solver._secant_gamma(w, f, df) is None
+        def gibbs(problem, conv):
+            images.append(real_gibbs(problem, conv))
+            return images[-1]
+
+        def candidate(problem, values, conv, energy):
+            out = real_candidate(problem, values, conv, energy)
+            tries.append((len(images) - 1, values, out))
+            return out
+
+        monkeypatch.setattr(solver, "gibbs_values", gibbs)
+        monkeypatch.setattr(solver, "_anderson_candidate", candidate)
+        report = solve(problem, rho0)
+        assert report.converged and set(report.step_trace) == {"full", "secant"}
+        taken = {k: out[0] for k, _, out in tries if out is not None}
+        iterates = [rho0.values]
+        for k, step in enumerate(report.step_trace):
+            iterates.append(taken[k] if step == "secant" else images[k])
+        w = problem.grid.weights
+        assert tries
+        for k, values, _ in tries:
+            f = images[k] - iterates[k]
+            df = f - (images[k - 1] - iterates[k - 1])
+            gamma = (w * df @ f) / (w * df @ df)
+            expected = (1 - gamma) * images[k] + gamma * images[k - 1]
+            assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(expected)
+
+    def test_gamma_needs_a_difference_and_a_gain(self, monkeypatch):
+        # a fit on a zero difference, or on one orthogonal to f in the weighted
+        # product, removes nothing: no candidate is tried, and each such fit
+        # skips the next SECANT_BACKOFF full steps
+        problem = _secant_problem(SpacingMode.UNIFORM, 4.0, 1.5, None)
+        rho0 = indicator_density(problem.grid, 0, 1.0)
+        real_lstsq = np.linalg.lstsq
+        for blind in (lambda a, b: 0 * a, lambda a, b: a - np.outer(b, b @ a) / (b @ b)):
+            fits, tries = [], []
+
+            def lstsq(a, b, rcond=None):
+                fits.append(a.shape)
+                return real_lstsq(blind(a, b), b, rcond=rcond)
+
+            monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+            monkeypatch.setattr(solver, "_anderson_candidate", lambda *args: tries.append(args))
+            report = solve(problem, rho0)
+            assert report.converged and set(report.step_trace) == {"full"}
+            assert fits and all(shape == (problem.grid.size, 1) for shape in fits)
+            assert not tries
+            assert len(fits) <= report.iterations // (solver.SECANT_BACKOFF + 1) + 1
 
     def test_floored_record_keeps_subnormals_out_of_the_fit(self, monkeypatch):
         # kplarge p = 256, g = 0 at N = 1024: most of the density sits at the
-        # exponent floor, which keeps f and the secant inputs normal, and the
+        # exponent floor, which keeps f and the fit inputs normal, and the
         # secant tries all fail
         seen = _watch_subnormals(monkeypatch)
         (record,) = run_experiment(ExperimentConfig("kplarge", {"p": [256.0], "g": [0.0]}))
@@ -361,10 +403,12 @@ class TestSecant:
         assert report.converged
         assert report.iterations <= 1048  # the count without the secant step
         assert len(seen["f"]) == report.iterations and not any(seen["f"])
-        assert seen["secant"] and not any(seen["secant"])
+        assert seen["lstsq"] and not any(subnormal for _, subnormal in seen["lstsq"])
         # every try fails, and each failure skips the next SECANT_BACKOFF full steps
         assert "secant" not in report.step_trace
-        assert len(seen["secant"]) <= report.iterations // (solver.SECANT_BACKOFF + 1) + 1
+        secant_fits = [k for k, _ in seen["lstsq"] if report.tau_trace[k] == 1.0]
+        assert secant_fits
+        assert len(secant_fits) <= report.iterations // (solver.SECANT_BACKOFF + 1) + 1
 
     def test_converged_step_returns_the_image(self):
         # kpsmall p = 1.125, g = nu takes secant steps up to the step whose
@@ -441,6 +485,24 @@ class TestContinuation:
         for report in reports:
             allowed = {1.0, min(5 * report.nu, 0.95)}
             assert set(report.tau_trace) <= allowed
+
+
+class TestOrder:
+    def test_kp2_energy_is_second_order(self):
+        # the method's order of accuracy: on the kp2 quadratic grid each
+        # doubling of N from 256 to 2048 divides the energy's change by 4
+        from swarmeq import critical_slope
+
+        gc = critical_slope(2.0**-6)
+        energies = np.array([
+            [r.metrics["total_energy"]
+             for r in run_experiment(ExperimentConfig("kp2", {"N": n, "g": [0.25 * gc, gc]}))]
+            for n in (256, 512, 1024, 2048)
+        ])
+        differences = np.diff(energies, axis=0)
+        ratios = differences[:-1] / differences[1:]
+        assert ratios.shape == (2, 2)
+        assert np.all(np.abs(ratios - 4) <= 0.2), ratios
 
 
 class TestCountAggregates:
