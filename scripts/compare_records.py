@@ -16,7 +16,9 @@ compares the main file without its ``wall_time_s`` column, and every sidecar.
 For each run the script prints ``identical``, or each field that moved with its
 largest relative change over the records (``bytes differ`` and the first
 differing line when only the text moved) and, for a solving run, its total
-iterations before and after; it exits 1 if anything moved.
+iterations before and after; a density record that settled on a neighbouring
+translate of its old state gets one line instead of its fields.  It exits 1
+if anything moved.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ IGNORED = "wall_time_s"
 # IGNORED with its value as the JSON text writes it; a string value that holds
 # the key has its quotes escaped, so it cannot match.
 _IGNORED_TEXT = re.compile(r'"wall_time_s": -?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+# Largest relative change of total_energy in a record that moved to a
+# neighbouring translate (see `translate`).
+TRANSLATE_ENERGY = 1e-12
 SCHEDULE = ["--set", "schedule=[0.02,0.01]", "--set", "N=128", "--set", "N_max=300"]
 # CLI arguments of each compared run, without --output.
 RUNS = (
@@ -101,27 +106,68 @@ def _fields(record: dict, prefix: str = "") -> dict:
     return out
 
 
+def translate(index: int, old: dict, new: dict) -> str | None:
+    """The one line of a density record whose samples moved to a neighbouring
+    translate, or None.  A translate keeps ``total_energy`` within
+    TRANSLATE_ENERGY relative, ``aggregates``, ``stages_converged`` and the
+    nodes, and moves ``m1`` by at least half a node spacing h (the mean
+    spacing), so that the whole-node shift s nearest the ``m1`` change is not
+    0.  The line gives ``m1`` before and after and the L1 distance, h times
+    the summed absolute difference, of the old samples and the new ones read s
+    nodes on, with samples past either end read as 0."""
+    if not all(r.get("samples_kind") == "density" and "samples" in r and "m1" in r
+               for r in (old, new)):
+        return None
+    change = _change(old.get("total_energy"), new.get("total_energy"))
+    if change is not None and change > TRANSLATE_ENERGY or any(
+            old.get(key) != new.get(key) for key in ("aggregates", "stages_converged")):
+        return None
+    x, y_old, y_new = old["samples"]["x"], old["samples"]["y"], new["samples"]["y"]
+    if new["samples"]["x"] != x or len(x) < 2:
+        return None
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    shift = round((new["m1"] - old["m1"]) / h)
+    if shift == 0:
+        return None
+    n = len(x)
+
+    def at(y: list, i: int) -> float:
+        return y[i] if 0 <= i < n else 0.0
+
+    l1 = h * sum(abs(at(y_old, i) - at(y_new, i + shift))
+                 for i in range(min(0, -shift), max(n, n - shift)))
+    return (f"record {index}: neighbouring translate, m1 {old['m1']!r} -> {new['m1']!r}, "
+            f"L1 {l1:.3g} after a shift of {shift} nodes")
+
+
 def compare_records(old: list[dict], new: list[dict]) -> list[str]:
     """One line per change between two record lists: the record count, the
-    keys or their order, and each field that moved with its largest relative
+    keys or their order, each record that moved to a neighbouring translate
+    (`translate`), and each other field that moved with its largest relative
     change over the records."""
     if len(old) != len(new):
         return [f"record count {len(old)} -> {len(new)}"]
     key_lines: dict[str, None] = {}
+    translates: list[str] = []
     moved: dict[str, float] = {}
-    for a, b in zip(map(_fields, old), map(_fields, new)):
+    for index, records in enumerate(zip(old, new)):
+        a, b = map(_fields, records)
         if list(a) != list(b):
             added = [k for k in b if k not in a]
             removed = [k for k in a if k not in b]
             line = "; ".join([f"added keys {added}"] * bool(added)
                              + [f"removed keys {removed}"] * bool(removed)) or "key order"
             key_lines[line] = None
+        line = translate(index, *records)
+        if line is not None:
+            translates.append(line)
+            continue
         for key in (k for k in a if k in b):
             change = _change(a[key], b[key])
             if change is not None:
                 moved[key] = max(moved.get(key, 0.0), change)
-    return [*key_lines, *(f"{key}: largest relative change {change:.3g}"
-                          for key, change in moved.items())]
+    return [*key_lines, *translates, *(f"{key}: largest relative change {change:.3g}"
+                                       for key, change in moved.items())]
 
 
 def total_iterations(records: list[dict]) -> int | None:

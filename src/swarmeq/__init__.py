@@ -31,8 +31,6 @@ from .energy import (
     EnergyBreakdown,
     Problem,
     entropy,
-    interaction_energy,
-    potential_energy,
     total_energy,
 )
 from .geometry import (

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import EnergyBreakdown, Problem, _check_grid, total_energy
-from .gibbs import DEFAULT_CLAMP_FLOOR, log_partition
+from .energy import EnergyBreakdown, Problem, _check_grid, energy_breakdown
+from .gibbs import DEFAULT_CLAMP_FLOOR, gibbs_log_partition
 from .grid import Density, integrate
 from .potentials import LinearPotential
 
@@ -109,7 +109,7 @@ def diagnose(problem: Problem, rho: Density) -> DiagnosticsReport:
     """Run all diagnostics on a density and collect them in one report."""
     _check_grid(problem, rho)
     conv = problem.operator.apply(rho.values)
-    breakdown = total_energy(problem, rho, conv=conv)
+    breakdown = energy_breakdown(problem, rho.values, conv)
     # | K*rho + nu log(rho) + V - (total + interaction energy) | per node; inf
     # on zero nodes
     with np.errstate(divide="ignore"):
@@ -121,7 +121,7 @@ def diagnose(problem: Problem, rho: Density) -> DiagnosticsReport:
         e0 = boundary_condition_error(problem, rho)
     return DiagnosticsReport(
         energy=breakdown,
-        lam=-problem.nu * log_partition(problem, rho, conv=conv),
+        lam=-problem.nu * gibbs_log_partition(problem, conv),
         lambda_inf=float(np.max(deviation)),
         lambda_inf_support=float(np.max(deviation[_support_mask(rho.values)])),
         e0=e0,

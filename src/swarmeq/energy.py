@@ -76,11 +76,6 @@ class EnergyBreakdown:
     total: float
 
 
-def interaction_energy(problem: Problem, rho: Density) -> float:
-    """(1/2) sum_ij w_i w_j K(x_i - x_j) rho_i rho_j."""
-    return total_energy(problem, rho).interaction
-
-
 def entropy(rho: Density) -> float:
     """sum_i w_i rho_i log(rho_i), with 0 log 0 = 0."""
     return _entropy(rho.grid, rho.values)
@@ -91,22 +86,10 @@ def _entropy(grid: Grid, v: np.ndarray) -> float:
     return integrate(grid, terms)
 
 
-def potential_energy(problem: Problem, rho: Density) -> float:
-    """sum_i w_i V(x_i) rho_i."""
-    return total_energy(problem, rho).potential
-
-
-def convolved(problem: Problem, rho: Density, conv: np.ndarray | None) -> np.ndarray:
-    """K * rho after the grid check: `conv` when it carries it, else one apply."""
+def total_energy(problem: Problem, rho: Density) -> EnergyBreakdown:
+    """The full breakdown of rho: interaction, entropy, potential and total."""
     _check_grid(problem, rho)
-    return problem.operator.apply(rho.values) if conv is None else conv
-
-
-def total_energy(
-    problem: Problem, rho: Density, conv: np.ndarray | None = None
-) -> EnergyBreakdown:
-    """Assemble the full breakdown; reuses `conv` = K * rho when given."""
-    return energy_breakdown(problem, rho.values, convolved(problem, rho, conv))
+    return energy_breakdown(problem, rho.values, problem.operator.apply(rho.values))
 
 
 def energy_breakdown(problem: Problem, values: np.ndarray, conv: np.ndarray) -> EnergyBreakdown:

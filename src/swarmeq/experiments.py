@@ -116,12 +116,31 @@ def _integer(ov: dict[str, Any], key: str, default: int) -> int:
     return int(value)
 
 
-def _as_list(value) -> list:
-    if isinstance(value, (list, tuple, np.ndarray)):
-        if len(value) == 0:
-            raise ValueError("an empty parameter list sweeps no values")
-        return list(value)
-    return [value]
+def _real(key: str, value: Any) -> float:
+    """The override `key`, or one item of it, as a float.  Any other value is
+    a configuration error: a bool would read as 0 or 1, and a string, list or
+    dict would fail later with a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(key: str, value: Any) -> list[float]:
+    """The list override `key` (`schedule`, `rho0_interval`, a sweep), each
+    item read by `_real`."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return [_real(key, v) for v in value]
+
+
+def _sweep(ov: dict[str, Any], key: str, default: Any) -> list[float]:
+    """The values the override `key`, or the default, sweeps: a list of
+    numbers, or one number."""
+    value = ov.get(key, default)
+    values = _reals(key, value if isinstance(value, (list, tuple, np.ndarray)) else [value])
+    if not values:
+        raise ValueError(f"{key}: an empty parameter list sweeps no values")
+    return values
 
 
 def _solve_metrics(report: SolveReport, prominence: float) -> dict[str, Any]:
@@ -193,14 +212,14 @@ class _Solving:
     extra: Callable[[_Solve, list[SolveReport]], dict[str, Any]] = lambda point, reports: {}
 
     def __call__(self, experiment: str, ov: dict[str, Any]) -> list[ResultRecord]:
-        nu = float(ov.get("nu", self.nu))
+        nu = _real("nu", ov.get("nu", self.nu))
         grid = make_grid(
-            float(ov.get("L", self.length)), _integer(ov, "N", 1024),
+            _real("L", ov.get("L", self.length)), _integer(ov, "N", 1024),
             _spacing(ov.get("grid", self.mode)),
         )
         cfg = SolverConfig(
-            tau_c=ov.get("tau_c"),
-            tol=float(ov.get("tol", SolverConfig.tol)),
+            tau_c=None if ov.get("tau_c") is None else _real("tau_c", ov["tau_c"]),
+            tol=_real("tol", ov.get("tol", SolverConfig.tol)),
             max_iterations=_integer(ov, "N_max", SolverConfig.max_iterations),
         )
         records = []
@@ -228,16 +247,17 @@ def _schedule(ov: dict[str, Any], nu: float, start: float | None) -> Continuatio
     if "schedule" not in ov:
         stages = _integer(ov, "stages", _STAGES)
         return ContinuationSchedule.geometric(start * nu, nu, stages=stages)
-    schedule = ContinuationSchedule(tuple(float(v) for v in ov["schedule"]))
+    schedule = ContinuationSchedule(tuple(_reals("schedule", ov["schedule"])))
     for key, fixed in (("nu", schedule.nus[-1]), ("stages", len(schedule.nus))):
-        if key in ov and float(ov[key]) != fixed:
+        given = _integer(ov, key, fixed) if key == "stages" else _real(key, ov.get(key, fixed))
+        if given != fixed:
             raise ValueError(f"{key}={ov[key]!r} disagrees with the schedule's {key} {fixed!r}")
     return schedule
 
 
 def _kp2_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
     gc = critical_slope(nu)
-    gs = [float(g) for g in _as_list(ov.get("g", [0.25 * gc, gc, 4 * gc]))]
+    gs = _sweep(ov, "g", [0.25 * gc, gc, 4 * gc])
     rho0 = indicator_density(grid, 0.0, 0.25)
     for g in gs:
         yield _Solve({"nu": nu, "g": g, "g_over_gc": g / gc}, PowerLawKernel(2.0),
@@ -256,8 +276,8 @@ def _exact_metrics(point: _Solve, reports: list[SolveReport]) -> dict[str, Any]:
 def _power_points(
     default_ps: tuple[float, ...], ov: dict[str, Any], grid: Grid, nu: float
 ) -> Iterator[_Solve]:
-    ps = [float(p) for p in _as_list(ov.get("p", default_ps))]
-    gs = [float(g) for g in _as_list(ov.get("g", [0.0, nu]))]
+    ps = _sweep(ov, "p", default_ps)
+    gs = _sweep(ov, "g", [0.0, nu])
     for p in ps:
         for g in gs:
             yield _Solve(
@@ -281,8 +301,8 @@ def _limit_metrics(point: _Solve, reports: list[SolveReport]) -> dict[str, Any]:
 
 
 def _multistate_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
-    eps = float(ov.get("eps", _QANR_EPS))
-    prominence = float(ov.get("prominence", _PROMINENCE))
+    eps = _real("eps", ov.get("eps", _QANR_EPS))
+    prominence = _real("prominence", ov.get("prominence", _PROMINENCE))
     rho0 = indicator_density(grid, 0.0, grid.length)
     if "schedule" not in ov and _integer(ov, "stages", _STAGES) < 2:
         # one stage ignores the start, so both records would be the same solve
@@ -317,10 +337,13 @@ def _custom_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve
     for other, _, _ in kernels.values():
         if other != key and other in ov:
             raise ValueError(f"{other} is not a parameter of kernel {kind!r}")
-    shape = {key: float(ov.get(key, default))}
-    g = float(ov.get("g", 0.0))
-    prominence = float(ov.get("prominence", _PROMINENCE))
-    lo, hi = (float(v) for v in ov.get("rho0_interval", (0.0, grid.length)))
+    shape = {key: _real(key, ov.get(key, default))}
+    g = _real("g", ov.get("g", 0.0))
+    prominence = _real("prominence", ov.get("prominence", _PROMINENCE))
+    interval = _reals("rho0_interval", ov.get("rho0_interval", [0.0, grid.length]))
+    if len(interval) != 2:
+        raise ValueError(f"rho0_interval must hold two numbers, got {interval!r}")
+    lo, hi = interval
     schedule = _schedule(ov, nu, 10.0) if "schedule" in ov or "stages" in ov else None
     lead = {"kernel": kind, "nu": schedule.nus[-1] if schedule else nu, "g": g}
     if schedule is not None:
@@ -339,11 +362,11 @@ def _custom_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve
 
 
 def _run_gamma_energy(experiment: str, ov: dict[str, Any]) -> list[ResultRecord]:
-    nu = float(ov.get("nu", 2.0**-6))
+    nu = _real("nu", ov.get("nu", 2.0**-6))
     gc = critical_slope(nu)
-    gs = [float(g) for g in _as_list(ov.get("g", [0.0, 0.25 * gc, gc, 2 * gc, 4 * gc]))]
-    c_min = float(ov.get("c_min", -0.3))
-    c_max = float(ov.get("c_max", 1.0))
+    gs = _sweep(ov, "g", [0.0, 0.25 * gc, gc, 2 * gc, 4 * gc])
+    c_min = _real("c_min", ov.get("c_min", -0.3))
+    c_max = _real("c_max", ov.get("c_max", 1.0))
     n_c = _integer(ov, "n_c", 200)
     cs = np.linspace(c_min, c_max, n_c)
     records = []

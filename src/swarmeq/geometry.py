@@ -167,27 +167,9 @@ def estimate_effective_dimension(profile: VolumeProfile) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _within_box(points: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """|x_k| <= half_k for every k < half.size, tested column by column."""
-    inside = np.ones(points.shape[0], dtype=bool)
-    for k in range(half.size):
-        inside &= np.abs(points[:, k]) <= half[k]
-    return inside
-
-
 def box_domain(side_lengths: Sequence[float]) -> DomainSpec:
     """Axis-aligned box centred at the origin."""
-    sides = np.asarray(side_lengths, dtype=float)
-    half = sides / 2
-
-    def indicator(points: np.ndarray) -> np.ndarray:
-        return _within_box(points, half)
-
-    return DomainSpec(
-        dim=sides.size,
-        indicator=indicator,
-        probe_centers=np.zeros((1, sides.size)),
-    )
+    return slab_domain(side_lengths, free_dims=0)
 
 
 def ball_domain(radius: float, dim: int) -> DomainSpec:
@@ -218,7 +200,11 @@ def slab_domain(side_lengths: Sequence[float], free_dims: int) -> DomainSpec:
     dim = m + free_dims
 
     def indicator(points: np.ndarray) -> np.ndarray:
-        return _within_box(points, half)
+        # |x_k| <= half_k for every k < m, tested column by column
+        inside = np.ones(points.shape[0], dtype=bool)
+        for k in range(m):
+            inside &= np.abs(points[:, k]) <= half[k]
+        return inside
 
     return DomainSpec(dim=dim, indicator=indicator, probe_centers=np.zeros((1, dim)))
 

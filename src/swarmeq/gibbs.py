@@ -4,7 +4,7 @@ One application sends rho to exp(-(K*rho + V)/nu) / Z.  For small nu the raw
 exponents span thousands of log units, so each application shifts the
 exponent by its minimum before exponentiating, which changes nothing
 algebraically.  The multiplier of the critical-point equation is
--nu log Z, evaluated stably by `log_partition` from the same exponent.
+-nu log Z, evaluated stably by `gibbs_log_partition` from the same exponent.
 
 The shifted exponent is floored at F = DEFAULT_CLAMP_FLOOR, so every value of
 an image is positive, and F is chosen so that the solver's arithmetic on
@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .energy import Problem, convolved
+from .energy import Problem, _check_grid
 from .grid import Density, integrate
 
 # Shifted exponents below this are raised to it instead of underflowing to
@@ -37,12 +37,14 @@ DEFAULT_CLAMP_FLOOR = -600.0
 
 
 class GibbsMapError(RuntimeError):
-    """Raised when a map application produces a non-finite partition value."""
+    """Raised when a map application meets a non-finite exponent or a
+    non-finite or non-positive partition value."""
 
 
-def _exponent(problem: Problem, conv: np.ndarray) -> tuple[np.ndarray, float]:
-    """(-(u - min u)/nu floored at DEFAULT_CLAMP_FLOOR, min u) for
-    u = conv + V, where conv = K * rho."""
+def _gibbs(problem: Problem, conv: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(exp of the floored exponent, Z = its weighted sum, min u) for
+    u = conv + V, where conv = K * rho; the exponent is -(u - min u)/nu
+    floored at DEFAULT_CLAMP_FLOOR."""
     u = conv + problem.v
     if not np.all(np.isfinite(u)):
         i = int(np.argmax(~np.isfinite(u)))
@@ -51,43 +53,44 @@ def _exponent(problem: Problem, conv: np.ndarray) -> tuple[np.ndarray, float]:
             "check kernel and potential values"
         )
     shift = float(u.min())
-    return np.maximum(-(u - shift) / problem.nu, DEFAULT_CLAMP_FLOOR), shift
+    values = np.exp(np.maximum(-(u - shift) / problem.nu, DEFAULT_CLAMP_FLOOR))
+    z = float(problem.grid.weights @ values)
+    if not math.isfinite(z) or z <= 0:
+        raise GibbsMapError(
+            f"partition value {z!r} after normalization; "
+            f"nu = {problem.nu} is too small for this grid"
+        )
+    return values, z, shift
 
 
 def gibbs_values(problem: Problem, conv: np.ndarray) -> np.ndarray:
     """The values of the image of the density whose K * rho is `conv`; the
     array-level form of `apply_gibbs_map`."""
-    values = np.exp(_exponent(problem, conv)[0])
-    scale = float(problem.grid.weights @ values)
-    if not math.isfinite(scale) or scale <= 0:
-        raise GibbsMapError(
-            f"partition value {scale!r} after normalization; "
-            f"nu = {problem.nu} is too small for this grid"
-        )
-    return values / scale
+    values, z, _ = _gibbs(problem, conv)
+    return values / z
 
 
-def apply_gibbs_map(
-    problem: Problem, rho: Density, conv: np.ndarray | None = None
-) -> Density:
-    """Apply the map once and return the image of rho.
-
-    `conv` may carry a precomputed K * rho.
-    """
-    return Density(problem.grid, gibbs_values(problem, convolved(problem, rho, conv)))
+def gibbs_log_partition(problem: Problem, conv: np.ndarray) -> float:
+    """log Z of the density whose K * rho is `conv`, evaluated stably; the
+    array-level form of `log_partition`."""
+    _, z, shift = _gibbs(problem, conv)
+    return math.log(z) - shift / problem.nu
 
 
-def log_partition(
-    problem: Problem, rho: Density, conv: np.ndarray | None = None
-) -> float:
-    """log Z of rho, evaluated stably.
+def apply_gibbs_map(problem: Problem, rho: Density) -> Density:
+    """Apply the map once and return the image of rho."""
+    _check_grid(problem, rho)
+    return Density(problem.grid, gibbs_values(problem, problem.operator.apply(rho.values)))
+
+
+def log_partition(problem: Problem, rho: Density) -> float:
+    """log Z of rho.
 
     Minus nu times this is the multiplier estimate; at a critical point it
     equals total + interaction energy.
     """
-    exponent, shift = _exponent(problem, convolved(problem, rho, conv))
-    total = float(problem.grid.weights @ np.exp(exponent))
-    return math.log(total) - shift / problem.nu
+    _check_grid(problem, rho)
+    return gibbs_log_partition(problem, problem.operator.apply(rho.values))
 
 
 def fixed_point_residual(problem: Problem, rho: Density) -> float:

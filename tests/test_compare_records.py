@@ -92,3 +92,29 @@ def test_total_iterations_counts_every_stage_and_csv_cells():
     staged = [{"iterations": 15, "total_iterations": 60}, {"iterations": "7"}]
     assert compare_records.total_iterations(staged) == 67
     assert compare_records.iteration_change([{"n_c": 3}], [{"n_c": 4}]) == []
+
+
+def _bump_record(centre: int, total_energy: float) -> dict:
+    """A density record on nodes 0, 0.5, ..., 9.5 with a bump at node `centre`."""
+    y = [0.0] * 20
+    y[centre - 1:centre + 2] = [0.5, 1.0, 0.5]
+    return {"experiment": "multistate", "converged": True, "iterations": 47,
+            "total_energy": total_energy, "m1": centre * 0.5, "m2": (centre * 0.5) ** 2,
+            "aggregates": 1, "stages_converged": 8, "wall_time_s": 0.1,
+            "samples_kind": "density", "samples": {"x": [i * 0.5 for i in range(20)], "y": y}}
+
+
+def test_neighbouring_translate_is_one_line():
+    # the second record moves one node right at the same energy; the first
+    # stays, and the third moves its energy, so it is no translate
+    old = [_bump_record(5, -0.675), _bump_record(5, -0.675), _bump_record(5, -0.675)]
+    new = [_bump_record(5, -0.675), _bump_record(6, -0.675 * (1 + 5e-13)),
+           _bump_record(6, -0.675 * (1 + 1e-9))]
+    new[1]["samples"]["y"][6] = 1.25
+    assert compare_records.compare_records(old, new) == [
+        "record 1: neighbouring translate, m1 2.5 -> 3.0, L1 0.125 after a shift of 1 nodes",
+        "total_energy: largest relative change 1e-09",
+        "m1: largest relative change 0.167",
+        "m2: largest relative change 0.306",
+        "samples.y: largest relative change 1",
+    ]

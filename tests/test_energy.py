@@ -19,9 +19,7 @@ from swarmeq import (
     euler_lagrange_residual,
     fixed_point_residual,
     indicator_density,
-    interaction_energy,
     make_grid,
-    potential_energy,
     total_energy,
 )
 from swarmeq.gibbs import log_partition
@@ -29,7 +27,7 @@ from swarmeq.gibbs import log_partition
 
 def interaction(kernel, rho):
     """Interaction energy of rho under kernel; V and nu do not enter it."""
-    return interaction_energy(Problem(rho.grid, kernel, ZeroPotential(), 1.0), rho)
+    return total_energy(Problem(rho.grid, kernel, ZeroPotential(), 1.0), rho).interaction
 
 
 class TestInteraction:
@@ -132,9 +130,8 @@ class TestDensityOnAnotherGrid:
     object, even one with the same nodes (`solve` has its own test)."""
 
     @pytest.mark.parametrize("function", [
-        interaction_energy, potential_energy, total_energy, apply_gibbs_map,
-        log_partition, fixed_point_residual, euler_lagrange_residual,
-        boundary_condition_error, com_drift, diagnose,
+        total_energy, apply_gibbs_map, log_partition, fixed_point_residual,
+        euler_lagrange_residual, boundary_condition_error, com_drift, diagnose,
     ], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("mode", list(SpacingMode), ids=lambda m: m.value)
     def test_rejected(self, function, mode):

@@ -560,7 +560,8 @@ class TestCli:
     ])
     def test_empty_sweep_exits_two(self, name, item, capsys):
         assert main(["experiment", name, "--set", item]) == 2
-        assert "sweeps no values" in capsys.readouterr().err
+        key = item.split("=")[0]
+        assert f"{key}: an empty parameter list sweeps no values" in capsys.readouterr().err
 
     def test_continuation_converges_only_if_every_stage_does(self, tmp_path):
         # stage 0 runs out of its 10 iterations; the last three converge
@@ -588,6 +589,18 @@ class TestCli:
         assert main([*command, "--set", item]) == 2
         key = item.split("=")[0]
         assert f"{key} must be an integer, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,item", [
+        ("kp2", 'tau_c="abc"'), ("kp2", "tau_c=[0.1]"), ("kp2", "L=[1]"),
+        ("kp2", 'nu={"a":1}'), ("kp2", "tol=[1]"), ("solve", "rho0_interval=5"),
+        ("solve", "schedule=5"), ("gamma-energy", "nu=true"), ("gamma-energy", "g=[true]"),
+    ])
+    def test_real_override_of_another_type_exits_two(self, name, item, capsys):
+        # a bool would read as 0 or 1; the others would end in a TypeError
+        command = ["solve"] if name == "solve" else ["experiment", name]
+        assert main([*command, "--set", item]) == 2
+        key = item.split("=")[0]
+        assert re.search(rf"error: {key} must be a (list of )?number", capsys.readouterr().err)
 
     def test_whole_float_integer_override_is_accepted(self, tmp_path):
         out = tmp_path / "run.json"

@@ -22,7 +22,7 @@ from swarmeq import (
     total_energy,
 )
 from swarmeq.analytic import log_retained_mass
-from swarmeq.gibbs import log_partition
+from swarmeq.gibbs import gibbs_log_partition, gibbs_values, log_partition
 
 
 class TestApplyMap:
@@ -103,12 +103,9 @@ class TestApplyMap:
 
     def test_non_finite_exponent_aborts(self):
         g = make_grid(1.0, 16)
-        rho = Density.normalized(g, np.ones(16))
         bad_conv = np.full(16, np.nan)
         with pytest.raises(GibbsMapError, match="non-finite"):
-            apply_gibbs_map(
-                Problem(g, zero_kernel(), ZeroPotential(), 0.5), rho, conv=bad_conv
-            )
+            gibbs_values(Problem(g, zero_kernel(), ZeroPotential(), 0.5), bad_conv)
 
 
 class TestLogPartition:
@@ -117,11 +114,21 @@ class TestLogPartition:
         # the same check as apply_gibbs_map: one bad node is an error, not a
         # NaN or a finite log Z that ignores the node
         g = make_grid(1.0, 16)
-        rho = Density.normalized(g, np.ones(16))
         conv = np.zeros(16)
         conv[5] = bad
         with pytest.raises(GibbsMapError, match="non-finite exponent at node 5"):
-            log_partition(Problem(g, zero_kernel(), ZeroPotential(), 0.5), rho, conv=conv)
+            gibbs_log_partition(Problem(g, zero_kernel(), ZeroPotential(), 0.5), conv)
+
+    def test_zero_partition_value_aborts(self):
+        # the same Z check as apply_gibbs_map; unreachable with positive
+        # weights, where the node of least exponent maps to 1
+        g = make_grid(2.0, 65)
+        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), 0.1)
+        rho = indicator_density(g, 0, 1)
+        g.weights[:] = 0.0
+        for function in (apply_gibbs_map, log_partition):
+            with pytest.raises(GibbsMapError, match=r"^partition value 0\.0"):
+                function(problem, rho)
 
 
 class TestResidual:
