@@ -23,6 +23,7 @@ if anything moved.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -37,9 +38,13 @@ IGNORED = "wall_time_s"
 # IGNORED with its value as the JSON text writes it; a string value that holds
 # the key has its quotes escaped, so it cannot match.
 _IGNORED_TEXT = re.compile(r'"wall_time_s": -?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
-# Largest relative change of total_energy in a record that moved to a
-# neighbouring translate (see `translate`).
+# Largest relative change of total_energy, and smallest change of m1 in node
+# spacings, of a record that moved to a neighbouring translate (see
+# `translate`).  Converged records whose last bits moved shift m1 by at most
+# 2.4e-6 of a node; the multistate records that settled on a translate, by
+# 0.42 and 1.18 nodes.
 TRANSLATE_ENERGY = 1e-12
+TRANSLATE_SHIFT = 0.1
 SCHEDULE = ["--set", "schedule=[0.02,0.01]", "--set", "N=128", "--set", "N_max=300"]
 # CLI arguments of each compared run, without --output.
 RUNS = (
@@ -110,11 +115,12 @@ def translate(index: int, old: dict, new: dict) -> str | None:
     """The one line of a density record whose samples moved to a neighbouring
     translate, or None.  A translate keeps ``total_energy`` within
     TRANSLATE_ENERGY relative, ``aggregates``, ``stages_converged`` and the
-    nodes, and moves ``m1`` by at least half a node spacing h (the mean
-    spacing), so that the whole-node shift s nearest the ``m1`` change is not
-    0.  The line gives ``m1`` before and after and the L1 distance, h times
-    the summed absolute difference, of the old samples and the new ones read s
-    nodes on, with samples past either end read as 0."""
+    nodes x, and moves ``m1`` by d, at least TRANSLATE_SHIFT times the mean
+    node spacing h; its samples lie closer to the old ones shifted by d than
+    to the old ones in place.  The distance to the old samples shifted by d is
+    h sum_i |y_new(x_i) - y_old(x_i - d)|, with y_old interpolated linearly
+    between its nodes and read as 0 past either end.  The line gives ``m1``
+    before and after, that distance and d in units of h."""
     if not all(r.get("samples_kind") == "density" and "samples" in r and "m1" in r
                for r in (old, new)):
         return None
@@ -126,18 +132,25 @@ def translate(index: int, old: dict, new: dict) -> str | None:
     if new["samples"]["x"] != x or len(x) < 2:
         return None
     h = (x[-1] - x[0]) / (len(x) - 1)
-    shift = round((new["m1"] - old["m1"]) / h)
-    if shift == 0:
+    shift = new["m1"] - old["m1"]
+    if not abs(shift) >= TRANSLATE_SHIFT * h:
         return None
-    n = len(x)
 
-    def at(y: list, i: int) -> float:
-        return y[i] if 0 <= i < n else 0.0
+    def old_at(t: float) -> float:
+        if not x[0] <= t <= x[-1]:
+            return 0.0
+        i = min(bisect.bisect_right(x, t), len(x) - 1)  # x[i - 1] <= t <= x[i]
+        s = (t - x[i - 1]) / (x[i] - x[i - 1])
+        return (1 - s) * y_old[i - 1] + s * y_old[i]
 
-    l1 = h * sum(abs(at(y_old, i) - at(y_new, i + shift))
-                 for i in range(min(0, -shift), max(n, n - shift)))
+    def l1(d: float) -> float:
+        return h * sum(abs(b - old_at(t - d)) for t, b in zip(x, y_new))
+
+    distance = l1(shift)
+    if not distance < l1(0.0):
+        return None
     return (f"record {index}: neighbouring translate, m1 {old['m1']!r} -> {new['m1']!r}, "
-            f"L1 {l1:.3g} after a shift of {shift} nodes")
+            f"L1 {distance:.3g} after a shift of {shift / h:.3g} nodes")
 
 
 def compare_records(old: list[dict], new: list[dict]) -> list[str]:

@@ -82,8 +82,8 @@ def entropy(rho: Density) -> float:
 
 
 def _entropy(grid: Grid, v: np.ndarray) -> float:
-    terms = v * np.log(v, out=np.zeros_like(v), where=v > 0)
-    return integrate(grid, terms)
+    # log 1 = 0 stands in at v <= 0, so 0 log 0 = 0; a masked log takes twice as long
+    return integrate(grid, v * np.log(np.where(v > 0, v, 1.0)))
 
 
 def total_energy(problem: Problem, rho: Density) -> EnergyBreakdown:

@@ -12,13 +12,16 @@ dy_j of y and df_j of f over successive steps of the same beta:
 
     x = y - sum_j gamma_j dy_j,
 
-with gamma the trapezoid-weighted least-squares fit of f by the df_j.  The
+with gamma the trapezoid-weighted least-squares fit of f by the df_j, solved
+through its normal equations: the Gram matrix of the weighted df_j gains one
+row and column per difference pushed, and an m x m solve gives gamma.  The
 history holds the last ANDERSON_DEPTH differences at beta = tau_c and the
-last one at beta = 1, and it is cleared when beta switches.  x is taken when
-it is finite, positive, of unit mass and of lower energy than both rho and
-T(rho); otherwise the step takes y.  The steps are named "full" (y at
-beta = 1), "secant" (x at beta = 1), "anderson" (x at beta = tau_c) and
-"conservative" (y at beta = tau_c).
+last one at beta = 1, and it is cleared when beta switches.  A singular Gram
+matrix, or a gamma that is not finite, gives no x.  x is taken when it is
+finite, positive, of unit mass and of lower energy than both rho and T(rho);
+otherwise the step takes y.  The steps are named "full" (y at beta = 1),
+"secant" (x at beta = 1), "anderson" (x at beta = tau_c) and "conservative"
+(y at beta = tau_c).
 
 At beta = 1 with one difference, x is the secant step
 (1 - gamma) T(rho) + gamma T(rho_prev).  It is fitted only while the residual
@@ -63,21 +66,20 @@ ANDERSON_DEPTH = 4
 # When the secant step is fitted and tried (module docstring).  Measured as
 # total iterations of kp2 / kpsmall / kplarge at their defaults, and of kplarge
 # p = 256, g = 0, with 55 / 1654 / 1443 and 1048 without the step and
-# 35 / 1103 / 1230 and 1048 with these values, when gamma was computed in
-# closed form; through the shared least-squares fit kplarge takes 1235:
+# 35 / 1104 / 1229 and 1048 with these values, through the Gram fit:
 # - Only while the residual falls by less than this factor per step.  At 0 the
 #   p = 256, g = 0 record takes a secant step at iteration 70, where the
-#   residual had fallen to a third, and needs 1074 iterations; at 0.8 kp2 and
+#   residual had fallen to a third, and needs 1060 iterations; at 0.8 kp2 and
 #   kpsmall take 55 and 1176.
 SECANT_CONTRACTION = 0.5
 # - Only when the fit removes at least this share of ||f||_w^2.  At 0 the
 #   p = 256, g = 0 record takes candidates that remove about 1e-5 of it and
-#   needs 1059 iterations; at 0.1 kpsmall takes 1119.  Without the test kp2
-#   and kplarge take 38 and 1247 through the shared fit.
+#   needs 1060 iterations; at 0.1 kpsmall takes 1120.  Without the test kp2
+#   and kplarge take 38 and 1241.
 SECANT_MIN_GAIN = 0.01
 # - Not in this many full steps after a failed try.  The p = 256, g = 0 record
-#   fails every try; at 4 / 8 / 16 it makes 195 / 108 / 58 fits and kpsmall
-#   takes 1075 / 1103 / 1145 iterations.
+#   fails every try; at 4 / 8 / 16 it makes 197 / 110 / 60 fits and kpsmall
+#   takes 1075 / 1104 / 1146 iterations.
 SECANT_BACKOFF = 8
 
 @dataclass(frozen=True)
@@ -166,9 +168,11 @@ def solve(
     operator = problem.operator
     sqrt_w = np.sqrt(grid.weights)
     # Ring buffer of the differences, over successive steps of one beta, of the
-    # weighted f = T(rho) - rho, of y = rho + beta f and of K * y; `stored`
-    # counts the differences pushed since beta last switched.
+    # weighted f = T(rho) - rho, of y = rho + beta f and of K * y, and the Gram
+    # matrix of the d_f rows; `stored` counts the differences pushed since beta
+    # last switched, so the ring and its Gram matrix are refilled from slot 0.
     d_f, d_y, d_conv = np.empty((3, ANDERSON_DEPTH, grid.size))
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
     stored = 0
     previous = None  # (f, y, K * y, beta) of the last step
     wait = 0  # full steps left before the next secant try
@@ -224,8 +228,8 @@ def solve(
             stored += 1
             m = min(stored, depth)
             wf = f * sqrt_w
-            gamma = np.linalg.lstsq(d_f[:m].T, wf, rcond=None)[0]
-            if beta < 1 or gamma @ (d_f[:m] @ wf) > SECANT_MIN_GAIN * (wf @ wf):
+            gamma, b = _fit(gram, d_f, slot, m, wf)
+            if gamma is not None and (beta < 1 or gamma @ b > SECANT_MIN_GAIN * (wf @ wf)):
                 candidate = _anderson_candidate(
                     problem, y - gamma @ d_y[:m], y_conv - gamma @ d_conv[:m],
                     min(energy, image_energy),
@@ -268,6 +272,23 @@ def solve(
         step_trace=step_trace,
         nu=problem.nu,
     )
+
+
+def _fit(
+    gram: np.ndarray, d_f: np.ndarray, slot: int, m: int, wf: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """(gamma, b) of the least-squares fit of wf by the rows d_f[:m], after
+    row `slot` was pushed: fill row and column `slot` of the Gram matrix
+    gram[:m, :m] = d_f[:m] d_f[:m]^T, form b = d_f[:m] wf and solve the normal
+    equations gram[:m, :m] gamma = b.  gamma is None when the Gram matrix is
+    singular or gamma is not finite."""
+    gram[slot, :m] = gram[:m, slot] = d_f[:m] @ d_f[slot]
+    b = d_f[:m] @ wf
+    try:
+        gamma = np.linalg.solve(gram[:m, :m], b)
+    except np.linalg.LinAlgError:
+        return None, b
+    return (gamma if np.isfinite(gamma).all() else None), b
 
 
 def _anderson_candidate(
@@ -330,16 +351,17 @@ def count_aggregates(rho: Density, prominence: float) -> int:
         return 0
     threshold = prominence * peak
 
-    breaks = (np.flatnonzero(np.diff(v)) + 1).tolist()
-    runs = zip([0, *breaks], [i - 1 for i in breaks] + [n - 1])  # (first, last) node
-    candidates = [
-        (a, b) for a, b in runs
-        if (a > 0 or b < n - 1)
-        and (a == 0 or v[a - 1] < v[a]) and (b == n - 1 or v[b + 1] < v[b])
-    ]
+    ends = np.flatnonzero(np.diff(v))  # the last node of every run but the last
+    first = np.concatenate(([0], ends + 1))
+    last = np.append(ends, n - 1)
+    # a run is a maximum when it lies above the run before it (if any), above
+    # the run after it (if any), and is not the whole grid
+    above_left = np.concatenate(([True], v[ends] < v[ends + 1]))
+    above_right = np.append(v[ends + 1] < v[ends], True)
+    maxima = above_left & above_right & ((first > 0) | (last < n - 1))
 
     count = 0
-    for a, b in candidates:
+    for a, b in zip(first[maxima].tolist(), last[maxima].tolist()):
         top = v[a]
         bases = []
         if a > 0:

@@ -118,3 +118,25 @@ def test_neighbouring_translate_is_one_line():
         "m2: largest relative change 0.306",
         "samples.y: largest relative change 1",
     ]
+
+
+def _hat_record(centre: float) -> dict:
+    """_bump_record with the samples of a hat of half-width 1 about `centre`."""
+    record = _bump_record(5, -0.675)
+    x = record["samples"]["x"]
+    record["samples"]["y"] = [max(0.0, 1.0 - abs(t - centre)) for t in x]
+    record["m1"] = centre
+    return record
+
+
+def test_sub_node_translate_is_one_line():
+    # the hat moves 0.4 of a node: read against the old samples shifted by the
+    # m1 change it is closer than in place; samples that stayed in place are
+    # not, and a move of 0.04 of a node is too small to count
+    old, new = _hat_record(2.6), _hat_record(2.8)
+    assert compare_records.compare_records([old], [new]) == [
+        "record 0: neighbouring translate, m1 2.6 -> 2.8, L1 0.08 after a shift of 0.4 nodes"]
+    stayed = _hat_record(2.6)
+    stayed["m1"] = 2.8
+    assert compare_records.translate(0, old, stayed) is None
+    assert compare_records.translate(0, old, _hat_record(2.62)) is None

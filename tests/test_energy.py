@@ -19,9 +19,11 @@ from swarmeq import (
     euler_lagrange_residual,
     fixed_point_residual,
     indicator_density,
+    integrate,
     make_grid,
     total_energy,
 )
+from swarmeq.energy import _entropy
 from swarmeq.gibbs import log_partition
 
 
@@ -85,6 +87,19 @@ class TestEntropy:
         g = make_grid(2.0, 129)
         rho = indicator_density(g, 0.0, 1.0)
         assert np.isfinite(entropy(rho))
+
+    @pytest.mark.parametrize("n", [1024, 8192])
+    def test_equals_the_masked_log_bit_for_bit(self, rng, n):
+        # v log v with log 1 standing in at v <= 0, against the masked log
+        def masked(v):
+            return integrate(g, v * np.log(v, out=np.zeros_like(v), where=v > 0))
+
+        g = make_grid(2.0, n)
+        v = np.exp(rng.uniform(-600.0, 5.0, n))
+        assert _entropy(g, v) == masked(v)
+        v[::7] = 0.0  # 0 log 0 = 0
+        assert _entropy(g, v) == masked(v)
+        assert _entropy(g, np.zeros(n)) == 0.0
 
     def test_half_gaussian_closed_form(self):
         nu = 2.0**-6

@@ -231,21 +231,21 @@ def _subnormal(a: np.ndarray) -> bool:
 
 def _watch_subnormals(monkeypatch) -> dict[str, list]:
     """Spy on `solve`: per step whether |f| = |T(rho) - rho| holds a subnormal
-    entry ("f"), and per fit its step and whether its inputs hold one
-    ("lstsq", as (step, subnormal))."""
-    seen = {"f": [], "lstsq": []}
-    real_integrate, real_lstsq = solver.integrate, np.linalg.lstsq
+    entry ("f"), and per fit its step and whether its inputs, the pushed
+    difference row and the weighted f, hold one ("fit", as (step, subnormal))."""
+    seen = {"f": [], "fit": []}
+    real_integrate, real_fit = solver.integrate, solver._fit
 
     def integrate(grid, values):  # `solve` integrates only |f|, once per step
         seen["f"].append(_subnormal(values))
         return real_integrate(grid, values)
 
-    def lstsq(a, b, rcond=None):
-        seen["lstsq"].append((len(seen["f"]) - 1, _subnormal(a) or _subnormal(b)))
-        return real_lstsq(a, b, rcond=rcond)
+    def fit(gram, d_f, slot, m, wf):
+        seen["fit"].append((len(seen["f"]) - 1, _subnormal(d_f[slot]) or _subnormal(wf)))
+        return real_fit(gram, d_f, slot, m, wf)
 
     monkeypatch.setattr(solver, "integrate", integrate)
-    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    monkeypatch.setattr(solver, "_fit", fit)
     return seen
 
 
@@ -259,7 +259,57 @@ class TestAnderson:
         report = solve(problem, indicator_density(g, 0, 8))
         assert report.converged and "anderson" in report.step_trace
         assert len(seen["f"]) == report.iterations and not any(seen["f"])
-        assert seen["lstsq"] and not any(subnormal for _, subnormal in seen["lstsq"])
+        assert seen["fit"] and not any(subnormal for _, subnormal in seen["fit"])
+
+    def test_gram_fit_matches_least_squares(self, monkeypatch):
+        # every fit of the first stage of the default multistate run against
+        # np.linalg.lstsq on the same ring, wherever the ring is well
+        # conditioned: the normal equations square its condition number
+        checked, real_fit = [], solver._fit
+
+        def fit(gram, d_f, slot, m, wf):
+            gamma, b = real_fit(gram, d_f, slot, m, wf)
+            if np.linalg.cond(d_f[:m]) <= 100:
+                expected = np.linalg.lstsq(d_f[:m].T, wf, rcond=None)[0]
+                assert gamma is not None
+                checked.append(np.linalg.norm(gamma - expected) / np.linalg.norm(expected))
+            return gamma, b
+
+        monkeypatch.setattr(solver, "_fit", fit)
+        g = make_grid(8.0, 1024, SpacingMode.UNIFORM)
+        problem = Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), 10 * 2.0**-13)
+        report = solve(problem, indicator_density(g, 0, 8))
+        assert report.converged
+        assert len(checked) >= report.step_trace.count("anderson") // 2
+        assert max(checked) <= 1e-10
+
+    @pytest.mark.parametrize("beta", ["tau_c", "1"])
+    def test_zero_difference_gives_no_candidate(self, monkeypatch, beta):
+        # a zero difference makes the Gram matrix singular: the fit gives no
+        # gamma, and the step takes y without trying a candidate
+        if beta == "tau_c":
+            problem = self._problem()
+            rho0 = indicator_density(problem.grid, 0, 8)
+        else:
+            problem = _secant_problem()
+            rho0 = indicator_density(problem.grid, 0, 0.25)
+        fits, tries, real_fit = [], [], solver._fit
+
+        def fit(gram, d_f, slot, m, wf):
+            d_f[slot] = 0.0
+            fits.append((m, *real_fit(gram, d_f, slot, m, wf)))
+            return fits[-1][1:]
+
+        monkeypatch.setattr(solver, "_fit", fit)
+        monkeypatch.setattr(solver, "_anderson_candidate", lambda *args: tries.append(args))
+        report = solve(problem, rho0, SolverConfig(max_iterations=40))
+        assert fits and all(gamma is None for _, gamma, _ in fits)
+        assert not tries
+        assert not {"anderson", "secant"} & set(report.step_trace)
+        if beta == "tau_c":
+            assert max(m for m, _, _ in fits) == solver.ANDERSON_DEPTH
+        else:
+            assert report.tau_trace == [1.0] * report.iterations
 
     def _problem(self):
         g = make_grid(8.0, 128)
@@ -377,19 +427,20 @@ class TestSecant:
         # skips the next SECANT_BACKOFF full steps
         problem = _secant_problem(SpacingMode.UNIFORM, 4.0, 1.5, None)
         rho0 = indicator_density(problem.grid, 0, 1.0)
-        real_lstsq = np.linalg.lstsq
-        for blind in (lambda a, b: 0 * a, lambda a, b: a - np.outer(b, b @ a) / (b @ b)):
+        real_fit = solver._fit
+        for blind in (lambda a, b: 0 * a, lambda a, b: a - b * (b @ a) / (b @ b)):
             fits, tries = [], []
 
-            def lstsq(a, b, rcond=None):
-                fits.append(a.shape)
-                return real_lstsq(blind(a, b), b, rcond=rcond)
+            def fit(gram, d_f, slot, m, wf):
+                fits.append(m)
+                d_f[slot] = blind(d_f[slot], wf)
+                return real_fit(gram, d_f, slot, m, wf)
 
-            monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+            monkeypatch.setattr(solver, "_fit", fit)
             monkeypatch.setattr(solver, "_anderson_candidate", lambda *args: tries.append(args))
             report = solve(problem, rho0)
             assert report.converged and set(report.step_trace) == {"full"}
-            assert fits and all(shape == (problem.grid.size, 1) for shape in fits)
+            assert fits and all(m == 1 for m in fits)
             assert not tries
             assert len(fits) <= report.iterations // (solver.SECANT_BACKOFF + 1) + 1
 
@@ -403,10 +454,10 @@ class TestSecant:
         assert report.converged
         assert report.iterations <= 1048  # the count without the secant step
         assert len(seen["f"]) == report.iterations and not any(seen["f"])
-        assert seen["lstsq"] and not any(subnormal for _, subnormal in seen["lstsq"])
+        assert seen["fit"] and not any(subnormal for _, subnormal in seen["fit"])
         # every try fails, and each failure skips the next SECANT_BACKOFF full steps
         assert "secant" not in report.step_trace
-        secant_fits = [k for k, _ in seen["lstsq"] if report.tau_trace[k] == 1.0]
+        secant_fits = [k for k, _ in seen["fit"] if report.tau_trace[k] == 1.0]
         assert secant_fits
         assert len(secant_fits) <= report.iterations // (solver.SECANT_BACKOFF + 1) + 1
 
@@ -568,3 +619,36 @@ class TestCountAggregates:
         v = np.clip(10 - np.abs(x - 32), 0, None)
         v[33:35] = (9.6, 9.7)
         assert count_aggregates(self.grid_density(v), 0.05) == 1
+
+    def test_counts_equal_the_loop_over_runs(self, rng):
+        # the scan for maxima against a loop over every run of equal values
+        def reference(v, prominence):
+            n, threshold = v.size, prominence * v.max()
+            breaks = (np.flatnonzero(np.diff(v)) + 1).tolist()
+            runs = zip([0, *breaks], [i - 1 for i in breaks] + [n - 1])
+            count = 0
+            for a, b in runs:
+                if not ((a > 0 or b < n - 1) and (a == 0 or v[a - 1] < v[a])
+                        and (b == n - 1 or v[b + 1] < v[b])):
+                    continue
+                bases = []
+                if a > 0:
+                    higher = np.flatnonzero(v[:a] >= v[a])
+                    bases.append(v[higher[-1] + 1 if higher.size else 0:a].min())
+                if b < n - 1:
+                    higher = np.flatnonzero(v[b + 1:] > v[a])
+                    bases.append(v[b + 1:b + 1 + higher[0] if higher.size else n].min())
+                count += v[a] - max(bases) >= threshold
+            return count
+
+        counts = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 80))
+            # few distinct levels, so that runs of equal values are common
+            levels = rng.integers(0, int(rng.integers(2, 6)), n)
+            rho = Density.normalized(make_grid(float(n - 1), n), levels + 1e-3)
+            for prominence in (0.05, 0.3, 0.7):
+                count = count_aggregates(rho, prominence)
+                assert count == reference(rho.values, prominence)
+                counts.add(count)
+        assert len(counts) > 3
