@@ -106,13 +106,17 @@ class TruncatedGaussian:
         return self.c / math.sqrt(2.0 * self.nu)
 
     @property
-    def normalizer(self) -> float:
-        """A(c); computed via erfc to stay accurate for strongly negative c."""
-        return (2.0 / math.sqrt(2.0 * math.pi * self.nu)) / math.erfc(-self.scaled_shift)
+    def log_normalizer(self) -> float:
+        """log A(c), through log_retained_mass: A itself overflows once the
+        retained mass 1 + erf(t) underflows, from t = c / sqrt(2 nu) of
+        about -26.6 down."""
+        return math.log(2.0 / math.sqrt(2.0 * math.pi * self.nu)) - log_retained_mass(
+            self.scaled_shift
+        )[0]
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
-        out = self.normalizer * np.exp(-((x - self.c) ** 2) / (2.0 * self.nu))
+        out = np.exp(self.log_normalizer - (x - self.c) ** 2 / (2.0 * self.nu))
         return float(out) if out.ndim == 0 else out
 
     @property

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from .geometry import (
     slab_domain,
     wedge_domain,
 )
-from .grid import Density, Grid, SpacingMode, indicator_density, integrate, make_grid
+from .grid import Density, Grid, indicator_density, integrate, make_grid
 from .potentials import (
     ExternalPotential,
     InteractionKernel,
@@ -96,32 +97,28 @@ class ResultRecord:
         return self.metrics.get("converged")
 
 
-def _spacing(name: str) -> SpacingMode:
-    try:
-        return SpacingMode(name)
-    except ValueError:
-        raise ValueError(
-            f"unknown grid mode {name!r}; use 'uniform' or 'quadratic'"
-        ) from None
-
-
 def _integer(ov: dict[str, Any], key: str, default: int) -> int:
-    """The override `key`, or the default, as an int; a value that is not a
-    whole number would be truncated, so it is a configuration error."""
+    """The override `key`, or the default, as an int.  It must be a number
+    that `_real` accepts and a whole one: any other would be truncated, so it
+    is a configuration error."""
     value = ov.get(key, default)
     if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+        isinstance(value, numbers.Real) and _real(key, value).is_integer()
     ):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
 def _real(key: str, value: Any) -> float:
-    """The override `key`, or one item of it, as a float.  Any other value is
-    a configuration error: a bool would read as 0 or 1, and a string, list or
-    dict would fail later with a TypeError."""
+    """The override `key`, or one item of it, as a finite float.  Any other
+    value is a configuration error, for the CLI and library calls alike: a
+    bool would read as 0 or 1, a string, list or dict would fail later with a
+    TypeError, and a NaN, an infinity or an int beyond the float range (which
+    would read as one) would reach the records."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN fails too; an int compares exactly
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -141,6 +138,14 @@ def _sweep(ov: dict[str, Any], key: str, default: Any) -> list[float]:
     if not values:
         raise ValueError(f"{key}: an empty parameter list sweeps no values")
     return values
+
+
+def _prominence(ov: dict[str, Any]) -> float:
+    """The override `prominence`, or its default; `count_aggregates` needs it positive."""
+    prominence = _real("prominence", ov.get("prominence", _PROMINENCE))
+    if not prominence > 0:
+        raise ValueError(f"prominence must be positive, got {prominence!r}")
+    return prominence
 
 
 def _solve_metrics(report: SolveReport, prominence: float) -> dict[str, Any]:
@@ -215,7 +220,7 @@ class _Solving:
         nu = _real("nu", ov.get("nu", self.nu))
         grid = make_grid(
             _real("L", ov.get("L", self.length)), _integer(ov, "N", 1024),
-            _spacing(ov.get("grid", self.mode)),
+            ov.get("grid", self.mode),
         )
         cfg = SolverConfig(
             tau_c=None if ov.get("tau_c") is None else _real("tau_c", ov["tau_c"]),
@@ -223,7 +228,8 @@ class _Solving:
             max_iterations=_integer(ov, "N_max", SolverConfig.max_iterations),
         )
         records = []
-        for point in self.points(ov, grid, nu):
+        # read every point before the first solve; build each Problem in its turn
+        for point in list(self.points(ov, grid, nu)):
             t0 = time.perf_counter()
             problem = Problem(grid, point.kernel, point.potential, point.lead["nu"])
             schedule = point.schedule or ContinuationSchedule((problem.nu,))
@@ -258,6 +264,8 @@ def _schedule(ov: dict[str, Any], nu: float, start: float | None) -> Continuatio
 def _kp2_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
     gc = critical_slope(nu)
     gs = _sweep(ov, "g", [0.25 * gc, gc, 4 * gc])
+    if min(gs) <= 0:  # `_exact_metrics` compares with a minimizer only g > 0 has
+        raise ValueError(f"g must be positive in kp2, got {min(gs)!r}")
     rho0 = indicator_density(grid, 0.0, 0.25)
     for g in gs:
         yield _Solve({"nu": nu, "g": g, "g_over_gc": g / gc}, PowerLawKernel(2.0),
@@ -302,7 +310,7 @@ def _limit_metrics(point: _Solve, reports: list[SolveReport]) -> dict[str, Any]:
 
 def _multistate_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
     eps = _real("eps", ov.get("eps", _QANR_EPS))
-    prominence = _real("prominence", ov.get("prominence", _PROMINENCE))
+    prominence = _prominence(ov)
     rho0 = indicator_density(grid, 0.0, grid.length)
     if "schedule" not in ov and _integer(ov, "stages", _STAGES) < 2:
         # one stage ignores the start, so both records would be the same solve
@@ -339,7 +347,7 @@ def _custom_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve
             raise ValueError(f"{other} is not a parameter of kernel {kind!r}")
     shape = {key: _real(key, ov.get(key, default))}
     g = _real("g", ov.get("g", 0.0))
-    prominence = _real("prominence", ov.get("prominence", _PROMINENCE))
+    prominence = _prominence(ov)
     interval = _reals("rho0_interval", ov.get("rho0_interval", [0.0, grid.length]))
     if len(interval) != 2:
         raise ValueError(f"rho0_interval must hold two numbers, got {interval!r}")

@@ -100,23 +100,23 @@ class Grid:
         return self.mode is SpacingMode.UNIFORM
 
 
-def make_grid(length: float, n: int, mode: SpacingMode = SpacingMode.UNIFORM) -> Grid:
+def make_grid(length: float, n: int, mode: SpacingMode | str = SpacingMode.UNIFORM) -> Grid:
     """Build an n-node grid on [0, length] with trapezoid weights.
 
-    Uniform mode places x_i = L*i/(N-1); quadratic mode places
-    x_i = L*(i/(N-1))^2, concentrating resolution at the x = 0 boundary.
+    `mode` is a SpacingMode or its name ("uniform" or "quadratic").  Uniform
+    mode places x_i = L*i/(N-1); quadratic mode places x_i = L*(i/(N-1))^2,
+    concentrating resolution at the x = 0 boundary.
     """
+    try:
+        mode = SpacingMode(mode)
+    except ValueError:
+        raise ValueError(f"unknown grid mode {mode!r}; use 'uniform' or 'quadratic'") from None
     if not length > 0:
         raise ValueError(f"domain length must be positive, got {length}")
     if n < 3:
         raise ValueError(f"need at least 3 quadrature nodes, got {n}")
     s = np.arange(n, dtype=float) / (n - 1)
-    if mode is SpacingMode.UNIFORM:
-        nodes = length * s
-    elif mode is SpacingMode.QUADRATIC:
-        nodes = length * s * s
-    else:
-        raise ValueError(f"unknown spacing mode {mode!r}")
+    nodes = length * s if mode is SpacingMode.UNIFORM else length * s * s
     gaps = np.diff(nodes)
     weights = np.empty(n)
     weights[0] = gaps[0] / 2

@@ -39,7 +39,7 @@ class PowerLawKernel(InteractionKernel):
 
     def __post_init__(self):
         if not self.p > 0:
-            raise ValueError(f"power-law exponent must be positive, got {self.p}")
+            raise ValueError(f"power-law exponent p must be positive, got {self.p}")
 
     def __call__(self, x):
         ax, scalar = _as_array(np.abs(x))
@@ -59,7 +59,7 @@ class RegularizedQanrKernel(InteractionKernel):
 
     def __post_init__(self):
         if not 0 < self.eps <= 1:
-            raise ValueError(f"regularization width must lie in (0, 1], got {self.eps}")
+            raise ValueError(f"regularization width eps must lie in (0, 1], got {self.eps}")
 
     def __call__(self, x):
         ax, scalar = _as_array(np.abs(x))
@@ -142,7 +142,7 @@ class LinearPotential(ExternalPotential):
 
     def __post_init__(self):
         if not self.g >= 0:
-            raise ValueError(f"linear potential slope must be nonnegative, got {self.g}")
+            raise ValueError(f"linear potential slope g must be nonnegative, got {self.g}")
 
     def __call__(self, x):
         ax, scalar = _as_array(x)

@@ -194,12 +194,21 @@ class TestExactMinimizer:
             tg = exact_minimizer(nu, g)
             assert abs(tg.density(0.0) - g / nu) <= 1e-10
 
+    @pytest.mark.parametrize("factor", [0.25, 1.0, 4.0, 48.0, 100.0, 1000.0])
+    def test_boundary_identity_far_beyond_critical_slope(self, factor):
+        # from about 48 gc the retained mass 1 + erf underflows, so the
+        # normalizer A itself would overflow; its log does not
+        nu = 2.0**-6
+        g = factor * critical_slope(nu)
+        assert exact_minimizer(nu, g).density(0.0) == pytest.approx(g / nu, rel=1e-9)
+
     def test_half_gaussian_case(self):
         nu = 2.0**-6
         gc = critical_slope(nu)
         tg = exact_minimizer(nu, gc)
         assert tg.c == pytest.approx(0.0, abs=1e-10)
-        assert tg.normalizer == pytest.approx(2 / math.sqrt(2 * math.pi * nu), rel=1e-12)
+        log_a = math.log(2 / math.sqrt(2 * math.pi * nu))
+        assert tg.log_normalizer == pytest.approx(log_a, abs=1e-12)
         assert tg.density(0.0) == pytest.approx(gc / nu, rel=1e-12)
 
     def test_unit_mass_by_quadrature(self):

@@ -13,6 +13,7 @@ from conftest import exact_gibbs_image
 
 import swarmeq
 from swarmeq import KernelOperator, PowerLawKernel, Problem, ZeroPotential, apply_gibbs_map
+from swarmeq import experiments
 from swarmeq.cli import build_parser, main
 from swarmeq.experiments import (
     EXPERIMENT_NAMES,
@@ -117,6 +118,16 @@ class TestConfigs:
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             emit([], "xml", tmp_path / "out.xml")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
+    @pytest.mark.parametrize("name,key", [
+        ("gamma-energy", "c_min"), ("gamma-energy", "nu"), ("kp2", "N"),
+    ])
+    def test_non_finite_override_rejected(self, name, key, value):
+        # a library call is checked as the CLI is: by the reader of the key
+        with pytest.raises(ValueError, match=rf"^{key} must be a finite number, got"):
+            run_experiment(ExperimentConfig(name, {key: value}))
 
     def test_bad_grid_value_rejected(self):
         with pytest.raises(ValueError, match="grid mode"):
@@ -550,10 +561,47 @@ class TestCli:
         "g=[0.1,NaN]", "nu=nan", pytest.param("nu=1" + "0" * 400, id="nu=10**400"),
     ])
     def test_malformed_or_non_finite_override_exits_two(self, item, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["experiment", "gamma-energy", "--set", item])
-        assert exc.value.code == 2
-        assert "argument --set" in capsys.readouterr().err
+        # argparse rejects an item without "="; the reader of the key, a number
+        # that is not finite (and "nan", which JSON reads as a string)
+        if "=" not in item:
+            with pytest.raises(SystemExit) as exc:
+                main(["experiment", "gamma-energy", "--set", item])
+            assert exc.value.code == 2
+            assert "argument --set" in capsys.readouterr().err
+            return
+        assert main(["experiment", "gamma-energy", "--set", item]) == 2
+        key = item.split("=")[0]
+        assert re.search(rf"error: {key} must be a (finite )?number, got",
+                         capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,key", [
+        (["experiment", "kp2", "--set", "g=[0.01,0]"], "g"),
+        (["experiment", "kpsmall", "--set", "p=[2.0,-1]"], "p"),
+        (["experiment", "kplarge", "--set", "g=[0.01,-1]"], "g"),
+        (["solve", "--set", "prominence=0"], "prominence"),
+        (["solve", "--set", "kernel=qanr", "--set", "eps=2"], "eps"),
+    ], ids=["kp2-g", "kpsmall-p", "kplarge-g", "custom-prominence", "custom-eps"])
+    def test_bad_value_exits_two_before_any_solve(self, command, key, monkeypatch, capsys):
+        solves = []
+        monkeypatch.setattr(experiments, "solve_with_continuation",
+                            lambda *args: solves.append(args))
+        assert main([*command, "--set", "N=64"]) == 2
+        assert solves == []
+        assert re.search(rf"error: .*\b{key}\b", capsys.readouterr().err)
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        # the output path is a directory, so opening it for writing fails
+        assert main(["experiment", "gamma-energy", "--set", "n_c=5",
+                     "--output", str(tmp_path)]) == 2
+        assert f"error: failed writing results to {tmp_path}" in capsys.readouterr().err
+
+    def test_quadratic_grid_near_one_power_does_not_converge(self, capsys):
+        # a known failure: on the quadratic grid this g = 0 solve spends its
+        # budget; pinned until the record says why it stopped
+        code = main(["experiment", "kpsmall", "--set", "grid=quadratic",
+                     "--set", "p=[1.0625]", "--set", "g=[0.0]"])
+        out = capsys.readouterr().out
+        assert (code, "NOT CONVERGED" in out, "iterations=2000" in out) == (1, True, True)
 
     @pytest.mark.parametrize("name,item", [
         ("kp2", "g=[]"), ("kpsmall", "p=[]"), ("gamma-energy", "g=[]"),

@@ -55,6 +55,18 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(length, n)
 
+    @pytest.mark.parametrize("mode", list(SpacingMode))
+    def test_takes_a_mode_name(self, mode):
+        by_name, by_mode = make_grid(2.0, 64, mode.value), make_grid(2.0, 64, mode)
+        assert by_name.mode is mode
+        np.testing.assert_array_equal(by_name.nodes, by_mode.nodes)
+        np.testing.assert_array_equal(by_name.weights, by_mode.weights)
+
+    @pytest.mark.parametrize("mode", ["chebyshev", "Uniform", 1, None])
+    def test_rejects_unknown_mode(self, mode):
+        with pytest.raises(ValueError, match="unknown grid mode .*; use 'uniform' or 'quadratic'"):
+            make_grid(2.0, 64, mode)
+
 
 class TestGrid:
     def test_rejects_nan_node(self):
