@@ -238,7 +238,7 @@ class _Solving:
             params = {
                 **point.lead, "L": grid.length, "N": grid.size, "grid": grid.mode.value,
                 "tol": cfg.tol, "N_max": cfg.max_iterations,
-                "tau_c": cfg.effective_tau_c(point.lead["nu"]), **point.trail,
+                "tau_c": final.tau_c, **point.trail,
             }
             prominence = point.trail.get("prominence", _PROMINENCE)
             metrics = {**_solve_metrics(final, prominence), **self.extra(point, reports)}
@@ -319,8 +319,7 @@ def _multistate_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_S
         schedule = _schedule(ov, nu, start)
         last = schedule.nus[-1]
         yield _Solve(
-            {"nu": last, "eps": eps,
-             "nu0_over_nu": schedule.nus[0] / last if start is None else start,
+            {"nu": last, "eps": eps, "nu0_over_nu": schedule.nus[0] / last,
              "stages": len(schedule.nus)},
             RegularizedQanrKernel(eps), ZeroPotential(), rho0,
             {"prominence": prominence, "rho0": "uniform"}, schedule,
@@ -375,7 +374,11 @@ def _run_gamma_energy(experiment: str, ov: dict[str, Any]) -> list[ResultRecord]
     gs = _sweep(ov, "g", [0.0, 0.25 * gc, gc, 2 * gc, 4 * gc])
     c_min = _real("c_min", ov.get("c_min", -0.3))
     c_max = _real("c_max", ov.get("c_max", 1.0))
+    if not c_min < c_max:  # a reversed range walks the curve backwards
+        raise ValueError(f"c_min must be below c_max, got c_min={c_min!r}, c_max={c_max!r}")
     n_c = _integer(ov, "n_c", 200)
+    if n_c < 2:  # `strictly_decreasing` compares neighbouring shifts
+        raise ValueError(f"n_c must be at least 2, got {n_c!r}")
     cs = np.linspace(c_min, c_max, n_c)
     records = []
     for g in gs:
@@ -420,6 +423,8 @@ def ball_cylinder_domain(radius: float) -> DomainSpec:
 
 def _run_effdim(experiment: str, ov: dict[str, Any]) -> list[ResultRecord]:
     seed = _integer(ov, "seed", 0)
+    if seed < 0:  # numpy's SeedSequence takes no negative entropy
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     samples = _integer(ov, "samples", 100_000)
     records = []
     for name, (spec, radii) in builtin_domains().items():

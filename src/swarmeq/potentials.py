@@ -91,13 +91,9 @@ class TabulatedKernel(InteractionKernel):
     values: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.displacements, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if d.ndim != 1 or d.shape != v.shape or d.size < 2:
-            raise ValueError("need matching 1-d tables with at least 2 entries")
-        order = np.argsort(d)
-        object.__setattr__(self, "displacements", d[order])
-        object.__setattr__(self, "values", v[order])
+        d, v = _sorted_table(self.displacements, self.values)
+        object.__setattr__(self, "displacements", d)
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TabulatedKernel":
@@ -161,13 +157,9 @@ class TabulatedPotential(ExternalPotential):
     values: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.nodes, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if n.ndim != 1 or n.shape != v.shape or n.size < 2:
-            raise ValueError("need matching 1-d tables with at least 2 entries")
-        order = np.argsort(n)
-        object.__setattr__(self, "nodes", n[order])
-        object.__setattr__(self, "values", v[order])
+        n, v = _sorted_table(self.nodes, self.values)
+        object.__setattr__(self, "nodes", n)
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TabulatedPotential":
@@ -193,17 +185,33 @@ class TabulatedPotential(ExternalPotential):
         return _maybe_scalar(slopes[idx], scalar)
 
 
+def _sorted_table(abscissae, values) -> tuple[np.ndarray, np.ndarray]:
+    """Matching 1-d float tables of at least 2 finite entries, sorted by
+    abscissa.  The sorted abscissae must strictly increase: at a repeated one
+    linear interpolation jumps and a slope divides by zero."""
+    x = np.asarray(abscissae, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.shape != v.shape or x.size < 2:
+        raise ValueError("need matching 1-d tables with at least 2 entries")
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise ValueError("tabulated entries must be finite")
+    order = np.argsort(x)
+    x, v = x[order], v[order]
+    repeated = x[1:][np.diff(x) == 0]
+    if repeated.size:
+        raise ValueError(f"tabulated abscissa {float(repeated[0])!r} is repeated")
+    return x, v
+
+
 def _read_two_column_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     xs: list[float] = []
     ys: list[float] = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
+        for i, row in enumerate(filter(None, csv.reader(fh))):  # skip blank lines
             try:
                 x, y = float(row[0]), float(row[1])
             except (ValueError, IndexError):
-                if not xs:  # tolerate a single header line
+                if i == 0:  # tolerate a single header line
                     continue
                 raise ValueError(f"malformed row {row!r} in {path}")
             xs.append(x)

@@ -103,11 +103,6 @@ class SolverConfig:
         if self.max_iterations < 1:
             raise ValueError(f"need max_iterations >= 1, got {self.max_iterations}")
 
-    def effective_tau_c(self, nu: float) -> float:
-        if self.tau_c is not None:
-            return self.tau_c
-        return min(5.0 * nu, 0.95)
-
 
 @dataclass(frozen=True)
 class ContinuationSchedule:
@@ -142,17 +137,26 @@ class ContinuationSchedule:
 
 @dataclass
 class SolveReport:
-    """Outcome of one fixed-point solve; `diagnostics` describes `density`."""
+    """Outcome of one fixed-point solve; `diagnostics` describes `density`, and
+    `tau_c` is the conservative step and Anderson damping the solve used."""
 
     density: Density
-    iterations: int
     residual: float
     diagnostics: DiagnosticsReport
     converged: bool
     energy_trace: list[float]
-    tau_trace: list[float]  # per step: beta, 1 or tau_c
     step_trace: list[str]  # per step: "full", "secant", "anderson" or "conservative"
     nu: float
+    tau_c: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.step_trace)
+
+    @property
+    def tau_trace(self) -> list[float]:
+        """Per step: beta, 1 on full and secant steps and tau_c on the others."""
+        return [1.0 if step in ("full", "secant") else self.tau_c for step in self.step_trace]
 
 
 def solve(
@@ -164,7 +168,7 @@ def solve(
     _check_grid(problem, rho0)
     grid = problem.grid
     config = config or SolverConfig()
-    tau_c = config.effective_tau_c(problem.nu)
+    tau_c = min(5.0 * problem.nu, 0.95) if config.tau_c is None else config.tau_c
     operator = problem.operator
     sqrt_w = np.sqrt(grid.weights)
     # Ring buffer of the differences, over successive steps of one beta, of the
@@ -182,25 +186,23 @@ def solve(
     conv = operator.apply(rho)
     energy = energy_breakdown(problem, rho, conv).total
     energy_trace = [energy]
-    tau_trace: list[float] = []
     step_trace: list[str] = []
-    iterations = 0
 
     while True:
         try:
             image = gibbs_values(problem, conv)
         except GibbsMapError as exc:
-            raise GibbsMapError(f"iteration {iterations}: {exc}") from exc
+            raise GibbsMapError(f"iteration {len(step_trace)}: {exc}") from exc
         f = image - rho
         previous_residual, residual = residual, integrate(grid, np.abs(f))
         converged = residual < config.tol
-        if iterations >= config.max_iterations:
+        if len(step_trace) >= config.max_iterations:
             break  # budget exhausted; keep whatever the residual test said
 
         image_conv = operator.apply(image)
         image_energy = energy_breakdown(problem, image, image_conv).total
         if not math.isfinite(image_energy):
-            raise GibbsMapError(f"iteration {iterations}: non-finite energy {image_energy!r}")
+            raise GibbsMapError(f"iteration {len(step_trace)}: non-finite energy {image_energy!r}")
         if image_energy < energy:
             beta, y, y_conv = 1.0, image, image_conv
         else:
@@ -249,9 +251,7 @@ def solve(
             rho, conv = y, y_conv
             energy = energy_breakdown(problem, rho, conv).total
         step_trace.append(step)
-        tau_trace.append(beta)
         energy_trace.append(energy)
-        iterations += 1
         if converged:
             # The residual test passed, so this last scheme update is the
             # reported state.  It is a Gibbs image only when the image lowered
@@ -263,14 +263,13 @@ def solve(
     density = Density(grid, rho)
     return SolveReport(
         density=density,
-        iterations=iterations,
         residual=residual,
         diagnostics=diagnose(problem, density),
         converged=converged,
         energy_trace=energy_trace,
-        tau_trace=tau_trace,
         step_trace=step_trace,
         nu=problem.nu,
+        tau_c=tau_c,
     )
 
 

@@ -12,7 +12,14 @@ import pytest
 from conftest import exact_gibbs_image
 
 import swarmeq
-from swarmeq import KernelOperator, PowerLawKernel, Problem, ZeroPotential, apply_gibbs_map
+from swarmeq import (
+    ContinuationSchedule,
+    KernelOperator,
+    PowerLawKernel,
+    Problem,
+    ZeroPotential,
+    apply_gibbs_map,
+)
 from swarmeq import experiments
 from swarmeq.cli import build_parser, main
 from swarmeq.experiments import (
@@ -258,6 +265,17 @@ class TestRunners:
             )
         )
         assert len(records) == 1
+
+    def test_multistate_echoes_the_schedule_ratio(self):
+        # param_nu0_over_nu is the first stage's nu over the last, so the
+        # geometric record and its explicit-schedule twin echo the same value;
+        # at this nu the ratio is 10.000000000000002, not the start factor 10
+        base = {"N": 64, "N_max": 1}
+        geometric = run_experiment(ExperimentConfig("multistate", {**base, "nu": 0.0037}))[0]
+        nus = ContinuationSchedule.geometric(10 * 0.0037, 0.0037, stages=8).nus
+        assert [r.nu for r in geometric.solve_reports] == list(nus)
+        (twin,) = run_experiment(ExperimentConfig("multistate", {**base, "schedule": list(nus)}))
+        assert geometric.parameters["nu0_over_nu"] == twin.parameters["nu0_over_nu"]
 
     @pytest.mark.parametrize("name", ["multistate", "custom"])
     def test_schedule_restatement_that_agrees_changes_nothing(self, name):
@@ -587,6 +605,28 @@ class TestCli:
                             lambda *args: solves.append(args))
         assert main([*command, "--set", "N=64"]) == 2
         assert solves == []
+        assert re.search(rf"error: .*\b{key}\b", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,key", [
+        (["gamma-energy", "--set", "n_c=0"], "n_c"),
+        (["gamma-energy", "--set", "n_c=1"], "n_c"),
+        (["gamma-energy", "--set", "c_min=1.0", "--set", "c_max=-0.3"], "c_max"),
+        (["gamma-energy", "--set", "c_min=0.5", "--set", "c_max=0.5"], "c_max"),
+        (["effdim", "--seed", "-1"], "seed"),
+        (["effdim", "--set", "seed=-1"], "seed"),
+    ], ids=["n_c=0", "n_c=1", "reversed-range", "empty-range", "seed-flag", "set-seed"])
+    def test_bad_range_or_seed_exits_two_before_any_work(
+        self, command, key, monkeypatch, capsys
+    ):
+        # an empty sweep, one point, or a reversed range would break or invert
+        # the curve's record, and numpy rejects a negative seed without a key
+        calls = []
+        monkeypatch.setattr(experiments, "truncated_gaussian_energy",
+                            lambda *args: calls.append(args) or 0.0)
+        monkeypatch.setattr(experiments, "estimate_volume_profile",
+                            lambda *args, **kwargs: calls.append(args))
+        assert main(["experiment", *command]) == 2
+        assert calls == []
         assert re.search(rf"error: .*\b{key}\b", capsys.readouterr().err)
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):

@@ -101,6 +101,30 @@ class TestTabulated:
         with pytest.raises(ValueError, match="malformed"):
             TabulatedKernel.from_csv(bad)
 
+    def test_from_csv_tolerates_one_header_line_only(self, tmp_path):
+        bad = tmp_path / "two-headers.csv"
+        bad.write_text("x,y\nfoo,bar\n0.0,1.0\n1.0,2.0\n")
+        with pytest.raises(ValueError, match="malformed row \\['foo', 'bar'\\]"):
+            TabulatedKernel.from_csv(bad)
+
+    @pytest.mark.parametrize("table", [TabulatedKernel, TabulatedPotential])
+    def test_repeated_abscissa_rejected(self, table):
+        # at a repeated abscissa interpolation jumps (the kernel read 3.0 at 1
+        # and 0.999999 just below) and a potential's slope divides by zero
+        with pytest.raises(ValueError, match="abscissa 1.0 is repeated"):
+            table([0.0, 1.0, 2.0, 1.0], [0.0, 1.0, 4.0, 3.0])
+
+    @pytest.mark.parametrize("table", [TabulatedKernel, TabulatedPotential])
+    @pytest.mark.parametrize("xs,ys", [
+        ([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]),
+        ([0.0, math.nan, 2.0], [0.0, 1.0, 1.0]),
+        ([0.0, 1.0, math.inf], [0.0, 1.0, 1.0]),
+        ([0.0, 1.0, 2.0], [0.0, -math.inf, 1.0]),
+    ], ids=["nan-value", "nan-abscissa", "inf-abscissa", "inf-value"])
+    def test_non_finite_entry_rejected(self, table, xs, ys):
+        with pytest.raises(ValueError, match="finite"):
+            table(xs, ys)
+
 
 class TestExternalPotentials:
     def test_zero(self):

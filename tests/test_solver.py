@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,16 +31,24 @@ from swarmeq.experiments import ExperimentConfig, run_experiment
 from swarmeq.grid import MASS_TOL
 
 
+def _tau_c(nu: float, config: SolverConfig | None = None) -> float:
+    """The conservative step a one-step solve at nu reports."""
+    g = make_grid(4.0, 64, SpacingMode.UNIFORM)
+    problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
+    config = config or SolverConfig(max_iterations=1)
+    return solve(problem, indicator_density(g, 0, 2), config).tau_c
+
+
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.tol == 1e-6
         assert cfg.max_iterations == 2000
-        assert cfg.effective_tau_c(2.0**-6) == pytest.approx(5 * 2.0**-6)
-        assert cfg.effective_tau_c(1.0) == 0.95  # clamped for large diffusion
+        assert _tau_c(2.0**-6) == pytest.approx(5 * 2.0**-6)
+        assert _tau_c(1.0) == 0.95  # clamped for large diffusion
 
     def test_pinned_tau_c_wins(self):
-        assert SolverConfig(tau_c=0.5).effective_tau_c(1e-4) == 0.5
+        assert _tau_c(1e-4, SolverConfig(tau_c=0.5, max_iterations=1)) == 0.5
 
     @pytest.mark.parametrize("kwargs", [
         {"tau_c": 0.0}, {"tau_c": 1.0}, {"tol": 0.0}, {"max_iterations": 0}, {"tol": math.nan},
@@ -77,6 +86,15 @@ class TestSolve:
         assert report.converged
         assert report.iterations <= 2
         np.testing.assert_allclose(report.density.values, 1 / 3.0, rtol=1e-12)
+
+    def test_step_trace_determines_iterations_and_step_sizes(self):
+        # beta is 1 on full and secant steps and tau_c on the others
+        g = make_grid(3.0, 129)
+        solved = solve(Problem(g, zero_kernel(), ZeroPotential(), 0.5), indicator_density(g, 0, 1))
+        steps = ["full", "secant", "anderson", "conservative", "full"]
+        report = dataclasses.replace(solved, step_trace=steps, tau_c=0.125)
+        assert report.iterations == 5
+        assert report.tau_trace == [1.0, 1.0, 0.125, 0.125, 1.0]
 
     def test_converged_state_is_a_fixed_point(self):
         nu = 2.0**-6
@@ -457,7 +475,7 @@ class TestSecant:
         assert seen["fit"] and not any(subnormal for _, subnormal in seen["fit"])
         # every try fails, and each failure skips the next SECANT_BACKOFF full steps
         assert "secant" not in report.step_trace
-        secant_fits = [k for k, _ in seen["fit"] if report.tau_trace[k] == 1.0]
+        secant_fits = [k for k, _ in seen["fit"] if report.step_trace[k] == "full"]
         assert secant_fits
         assert len(secant_fits) <= report.iterations // (solver.SECANT_BACKOFF + 1) + 1
 
@@ -520,9 +538,7 @@ class TestContinuation:
         assert [r.converged for r in reports] == [True] * 8
         assert any("anderson" in r.step_trace for r in reports)
         for report in reports:
-            tau_c = min(5 * report.nu, 0.95)
             for k, step in enumerate(report.step_trace):
-                assert report.tau_trace[k] == (1.0 if step in ("full", "secant") else tau_c)
                 if step != "conservative":
                     assert report.energy_trace[k + 1] < report.energy_trace[k]
 
@@ -533,9 +549,7 @@ class TestContinuation:
             Problem(g, PowerLawKernel(2.0), ZeroPotential(), 2.0**-5),
             schedule, indicator_density(g, 0, 2),
         )
-        for report in reports:
-            allowed = {1.0, min(5 * report.nu, 0.95)}
-            assert set(report.tau_trace) <= allowed
+        assert [r.tau_c for r in reports] == [min(5 * nu, 0.95) for nu in schedule.nus]
 
 
 class TestOrder:
