@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Density, Grid, KernelOperator, integrate
+from .grid import Density, Grid, KernelOperator
 from .potentials import ExternalPotential, InteractionKernel
 
 
@@ -22,11 +22,12 @@ class Problem:
     """E[rho] = 1/2 <K*rho, rho> + nu <rho, log rho> + <V, rho> on a grid.
 
     Construction validates nu, builds the kernel operator for nu
-    (`operator`) and samples V on the nodes (`v`), once.  `with_nu` shares V,
-    and the operator wherever it serves the new nu (`KernelOperator.serves`:
-    unless the kernel is clipped at a cap that depends on nu); otherwise it
-    builds the operator for the new nu.  So a continuation builds one
-    operator, or one per stage for a clipped kernel.
+    (`operator`) and samples V on the nodes (`v`), once, noting whether V
+    vanishes on every node (`v_vanishes`).  `with_nu` shares V, and the
+    operator wherever it serves the new nu (`KernelOperator.serves`: unless
+    the kernel is clipped at a cap that depends on nu); otherwise it builds
+    the operator for the new nu.  So a continuation builds one operator, or
+    one per stage for a clipped kernel.
     """
 
     grid: Grid
@@ -35,13 +36,14 @@ class Problem:
     nu: float
     operator: KernelOperator = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
+    v_vanishes: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_nu(self.nu)
         object.__setattr__(self, "operator", KernelOperator(self.grid, self.kernel, self.nu))
-        object.__setattr__(
-            self, "v", np.asarray(self.potential(self.grid.nodes), dtype=float)
-        )
+        v = np.asarray(self.potential(self.grid.nodes), dtype=float)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v_vanishes", not np.any(v))
 
     def with_nu(self, nu: float) -> "Problem":
         """The same problem at another diffusion value, sharing V and, where it
@@ -82,8 +84,12 @@ def entropy(rho: Density) -> float:
 
 
 def _entropy(grid: Grid, v: np.ndarray) -> float:
-    # log 1 = 0 stands in at v <= 0, so 0 log 0 = 0; a masked log takes twice as long
-    return integrate(grid, v * np.log(np.where(v > 0, v, 1.0)))
+    # On a positive array, as every solver iterate is, the plain log gives the
+    # sum.  Otherwise log 1 = 0 stands in at v <= 0, so 0 log 0 = 0 (a NaN
+    # stays NaN); that masked log takes twice as long.
+    if v.min() > 0:
+        return float(grid.weights @ (v * np.log(v)))
+    return float(grid.weights @ (v * np.log(np.where(v > 0, v, 1.0))))
 
 
 def total_energy(problem: Problem, rho: Density) -> EnergyBreakdown:
@@ -94,11 +100,12 @@ def total_energy(problem: Problem, rho: Density) -> EnergyBreakdown:
 
 def energy_breakdown(problem: Problem, values: np.ndarray, conv: np.ndarray) -> EnergyBreakdown:
     """The breakdown of the density with `values` on `problem.grid`, given
-    conv = K * values; the array-level form of `total_energy`."""
+    conv = K * values; the array-level form of `total_energy`.  The potential
+    term is +0.0 without an integral when V vanishes on every node."""
     grid = problem.grid
-    interaction = 0.5 * integrate(grid, values * conv)
+    interaction = 0.5 * float(grid.weights @ (values * conv))
     ent = _entropy(grid, values)
-    potential = integrate(grid, problem.v * values)
+    potential = 0.0 if problem.v_vanishes else float(grid.weights @ (problem.v * values))
     return EnergyBreakdown(
         interaction, ent, potential, interaction + problem.nu * ent + potential
     )

@@ -3,7 +3,9 @@
 One application sends rho to exp(-(K*rho + V)/nu) / Z.  For small nu the raw
 exponents span thousands of log units, so each application shifts the
 exponent by its minimum before exponentiating, which changes nothing
-algebraically.  The multiplier of the critical-point equation is
+algebraically.  With u = K*rho + V, the shifted exponent is formed as
+(min u - u)/nu, which rounds to the same doubles as -(u - min u)/nu, in place
+in the fresh array of u.  The multiplier of the critical-point equation is
 -nu log Z, evaluated stably by `gibbs_log_partition` from the same exponent.
 
 The shifted exponent is floored at F = DEFAULT_CLAMP_FLOOR, so every value of
@@ -44,16 +46,21 @@ class GibbsMapError(RuntimeError):
 def _gibbs(problem: Problem, conv: np.ndarray) -> tuple[np.ndarray, float, float]:
     """(exp of the floored exponent, Z = its weighted sum, min u) for
     u = conv + V, where conv = K * rho; the exponent is -(u - min u)/nu
-    floored at DEFAULT_CLAMP_FLOOR."""
+    floored at DEFAULT_CLAMP_FLOOR.  The values overwrite u; `conv` is only
+    read."""
     u = conv + problem.v
-    if not np.all(np.isfinite(u)):
+    shift = float(u.min())
+    # a NaN makes both reductions NaN, -inf the min and +inf the max
+    if not (math.isfinite(shift) and math.isfinite(u.max())):
         i = int(np.argmax(~np.isfinite(u)))
         raise GibbsMapError(
             f"non-finite exponent at node {i} (x = {problem.grid.nodes[i]!r}); "
             "check kernel and potential values"
         )
-    shift = float(u.min())
-    values = np.exp(np.maximum(-(u - shift) / problem.nu, DEFAULT_CLAMP_FLOOR))
+    values = np.subtract(shift, u, out=u)
+    values /= problem.nu
+    np.maximum(values, DEFAULT_CLAMP_FLOOR, out=values)
+    np.exp(values, out=values)
     z = float(problem.grid.weights @ values)
     if not math.isfinite(z) or z <= 0:
         raise GibbsMapError(
@@ -67,7 +74,8 @@ def gibbs_values(problem: Problem, conv: np.ndarray) -> np.ndarray:
     """The values of the image of the density whose K * rho is `conv`; the
     array-level form of `apply_gibbs_map`."""
     values, z, _ = _gibbs(problem, conv)
-    return values / z
+    values /= z
+    return values
 
 
 def gibbs_log_partition(problem: Problem, conv: np.ndarray) -> float:

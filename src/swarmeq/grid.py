@@ -140,7 +140,9 @@ def check_density(grid: Grid, values: np.ndarray) -> None:
     mass within MASS_TOL: what makes a `Density`, checked on a raw array."""
     if values.shape != grid.nodes.shape:
         raise ValueError(f"density has {values.shape} values for {grid.size} nodes")
-    if np.any(values < 0):
+    # one reduction decides a valid array; a NaN fails it, and then only a
+    # negative value gives this error (a NaN gives the mass error below)
+    if not values.min() >= 0 and np.any(values < 0):
         raise ValueError("density values must be nonnegative")
     mass = float(grid.weights @ values)
     if not abs(mass - 1.0) <= MASS_TOL:

@@ -23,7 +23,7 @@ from swarmeq import (
     make_grid,
     total_energy,
 )
-from swarmeq.energy import _entropy
+from swarmeq.energy import _entropy, energy_breakdown
 from swarmeq.gibbs import log_partition
 
 
@@ -137,6 +137,38 @@ class TestTotalEnergy:
             b = total_energy(Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu), rho)
             expected = b.interaction + nu * b.entropy + b.potential
             assert abs(b.total - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+class TestBreakdownBitForBit:
+    """`energy_breakdown` against its three integrals written out with the
+    masked log, compared with ==: the unmasked log on a positive density and
+    the skipped integral of a vanishing V change no bit."""
+
+    @staticmethod
+    def written_out(problem, values, conv):
+        g = problem.grid
+        interaction = 0.5 * integrate(g, values * conv)
+        ent = integrate(g, values * np.log(np.where(values > 0, values, 1.0)))
+        potential = integrate(g, problem.v * values)
+        return interaction, ent, potential, interaction + problem.nu * ent + potential
+
+    @pytest.mark.parametrize("potential", [ZeroPotential(), LinearPotential(0.3)],
+                             ids=["zero", "linear"])
+    @pytest.mark.parametrize("state", ["gibbs-image", "indicator"])
+    def test_equals_the_written_out_integrals(self, potential, state):
+        g = make_grid(4.0, 1024)
+        problem = Problem(g, PowerLawKernel(2.0), potential, 2.0**-6)
+        rho = indicator_density(g, 1.0, 2.0)  # zero on most nodes
+        if state == "gibbs-image":
+            rho = apply_gibbs_map(problem, rho)
+            assert rho.values.min() > 0
+        conv = problem.operator.apply(rho.values)
+        b = energy_breakdown(problem, rho.values, conv)
+        assert (b.interaction, b.entropy, b.potential, b.total) == self.written_out(
+            problem, rho.values, conv
+        )
+        if isinstance(potential, ZeroPotential):
+            assert b.potential == 0.0 and math.copysign(1.0, b.potential) == 1.0
 
 
 class TestDensityOnAnotherGrid:

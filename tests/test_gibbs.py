@@ -22,7 +22,12 @@ from swarmeq import (
     total_energy,
 )
 from swarmeq.analytic import log_retained_mass
-from swarmeq.gibbs import gibbs_log_partition, gibbs_values, log_partition
+from swarmeq.gibbs import (
+    DEFAULT_CLAMP_FLOOR,
+    gibbs_log_partition,
+    gibbs_values,
+    log_partition,
+)
 
 
 class TestApplyMap:
@@ -107,17 +112,37 @@ class TestApplyMap:
         with pytest.raises(GibbsMapError, match="non-finite"):
             gibbs_values(Problem(g, zero_kernel(), ZeroPotential(), 0.5), bad_conv)
 
+    @pytest.mark.parametrize("potential", [ZeroPotential(), LinearPotential(0.7)],
+                             ids=["zero", "linear"])
+    def test_equals_the_written_out_map_and_only_reads_conv(self, potential):
+        # against exp(max(-(u - min u)/nu, F)) / Z written out, on a state
+        # whose exponents reach the floor; the map forms its exponent in a
+        # buffer of its own
+        g = make_grid(2.0, 1024)
+        problem = Problem(g, PowerLawKernel(2.0), potential, 2.0**-10)
+        conv = problem.operator.apply(indicator_density(g, 0.5, 1.0).values)
+        before = conv.copy()
+        u = conv + problem.v
+        values = np.exp(np.maximum(-(u - u.min()) / problem.nu, DEFAULT_CLAMP_FLOOR))
+        assert np.any(values == math.exp(DEFAULT_CLAMP_FLOOR))
+        z = float(g.weights @ values)
+        assert gibbs_values(problem, conv).tobytes() == (values / z).tobytes()
+        assert gibbs_log_partition(problem, conv) == math.log(z) - float(u.min()) / problem.nu
+        assert conv.tobytes() == before.tobytes()
+
 
 class TestLogPartition:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_exponent_aborts(self, bad):
         # the same check as apply_gibbs_map: one bad node is an error, not a
         # NaN or a finite log Z that ignores the node
         g = make_grid(1.0, 16)
         conv = np.zeros(16)
         conv[5] = bad
-        with pytest.raises(GibbsMapError, match="non-finite exponent at node 5"):
-            gibbs_log_partition(Problem(g, zero_kernel(), ZeroPotential(), 0.5), conv)
+        problem = Problem(g, zero_kernel(), ZeroPotential(), 0.5)
+        for function in (gibbs_values, gibbs_log_partition):
+            with pytest.raises(GibbsMapError, match="non-finite exponent at node 5"):
+                function(problem, conv)
 
     def test_zero_partition_value_aborts(self):
         # the same Z check as apply_gibbs_map; unreachable with positive

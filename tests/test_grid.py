@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -29,7 +30,7 @@ from swarmeq import (
 )
 from swarmeq.experiments import ExperimentConfig, run_experiment
 from swarmeq.gibbs import DEFAULT_CLAMP_FLOOR
-from swarmeq.grid import _kernel_cap, _next_fast_len
+from swarmeq.grid import _kernel_cap, _next_fast_len, check_density
 
 
 class TestMakeGrid:
@@ -114,6 +115,23 @@ class TestDensity:
         g = make_grid(1.0, 4)
         with pytest.raises(ValueError, match="mass"):
             Density(g, np.full(4, math.nan))
+
+    @pytest.mark.parametrize("bad,message", [
+        ({1: -0.1}, "density values must be nonnegative"),
+        ({1: -math.inf}, "density values must be nonnegative"),
+        ({1: math.nan, 2: -0.1}, "density values must be nonnegative"),
+        ({1: math.nan}, "density mass nan differs from 1 by more than 1e-10"),
+        ({1: math.inf}, "density mass inf differs from 1 by more than 1e-10"),
+    ], ids=["negative", "-inf", "nan-and-negative", "nan", "inf"])
+    def test_check_density_messages(self, bad, message):
+        # a negative entry gives the sign error even beside a NaN; a NaN or
+        # +inf alone gives the mass error
+        g = make_grid(1.0, 4)
+        values = np.full(4, 1.0)
+        for i, v in bad.items():
+            values[i] = v
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_density(g, values)
 
     def test_normalized_fixes_mass(self, rng):
         g = make_grid(2.0, 64)

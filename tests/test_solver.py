@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,18 @@ class TestSolve:
         assert abs(report.density.mass - 1.0) <= 1e-10
         assert np.all(report.density.values >= 0)
 
+    def test_start_density_is_not_written(self):
+        # iterates are formed in place only in arrays a step made itself
+        g = make_grid(8.0, 128)
+        problem = Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), 2.0**-6)
+        rho0 = indicator_density(g, 0, 8)
+        before = rho0.values.copy()
+        report = solve(problem, rho0, SolverConfig(max_iterations=40))
+        assert {"anderson", "conservative"} <= set(report.step_trace)
+        schedule = ContinuationSchedule((2.0**-5, 2.0**-6))
+        solve_with_continuation(problem, schedule, rho0, SolverConfig(max_iterations=40))
+        assert rho0.values.tobytes() == before.tobytes()
+
     def test_convex_combination_preserves_density_invariants(self, rng):
         g = make_grid(2.0, 128)
         a = Density.normalized(g, rng.random(128) + 0.01)
@@ -328,6 +341,24 @@ class TestAnderson:
             assert max(m for m, _, _ in fits) == solver.ANDERSON_DEPTH
         else:
             assert report.tau_trace == [1.0] * report.iterations
+
+    def test_zero_one_column_difference_gives_no_gamma_quietly(self):
+        d_f = np.zeros((solver.ANDERSON_DEPTH, 64))
+        gram = np.empty((solver.ANDERSON_DEPTH, solver.ANDERSON_DEPTH))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma, b = solver._fit(gram, d_f, 0, 1, np.linspace(-1.0, 1.0, 64))
+        assert gamma is None and b.tolist() == [0.0]
+
+    def test_one_column_fit_equals_the_linear_solve(self, rng):
+        # the division gives np.linalg.solve's bits on a 1 x 1 system
+        gram = np.empty((solver.ANDERSON_DEPTH, solver.ANDERSON_DEPTH))
+        d_f = np.zeros((solver.ANDERSON_DEPTH, 16))
+        for _ in range(500):
+            d_f[0] = rng.standard_normal(16) * 10.0 ** rng.uniform(-20, 20)
+            wf = rng.standard_normal(16) * 10.0 ** rng.uniform(-20, 20)
+            gamma, b = solver._fit(gram, d_f, 0, 1, wf)
+            assert gamma.tolist() == np.linalg.solve(gram[:1, :1], b).tolist()
 
     def _problem(self):
         g = make_grid(8.0, 128)
