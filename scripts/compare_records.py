@@ -11,14 +11,17 @@ with each directory on ``PYTHONPATH``, writing into a temporary directory.
 The JSON records are compared field by field, key order included, and
 ``wall_time_s`` is ignored; when they parse equal, the raw texts are compared
 too, with each ``"wall_time_s": <number>`` masked, so that a change of layout
-or of how a number is written (``1e16`` as ``1e+16``) shows.  The CSV run
+or of how a number is written (``1e16`` as ``1e+16``) shows.  Schema v1
+documents carry the nodes of a density record as ``samples.x`` and v2 ones
+leave them out; when the two schemas differ, density records are compared
+without ``samples.x`` and their texts are not compared.  The CSV run
 compares the main file without its ``wall_time_s`` column, and every sidecar.
 For each run the script prints ``identical``, or each field that moved with its
 largest relative change over the records (``bytes differ`` and the first
 differing line when only the text moved) and, for a solving run, its total
 iterations before and after; a density record that settled on a neighbouring
-translate of its old state gets one line instead of its fields.  It exits 1
-if anything moved.
+translate of its old state gets one line instead of its fields.  A run whose
+only change is the schema gets that one line.  It exits 1 if anything moved.
 """
 
 from __future__ import annotations
@@ -111,13 +114,25 @@ def _fields(record: dict, prefix: str = "") -> dict:
     return out
 
 
+def nodes(record: dict) -> list[float]:
+    """The nodes of a density record: its ``samples.x`` (schema v1), or else
+    those that ``make_grid`` places from ``param_L``, ``param_N`` and
+    ``param_grid`` (schema v2)."""
+    if "x" in record["samples"]:
+        return record["samples"]["x"]
+    length, n = record["param_L"], record["param_N"]
+    s = [i / (n - 1) for i in range(n)]
+    return [length * t for t in s] if record["param_grid"] == "uniform" else [
+        length * t * t for t in s]
+
+
 def translate(index: int, old: dict, new: dict) -> str | None:
     """The one line of a density record whose samples moved to a neighbouring
     translate, or None.  A translate keeps ``total_energy`` within
     TRANSLATE_ENERGY relative, ``aggregates``, ``stages_converged`` and the
-    nodes x, and moves ``m1`` by d, at least TRANSLATE_SHIFT times the mean
-    node spacing h; its samples lie closer to the old ones shifted by d than
-    to the old ones in place.  The distance to the old samples shifted by d is
+    nodes x (`nodes`), and moves ``m1`` by d, at least TRANSLATE_SHIFT times
+    the mean node spacing h; its samples lie closer to the old ones shifted by
+    d than to the old ones in place.  The distance to the old samples shifted by d is
     h sum_i |y_new(x_i) - y_old(x_i - d)|, with y_old interpolated linearly
     between its nodes and read as 0 past either end.  The line gives ``m1``
     before and after, that distance and d in units of h."""
@@ -128,8 +143,8 @@ def translate(index: int, old: dict, new: dict) -> str | None:
     if change is not None and change > TRANSLATE_ENERGY or any(
             old.get(key) != new.get(key) for key in ("aggregates", "stages_converged")):
         return None
-    x, y_old, y_new = old["samples"]["x"], old["samples"]["y"], new["samples"]["y"]
-    if new["samples"]["x"] != x or len(x) < 2:
+    x, y_old, y_new = nodes(old), old["samples"]["y"], new["samples"]["y"]
+    if nodes(new) != x or len(x) < 2:
         return None
     h = (x[-1] - x[0]) / (len(x) - 1)
     shift = new["m1"] - old["m1"]
@@ -199,16 +214,27 @@ def iteration_change(old: list[dict], new: list[dict]) -> list[str]:
     return [] if counts == (None, None) else [f"total iterations {counts[0]} -> {counts[1]}"]
 
 
+def _without_x(record: dict) -> dict:
+    """The record without ``samples.x`` if it is a density record."""
+    if record.get("samples_kind") != "density":
+        return record
+    return {**record, "samples": {k: v for k, v in record["samples"].items() if k != "x"}}
+
+
 def compare_documents(old: dict, new: dict) -> list[str]:
-    """compare_records on two JSON documents, with their schema."""
-    lines = [] if old["schema"] == new["schema"] else [
-        f"schema {old['schema']!r} -> {new['schema']!r}"]
-    return lines + compare_records(old["records"], new["records"])
+    """compare_records on two JSON documents, with their schema.  Across
+    schemas, density records are compared without ``samples.x``, which v2
+    leaves out."""
+    if old["schema"] == new["schema"]:
+        return compare_records(old["records"], new["records"])
+    return [f"schema {old['schema']!r} -> {new['schema']!r}", *compare_records(
+        [_without_x(r) for r in old["records"]], [_without_x(r) for r in new["records"]])]
 
 
 def compare_json(old: str, new: str) -> list[str]:
-    """compare_documents on two JSON texts, and when their records parse equal,
-    the texts themselves with each IGNORED value masked."""
+    """compare_documents on two JSON texts, and when it finds nothing (so
+    the schemas are equal), the texts themselves with each IGNORED value
+    masked."""
     lines = compare_documents(json.loads(old), json.loads(new))
     if lines:
         return lines
@@ -258,7 +284,8 @@ def compare_run(old_src: str, new_src: str, args: list[str], workdir: Path) -> l
             records = [_csv_records(old), _csv_records(new)]
             lines += [f"{name}: {line}" for line in compare_records(*records)]
         counts += iteration_change(*records)
-    return lines + counts if lines else []
+    # a schema change alone moves no record, so it needs no iteration counts
+    return lines if all(line.startswith("schema ") for line in lines) else lines + counts
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -492,44 +492,6 @@ def _json_safe(value):
     return value
 
 
-# json.dump(..., indent=1) puts each sample on its own line, five levels deep
-# (document, records, record, samples, list), and the list's closing bracket four.
-_SAMPLE_ITEM = ",\n" + " " * 5
-
-
-def _json_samples(values: np.ndarray) -> str:
-    """A 1-D sample array as json.dump(..., indent=1) nests it in a record.
-
-    `indent` selects the pure-Python encoder, which costs over half again as
-    much as the C encoder on a large array; the C encoder writes the same
-    items (floats by repr, NaN, Infinity, -Infinity) separated by ", ".  No
-    item holds ", ", so that separator is turned into the indented one.
-    """
-    text = json.dumps(values.tolist())
-    if text == "[]":
-        return text
-    return "[\n     " + text[1:-1].replace(", ", _SAMPLE_ITEM) + "\n    ]"
-
-
-def _json_record(record: ResultRecord, scalars: dict[str, Any]) -> str:
-    """One record of the v1 document, indented as its item of "records".
-
-    The scalar part is dumped with indent=1 on its own and shifted two levels
-    deeper (a JSON string holds no raw newline, so every newline is one of the
-    layout's); its closing brace gives way to the samples, which come last.
-    """
-    head = json.dumps(
-        {**{k: _json_safe(v) for k, v in scalars.items()},
-         "wall_time_s": record.wall_time_s, "samples_kind": record.samples_kind},
-        indent=1,
-    )
-    return (
-        "  " + head[:-2].replace("\n", "\n  ")
-        + ',\n   "samples": {\n    "x": ' + _json_samples(record.samples_x)
-        + ',\n    "y": ' + _json_samples(record.samples_y) + "\n   }\n  }"
-    )
-
-
 def record_scalars(record: ResultRecord) -> dict[str, Any]:
     """Flat scalar view of a record (parameters then metrics), with numpy
     scalars as the Python numbers they hold."""
@@ -541,29 +503,42 @@ def record_scalars(record: ResultRecord) -> dict[str, Any]:
     return {key: val.item() if isinstance(val, np.generic) else val for key, val in out.items()}
 
 
+def _json_document(records: list[ResultRecord], scalars: list[dict[str, Any]]) -> str:
+    """The schema v2 document of the records.  One `json.dumps` without
+    `indent` takes the C encoder; `json.dump` to a file would not."""
+    return json.dumps({"schema": "swarmeq.records.v2", "records": [
+        {**{k: _json_safe(v) for k, v in row.items()},
+         "wall_time_s": r.wall_time_s, "samples_kind": r.samples_kind,
+         "samples": {"y": r.samples_y.tolist()} if r.samples_kind == "density"
+         else {"x": r.samples_x.tolist(), "y": r.samples_y.tolist()}}
+        for r, row in zip(records, scalars)
+    ]})
+
+
 def emit(records: list[ResultRecord], fmt: str, path: str | Path) -> list[Path]:
     """Write records to disk; returns the list of files written.
 
-    JSON is a single document with embedded samples, byte for byte what
-    `json.dump(doc, fh, indent=1)` writes for it (schema v1), one record at a
-    time (`_json_record`).  CSV writes one row per record plus a two-column
-    sidecar file per record for the samples.  Both modules serialize floats
-    with repr, which round-trips exactly; CSV writes None as an empty cell,
-    JSON writes it and every non-finite scalar as null, and non-finite samples
-    as NaN, Infinity and -Infinity.
+    JSON is a single document with embedded samples (schema v2), encoded by
+    one `json.dumps` before the file is opened, so a record that cannot be
+    encoded leaves no file.  A density record's samples hold `y` only: its
+    nodes are `make_grid(param_L, param_N, param_grid).nodes`.  Other records
+    keep `x`.  CSV writes one row per record plus a two-column sidecar file
+    per record for the samples, nodes included.  Both modules serialize
+    floats with repr, which round-trips exactly; CSV writes None as an empty
+    cell, JSON writes it and every non-finite scalar as null, and non-finite
+    samples as NaN, Infinity and -Infinity.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     path = Path(path)
     scalars = [record_scalars(r) for r in records]
+    if fmt == "json":
+        text = _json_document(records, scalars)  # a failed encoding leaves no file
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "json":
             with open(path, "w") as fh:
-                fh.write('{\n "schema": "swarmeq.records.v1",\n "records": [')
-                for i, (r, row) in enumerate(zip(records, scalars)):
-                    fh.write((",\n" if i else "\n") + _json_record(r, row))
-                fh.write("\n ]\n}" if records else "]\n}")
+                fh.write(text)
             return [path]
         columns = [*dict.fromkeys(key for row in scalars for key in row), "wall_time_s"]
         written = [path]

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from swarmeq.grid import make_grid
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_records.py"
 spec = importlib.util.spec_from_file_location("compare_records", SCRIPT)
 compare_records = importlib.util.module_from_spec(spec)
@@ -20,6 +22,15 @@ DOC = {"schema": "swarmeq.records.v1", "records": [
      "total_energy": 0.031, "e0": 1e-6, "wall_time_s": 0.02,
      "samples_kind": "density", "samples": {"x": [0.0, 1.0], "y": [3.0, 1e-200]}},
 ]}
+
+
+def _v2(record: dict) -> dict:
+    """The record as schema v2 writes it: a density record without samples.x."""
+    return {**record, "samples": {"y": list(record["samples"]["y"])}}
+
+
+def _doc(schema: str, records: list[dict]) -> dict:
+    return {"schema": f"swarmeq.records.{schema}", "records": records}
 
 
 def test_only_wall_time_differs():
@@ -98,9 +109,9 @@ def _bump_record(centre: int, total_energy: float) -> dict:
     """A density record on nodes 0, 0.5, ..., 9.5 with a bump at node `centre`."""
     y = [0.0] * 20
     y[centre - 1:centre + 2] = [0.5, 1.0, 0.5]
-    return {"experiment": "multistate", "converged": True, "iterations": 47,
-            "total_energy": total_energy, "m1": centre * 0.5, "m2": (centre * 0.5) ** 2,
-            "aggregates": 1, "stages_converged": 8, "wall_time_s": 0.1,
+    return {"experiment": "multistate", "param_L": 9.5, "param_N": 20, "param_grid": "uniform",
+            "converged": True, "iterations": 47, "total_energy": total_energy,
+            "m1": centre * 0.5, "m2": (centre * 0.5) ** 2, "aggregates": 1, "stages_converged": 8, "wall_time_s": 0.1,
             "samples_kind": "density", "samples": {"x": [i * 0.5 for i in range(20)], "y": y}}
 
 
@@ -140,3 +151,32 @@ def test_sub_node_translate_is_one_line():
     stayed["m1"] = 2.8
     assert compare_records.translate(0, old, stayed) is None
     assert compare_records.translate(0, old, _hat_record(2.62)) is None
+
+
+def test_schema_change_alone_is_one_line():
+    # the v1 text has samples.x and the indent=1 layout; neither is reported
+    v2 = _doc("v2", [_v2(r) for r in DOC["records"]])
+    assert compare_records.compare_json(json.dumps(DOC, indent=1), json.dumps(v2)) == [
+        "schema 'swarmeq.records.v1' -> 'swarmeq.records.v2'"]
+    v2["records"][1]["samples"]["y"][0] = 4.0
+    assert compare_records.compare_json(json.dumps(DOC, indent=1), json.dumps(v2)) == [
+        "schema 'swarmeq.records.v1' -> 'swarmeq.records.v2'",
+        "samples.y: largest relative change 0.25"]
+
+
+@pytest.mark.parametrize("old_schema", ["v1", "v2"])
+def test_neighbouring_translate_without_nodes(old_schema):
+    # the v2 records' nodes come from param_L, param_N and param_grid
+    old, new = _bump_record(5, -0.675), _v2(_bump_record(6, -0.675))
+    new["samples"]["y"][6] = 1.25
+    old = old if old_schema == "v1" else _v2(old)
+    line = "record 0: neighbouring translate, m1 2.5 -> 3.0, L1 0.125 after a shift of 1 nodes"
+    schema = ["schema 'swarmeq.records.v1' -> 'swarmeq.records.v2'"] * (old_schema == "v1")
+    assert compare_records.compare_documents(
+        _doc(old_schema, [old]), _doc("v2", [new])) == [*schema, line]
+
+
+@pytest.mark.parametrize("grid", ["uniform", "quadratic"])
+def test_v2_nodes_are_the_grid_nodes(grid):
+    record = {"samples": {"y": []}, "param_L": 4.0, "param_N": 1000, "param_grid": grid}
+    assert compare_records.nodes(record) == make_grid(4.0, 1000, grid).nodes.tolist()

@@ -19,6 +19,7 @@ from swarmeq import (
     Problem,
     ZeroPotential,
     apply_gibbs_map,
+    make_grid,
 )
 from swarmeq import experiments
 from swarmeq.cli import build_parser, main
@@ -78,33 +79,36 @@ def tiny_kp2():
     )
 
 
-def v1_document(records):
-    """The v1 JSON text of `records` as `json.dump(doc, fh, indent=1)` writes it."""
-    return json.dumps({"schema": "swarmeq.records.v1", "records": [
+def v2_document(records):
+    """The v2 JSON text of `records`: `json.dumps` of the document, in which a
+    density record's samples hold only y."""
+    return json.dumps({"schema": "swarmeq.records.v2", "records": [
         {**{k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in record_scalars(r).items()},
          "wall_time_s": r.wall_time_s, "samples_kind": r.samples_kind,
-         "samples": {"x": r.samples_x.tolist(), "y": r.samples_y.tolist()}}
+         "samples": {"y": r.samples_y.tolist()} if r.samples_kind == "density"
+         else {"x": r.samples_x.tolist(), "y": r.samples_y.tolist()}}
         for r in records
-    ]}, indent=1)
+    ]})
 
 
-def demo_record(xs=(0.0, 0.5), ys=(2.0, 1.0), **parameters):
-    return ResultRecord("demo", parameters, {"converged": True}, "density",
+def demo_record(xs=(0.0, 0.5), ys=(2.0, 1.0), kind="density", **parameters):
+    return ResultRecord("demo", parameters, {"converged": True}, kind,
                         np.array(xs, dtype=float), np.array(ys, dtype=float), 0.125)
 
 
 FLOAT_SPELLINGS = [-0.0, 5e-324, 1e-300, 1e16, 1e22, 2.0, -3.0, 0.1, 123456789.0]
-# Records whose JSON text must be the v1 layout byte for byte.
-V1_CASES = {
+# Records whose JSON text must be v2_document byte for byte.
+V2_CASES = {
     "one-record": lambda: [demo_record()],
     "many-records": lambda: [*tiny_kp2(), demo_record(), demo_record((1.0,), (2.0,))],
     "empty-samples": lambda: [demo_record((), ()), demo_record(), demo_record((), ())],
     "non-finite-samples": lambda: [demo_record(
         [math.nan, math.inf, -math.inf, 1.0], [-math.inf, 0.0, math.nan, math.inf],
-        lo=math.nan, hi=math.inf, low=-math.inf)],
+        kind=kind, lo=math.nan, hi=math.inf, low=-math.inf)
+        for kind in ("density", "volume_profile", "energy_curve")],
     "float-spellings": lambda: [demo_record(
-        FLOAT_SPELLINGS, FLOAT_SPELLINGS[::-1], spread=FLOAT_SPELLINGS,
+        FLOAT_SPELLINGS, FLOAT_SPELLINGS[::-1], kind="energy_curve", spread=FLOAT_SPELLINGS,
         **{f"f{i}": v for i, v in enumerate(FLOAT_SPELLINGS)})],
     "awkward-strings": lambda: [demo_record(
         quote='say "hi"', backslash="C:\\dir\\", nul="\u0000", newline="a\nb",
@@ -382,7 +386,7 @@ class TestEmit:
     def test_empty_records(self, tmp_path):
         jpath = tmp_path / "empty.json"
         emit([], "json", jpath)
-        assert json.loads(jpath.read_text()) == {"schema": "swarmeq.records.v1", "records": []}
+        assert json.loads(jpath.read_text()) == {"schema": "swarmeq.records.v2", "records": []}
         cpath = tmp_path / "empty.csv"
         emit([], "csv", cpath)
         rows = list(csv.reader(cpath.open()))
@@ -412,36 +416,41 @@ class TestEmit:
         ]
         emit(records, "json", tmp_path / "r.json")
         doc = json.loads((tmp_path / "r.json").read_text())
-        assert doc == {"schema": "swarmeq.records.v1", "records": [
+        assert doc == {"schema": "swarmeq.records.v2", "records": [
             {"experiment": "demo", "param_n": 3, "param_flag": True, "converged": None,
              "value": 0.1, "bad": None, "wall_time_s": 0.25, "samples_kind": "density",
-             "samples": {"x": [0.0, 0.5], "y": [2.0, 1e-300]}},
+             "samples": {"y": [2.0, 1e-300]}},
             {"experiment": "demo", "param_n": 4, "converged": False, "extra": 1e16,
              "wall_time_s": 0.5, "samples_kind": "volume_profile",
              "samples": {"x": [1.0], "y": [math.pi]}},
         ]}
         assert (tmp_path / "r.json").read_text() == (
-            '{\n "schema": "swarmeq.records.v1",\n "records": [\n'
-            '  {\n   "experiment": "demo",\n   "param_n": 3,\n   "param_flag": true,\n'
-            '   "converged": null,\n   "value": 0.1,\n   "bad": null,\n'
-            '   "wall_time_s": 0.25,\n   "samples_kind": "density",\n'
-            '   "samples": {\n    "x": [\n     0.0,\n     0.5\n    ],\n'
-            '    "y": [\n     2.0,\n     1e-300\n    ]\n   }\n  },\n'
-            '  {\n   "experiment": "demo",\n   "param_n": 4,\n   "converged": false,\n'
-            '   "extra": 1e+16,\n   "wall_time_s": 0.5,\n   "samples_kind": "volume_profile",\n'
-            '   "samples": {\n    "x": [\n     1.0\n    ],\n'
-            '    "y": [\n     3.141592653589793\n    ]\n   }\n  }\n ]\n}')
+            '{"schema": "swarmeq.records.v2", "records": ['
+            '{"experiment": "demo", "param_n": 3, "param_flag": true, "converged": null, '
+            '"value": 0.1, "bad": null, "wall_time_s": 0.25, "samples_kind": "density", '
+            '"samples": {"y": [2.0, 1e-300]}}, '
+            '{"experiment": "demo", "param_n": 4, "converged": false, "extra": 1e+16, '
+            '"wall_time_s": 0.5, "samples_kind": "volume_profile", '
+            '"samples": {"x": [1.0], "y": [3.141592653589793]}}]}')
         emit([], "csv", tmp_path / "e.csv")
         assert (tmp_path / "e.csv").read_bytes() == b"record,wall_time_s,samples_file\r\n"
         emit([], "json", tmp_path / "e.json")
         assert (tmp_path / "e.json").read_text() == (
-            '{\n "schema": "swarmeq.records.v1",\n "records": []\n}')
+            '{"schema": "swarmeq.records.v2", "records": []}')
 
-    @pytest.mark.parametrize("case", list(V1_CASES))
+    # The test keeps the name it had when it pinned the v1 layout.
+    @pytest.mark.parametrize("case", list(V2_CASES))
     def test_json_bytes_match_v1(self, case, tmp_path):
-        records = V1_CASES[case]()
+        records = V2_CASES[case]()
         emit(records, "json", tmp_path / "r.json")
-        assert (tmp_path / "r.json").read_text() == v1_document(records)
+        assert (tmp_path / "r.json").read_text() == v2_document(records)
+
+    def test_unencodable_record_leaves_no_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        records = [demo_record(), demo_record(bad={1, 2})]
+        with pytest.raises(TypeError, match="set"):
+            emit(records, "json", path)
+        assert not path.exists()
 
     def test_json_round_trip(self, tmp_path):
         records = tiny_kp2()
@@ -453,7 +462,33 @@ class TestEmit:
             for key, value in record_scalars(record).items():
                 if isinstance(value, float):
                     assert loaded[key] == value  # repr round-trips exactly
-            assert loaded["samples"]["x"][0] == float(record.samples_x[0])
+            assert list(loaded["samples"]) == ["y"]
+            nodes = make_grid(loaded["param_L"], loaded["param_N"], loaded["param_grid"]).nodes
+            assert nodes.tobytes() == record.samples_x.tobytes()
+
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("kpsmall", {"N": 601, "L": 3.0, "p": [2.0], "tol": 1e-5}),
+        ("kp2", {"N": 257, "L": 1.5, "g": [1.0], "tol": 1e-5}),
+    ], ids=["uniform", "quadratic"])
+    def test_density_nodes_are_the_echoed_grid(self, experiment, overrides, tmp_path):
+        records = run_experiment(ExperimentConfig(experiment, overrides=overrides))
+        emit(records, "json", tmp_path / "r.json")
+        doc = json.loads((tmp_path / "r.json").read_text())
+        for record, loaded in zip(records, doc["records"]):
+            nodes = make_grid(loaded["param_L"], loaded["param_N"], loaded["param_grid"]).nodes
+            assert nodes.tobytes() == record.samples_x.tobytes()
+
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("gamma-energy", {}), ("effdim", {"samples": 10_000, "seed": 0}),
+    ])
+    def test_curve_and_profile_records_keep_x(self, experiment, overrides, tmp_path):
+        records = run_experiment(ExperimentConfig(experiment, overrides=overrides))
+        emit(records, "json", tmp_path / "r.json")
+        doc = json.loads((tmp_path / "r.json").read_text())
+        for record, loaded in zip(records, doc["records"]):
+            assert loaded["samples_kind"] in ("energy_curve", "volume_profile")
+            assert loaded["samples"]["x"] == record.samples_x.tolist()
+            assert loaded["samples"]["y"] == record.samples_y.tolist()
 
     def test_csv_round_trip_and_sidecars(self, tmp_path):
         records = tiny_kp2()
@@ -466,9 +501,10 @@ class TestEmit:
             assert float(row["l1_error_exact"]) == record.metrics["l1_error_exact"]
             assert float(row["param_g"]) == record.parameters["g"]
             sidecar = tmp_path / row["samples_file"]
-            data = list(csv.reader(sidecar.open()))
-            assert data[0] == ["x", "density"]
-            assert float(data[1][0]) == float(record.samples_x[0])
+            header, *rows = csv.reader(sidecar.open())
+            assert header == ["x", "density"]
+            assert [[float(x), float(y)] for x, y in rows] == np.column_stack(
+                [record.samples_x, record.samples_y]).tolist()
 
     def test_emit_bad_path_raises_with_context(self, tmp_path):
         target = tmp_path / "file.json"
