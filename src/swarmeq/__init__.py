@@ -36,11 +36,13 @@ from .energy import (
 from .geometry import (
     DomainSpec,
     VolumeProfile,
+    ball_cylinder_domain,
     ball_domain,
     ball_volume,
     box_domain,
     estimate_effective_dimension,
     estimate_volume_profile,
+    estimate_volume_profiles,
     half_space_domain,
     paraboloid_domain,
     slab_domain,

@@ -34,9 +34,10 @@ from .analytic import (
 from .energy import Problem
 from .geometry import (
     DomainSpec,
+    ball_cylinder_domain,
     box_domain,
     estimate_effective_dimension,
-    estimate_volume_profile,
+    estimate_volume_profiles,
     paraboloid_domain,
     slab_domain,
     wedge_domain,
@@ -412,24 +413,20 @@ def builtin_domains() -> dict[str, tuple[DomainSpec, np.ndarray]]:
     }
 
 
-def ball_cylinder_domain(radius: float) -> DomainSpec:
-    """Right circular cylinder: unit disk cross-section, one free direction."""
-
-    def indicator(points: np.ndarray) -> np.ndarray:
-        return points[:, 0] ** 2 + points[:, 1] ** 2 <= radius * radius
-
-    return DomainSpec(dim=3, indicator=indicator, probe_centers=np.zeros((1, 3)))
-
-
 def _run_effdim(experiment: str, ov: dict[str, Any]) -> list[ResultRecord]:
     seed = _integer(ov, "seed", 0)
     if seed < 0:  # numpy's SeedSequence takes no negative entropy
         raise ValueError(f"seed must be non-negative, got {seed!r}")
     samples = _integer(ov, "samples", 100_000)
+    domains = builtin_domains()
+    t0 = time.perf_counter()
+    profiles = estimate_volume_profiles(list(domains.values()), samples, seed=seed)
+    # the domains share their draws: a record's time is an equal share of the
+    # batch plus its own fit
+    share = (time.perf_counter() - t0) / len(domains)
     records = []
-    for name, (spec, radii) in builtin_domains().items():
-        t0 = time.perf_counter()
-        profile = estimate_volume_profile(spec, radii, samples, seed=seed)
+    for (name, (spec, radii)), profile in zip(domains.items(), profiles):
+        t0 = time.perf_counter() - share
         estimate = estimate_effective_dimension(profile)
         params = {"domain": name, "dim": spec.dim, "seed": seed, "samples": samples,
                   "r_min": float(radii[0]), "r_max": float(radii[-1])}

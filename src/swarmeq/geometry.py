@@ -5,9 +5,12 @@ like r^s for some exponent s between 0 (bounded domains) and the ambient
 dimension; s counts the orthogonal directions extending independently to
 infinity and enters the sharp diffusion-vs-attraction existence threshold.
 The estimator samples uniformly inside balls around caller-chosen probe
-centres and fits the growth exponent on a log-log scale.  It counts the hits
-of each ball chunk by chunk in two buffers reused across balls, so memory
-traffic stays in cache and the normal draws are most of the cost.
+centres and fits the growth exponent on a log-log scale.  The (radius,
+probe) task t of every domain reads the same random stream t, so a batch of
+domains (`estimate_volume_profiles`) draws each stream once per dimension,
+into two buffers reused across streams, and every task that reads it places
+and counts the points chunk by chunk in a scratch buffer; memory traffic
+stays in cache, and the draws are shared instead of repeated per domain.
 """
 
 from __future__ import annotations
@@ -32,7 +35,12 @@ class DomainSpec:
     probe_centers: np.ndarray
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.probe_centers, dtype=float))
+        centers = np.asarray(self.probe_centers, dtype=float)
+        if centers.ndim != 2 or centers.shape[0] == 0:
+            raise ValueError(
+                f"probe centers must be a non-empty (k, {self.dim}) array, "
+                f"got shape {centers.shape}"
+            )
         if centers.shape[1] != self.dim:
             raise ValueError(
                 f"probe centers have dimension {centers.shape[1]}, domain has {self.dim}"
@@ -89,61 +97,105 @@ def estimate_volume_profile(
     fraction of uniform samples in the ball times the ball volume; the
     profile keeps the maximum over probes.  Standard errors come from the
     binomial variance of the hit fraction.  Sampling is deterministic per
-    seed, with independent streams per (radius, probe) task.
+    seed, with independent streams per (radius, probe) task: task
+    `t = i * n_probes + j` reads child t of `SeedSequence(seed)`, which does
+    not depend on the domain.  This is a batch of one domain,
+    `estimate_volume_profiles([(spec, radii)], ...)[0]`; that function says
+    how the points are drawn and counted.
+    """
+    return estimate_volume_profiles([(spec, radii)], samples_per_radius, seed)[0]
+
+
+def estimate_volume_profiles(
+    domains: Sequence[tuple[DomainSpec, Sequence[float]]],
+    samples_per_radius: int,
+    seed: int = 0,
+) -> list[VolumeProfile]:
+    """`estimate_volume_profile` of each `(spec, radii)`, sharing the draws.
 
     A sample is `center + radius * u**(1/dim) * g / |g|` for a standard
-    normal row g and a uniform u.  Each task fills two buffers, allocated
-    once per call, with all its normals and then all its uniforms, and then
-    places and counts the points chunk by chunk in place, so the task's point
-    cloud and its temporaries are never built.  This reproduces a whole-task
-    draw bit for bit: filling a buffer takes the same draws in the same order
-    as `standard_normal((n, dim))` and `random(n)`, and each step is the same
+    normal row g and a uniform u, and stream t gives the same g and u to
+    every domain of one dimension that has a task t.  So each stream is drawn
+    once per dimension: its normals fill one buffer, its uniforms another,
+    and then, chunk by chunk, the directions `g / |g|` and `u**(1/dim)` are
+    taken in place, once, and every (domain, radius, probe) task that reads
+    the stream places the chunk in a scratch buffer and counts its hits
+    there.  The indicator sees only the scratch buffer, so one that writes
+    into its argument cannot change another task's points.  The normal
+    buffer is sized for the largest dimension and viewed for smaller ones.
+
+    Each profile equals its domain's whole-task draw bit for bit: filling a
+    buffer takes the same draws in the same order as
+    `standard_normal((n, dim))` and `random(n)`, and each step is the same
     elementwise operation on the same operands (`_sum_of_squares` keeps
     NumPy's summation order), so the points are identical row for row; the
     indicator acts row by row, and the hit count over the sample count is
-    the mean of the indicator, exactly.
+    the mean of the indicator, exactly.  The maximum over probes is taken in
+    probe order, as for a single domain.
     """
-    radii = np.asarray(radii, dtype=float)
-    if not np.all(np.isfinite(radii) & (radii > 0)):
-        raise ValueError(f"radii must be positive and finite, got {radii.tolist()}")
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing")
+    tasks = []  # (spec, radii, hit counts by radius and probe)
+    for spec, radii in domains:
+        radii = np.asarray(radii, dtype=float)
+        if not np.all(np.isfinite(radii) & (radii > 0)):
+            raise ValueError(f"radii must be positive and finite, got {radii.tolist()}")
+        if np.any(np.diff(radii) <= 0):
+            raise ValueError("radii must be strictly increasing")
+        tasks.append((spec, radii, [[0] * spec.probe_centers.shape[0] for _ in radii]))
     if samples_per_radius < 10_000:
         raise ValueError(
             f"need at least 10^4 samples per radius, got {samples_per_radius}"
         )
-    n_probes = spec.probe_centers.shape[0]
-    streams = np.random.SeedSequence(seed).spawn(radii.size * n_probes)
-    points = np.empty((samples_per_radius, spec.dim))
-    uniforms = np.empty(samples_per_radius)
-    volumes = np.empty(radii.size)
-    stderr = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        best_vol = -math.inf
-        best_err = math.nan
-        vball = ball_volume(float(r), spec.dim)
-        for j in range(n_probes):
-            rng = np.random.default_rng(streams[i * n_probes + j])
+    n = samples_per_radius
+    n_streams = max((r.size * s.probe_centers.shape[0] for s, r, _ in tasks), default=0)
+    streams = np.random.SeedSequence(seed).spawn(n_streams)
+    max_dim = max((spec.dim for spec, _, _ in tasks), default=0)
+    normals = np.empty(n * max_dim)
+    uniforms = np.empty(n)
+    placed = np.empty(_CHUNK * max_dim)
+    scale = np.empty(_CHUNK)
+    for dim in sorted({spec.dim for spec, _, _ in tasks}):
+        points = normals[:n * dim].reshape(n, dim)
+        scratch = placed[:_CHUNK * dim].reshape(_CHUNK, dim)
+        for t, stream in enumerate(streams):
+            readers = []  # (spec, radius, probe, hits row) of each task t
+            for spec, radii, hits in tasks:
+                i, j = divmod(t, spec.probe_centers.shape[0])
+                if spec.dim == dim and i < radii.size:
+                    readers.append((spec, radii[i], j, hits[i]))
+            if not readers:
+                continue
+            rng = np.random.default_rng(stream)
             rng.standard_normal(out=points)
             rng.random(out=uniforms)
-            hits = 0
-            for start in range(0, samples_per_radius, _CHUNK):
-                chunk = points[start:start + _CHUNK]
-                scale = uniforms[start:start + _CHUNK]
-                chunk /= np.sqrt(_sum_of_squares(chunk))[:, None]
-                scale **= 1.0 / spec.dim
-                scale *= float(r)
-                chunk *= scale[:, None]
-                chunk += spec.probe_centers[j]
-                hits += np.count_nonzero(np.asarray(spec.indicator(chunk), dtype=bool))
-            frac = hits / samples_per_radius
-            vol = frac * vball
-            err = vball * math.sqrt(frac * (1 - frac) / samples_per_radius)
-            if vol > best_vol:
-                best_vol, best_err = vol, err
-        volumes[i] = best_vol
-        stderr[i] = best_err
-    return VolumeProfile(radii=radii, volumes=volumes, stderr=stderr)
+            for start in range(0, n, _CHUNK):
+                directions = points[start:start + _CHUNK]
+                u = uniforms[start:start + _CHUNK]
+                directions /= np.sqrt(_sum_of_squares(directions))[:, None]
+                u **= 1.0 / dim
+                s, x = scale[:u.size], scratch[:u.size]
+                for spec, r, j, row in readers:
+                    np.multiply(u, r, out=s)
+                    np.multiply(directions, s[:, None], out=x)
+                    x += spec.probe_centers[j]
+                    row[j] += np.count_nonzero(np.asarray(spec.indicator(x), dtype=bool))
+    profiles = []
+    for spec, radii, hits in tasks:
+        volumes = np.empty(radii.size)
+        stderr = np.empty(radii.size)
+        for i, r in enumerate(radii):
+            best_vol = -math.inf
+            best_err = math.nan
+            vball = ball_volume(float(r), spec.dim)
+            for count in hits[i]:
+                frac = count / n
+                vol = frac * vball
+                err = vball * math.sqrt(frac * (1 - frac) / n)
+                if vol > best_vol:
+                    best_vol, best_err = vol, err
+            volumes[i] = best_vol
+            stderr[i] = best_err
+        profiles.append(VolumeProfile(radii=radii, volumes=volumes, stderr=stderr))
+    return profiles
 
 
 def estimate_effective_dimension(profile: VolumeProfile) -> float:
@@ -181,6 +233,15 @@ def ball_domain(radius: float, dim: int) -> DomainSpec:
         indicator=indicator,
         probe_centers=np.zeros((1, dim)),
     )
+
+
+def ball_cylinder_domain(radius: float) -> DomainSpec:
+    """Right circular cylinder: a disk of the given radius in (x, y), z free."""
+
+    def indicator(points: np.ndarray) -> np.ndarray:
+        return points[:, 0] ** 2 + points[:, 1] ** 2 <= radius * radius
+
+    return DomainSpec(dim=3, indicator=indicator, probe_centers=np.zeros((1, 3)))
 
 
 def half_space_domain(dim: int) -> DomainSpec:

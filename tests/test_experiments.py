@@ -659,11 +659,19 @@ class TestCli:
         calls = []
         monkeypatch.setattr(experiments, "truncated_gaussian_energy",
                             lambda *args: calls.append(args) or 0.0)
-        monkeypatch.setattr(experiments, "estimate_volume_profile",
-                            lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(experiments, "estimate_volume_profiles",
+                            lambda *args, **kwargs: calls.append(args) or [])
         assert main(["experiment", *command]) == 2
         assert calls == []
         assert re.search(rf"error: .*\b{key}\b", capsys.readouterr().err)
+
+    def test_valid_effdim_reaches_the_sampler_spy(self, monkeypatch):
+        # the positive control of the spy above: a valid call does reach it
+        calls = []
+        monkeypatch.setattr(experiments, "estimate_volume_profiles",
+                            lambda *args, **kwargs: calls.append(args) or [])
+        assert main(["experiment", "effdim", "--set", "samples=10000"]) == 0
+        assert len(calls) == 1 and calls[0][1] == 10_000
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         # the output path is a directory, so opening it for writing fails

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,17 +7,20 @@ import pytest
 from swarmeq import (
     DomainSpec,
     VolumeProfile,
+    ball_cylinder_domain,
     ball_domain,
     ball_volume,
     box_domain,
     estimate_effective_dimension,
     estimate_volume_profile,
+    estimate_volume_profiles,
     half_space_domain,
     paraboloid_domain,
     slab_domain,
     wedge_domain,
 )
-from swarmeq.experiments import ball_cylinder_domain, builtin_domains
+from swarmeq import geometry
+from swarmeq.experiments import builtin_domains
 
 SAMPLES = 10_000  # light for unit tests; the acceptance suite uses 10^5
 
@@ -92,6 +96,15 @@ class TestVolumeEstimates:
         with pytest.raises(ValueError, match="dimension"):
             DomainSpec(dim=3, indicator=lambda pts: np.ones(len(pts), bool),
                        probe_centers=np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("centers", [np.zeros((0, 2)), np.zeros((1, 2, 1)), np.zeros(2)],
+                             ids=["empty", "3-d", "1-d"])
+    def test_probe_centers_must_be_a_non_empty_matrix(self, centers):
+        # an empty set of probes gave the volumes -inf and the stderr nan
+        with pytest.raises(ValueError, match=rf"non-empty \(k, 2\) array, got shape "
+                                             rf"{re.escape(str(centers.shape))}"):
+            DomainSpec(dim=2, indicator=lambda pts: np.ones(len(pts), bool),
+                       probe_centers=centers)
 
 
 def _sample_in_ball(rng, center, radius, n):
@@ -175,6 +188,57 @@ class TestStreamedSampler:
             expected = _sample_in_ball(np.random.default_rng(stream), spec.probe_centers[j],
                                        r, samples)
             np.testing.assert_array_equal(points[k * samples:(k + 1) * samples], expected)
+
+    @pytest.mark.parametrize("samples", [10_000, 40_001])
+    def test_one_batch_equals_the_whole_task_sampler(self, samples):
+        domains = {**builtin_domains(), **_extra_domains()}
+        profiles = estimate_volume_profiles(list(domains.values()), samples, seed=4)
+        assert len(profiles) == len(domains)
+        for (spec, radii), profile in zip(domains.values(), profiles):
+            volumes, stderr = _reference_profile(spec, radii, samples, seed=4)
+            np.testing.assert_array_equal(profile.radii, radii)
+            np.testing.assert_array_equal(profile.volumes, volumes)
+            np.testing.assert_array_equal(profile.stderr, stderr)
+
+    def test_one_normal_fill_per_stream_and_dimension(self, monkeypatch):
+        fills = []
+        generator = np.random.default_rng
+
+        class Counting:
+            def __init__(self, stream):
+                self.rng = generator(stream)
+                self.key = stream.spawn_key
+
+            def standard_normal(self, out):
+                fills.append((self.key, out.shape[1]))
+                return self.rng.standard_normal(out=out)
+
+            def random(self, out):
+                return self.rng.random(out=out)
+
+        monkeypatch.setattr(geometry.np.random, "default_rng", Counting)
+        domains = builtin_domains()
+        estimate_volume_profiles(list(domains.values()), 10_000, seed=0)
+        # six radii and one probe each: streams 0..5, once in 2-d and once in 3-d
+        assert sorted(fills) == sorted({((t,), spec.dim) for spec, radii in domains.values()
+                                        for t in range(radii.size)})
+        assert len(fills) == 12
+
+    def test_an_indicator_that_writes_its_argument_changes_no_other_domain(self):
+        def scribble(pts):
+            inside = pts[:, 0] >= 0
+            pts[:] = 1e9
+            return inside
+
+        radii, samples = [1.0, 4.0, 10.0], 40_001
+        half_plane = half_space_domain(2)
+        vandal = DomainSpec(dim=2, indicator=scribble, probe_centers=np.full((2, 2), 0.5))
+        alone = estimate_volume_profile(half_plane, radii, samples, seed=6)
+        for order in ([vandal, half_plane], [half_plane, vandal]):
+            profiles = estimate_volume_profiles([(spec, radii) for spec in order], samples, seed=6)
+            shared = profiles[order.index(half_plane)]
+            np.testing.assert_array_equal(shared.volumes, alone.volumes)
+            np.testing.assert_array_equal(shared.stderr, alone.stderr)
 
     def test_column_indicators_match_row_formulas_on_the_boundary(self):
         sides = np.array([2.0, 0.5, 3.0])
