@@ -6,11 +6,14 @@ dimension; s counts the orthogonal directions extending independently to
 infinity and enters the sharp diffusion-vs-attraction existence threshold.
 The estimator samples uniformly inside balls around caller-chosen probe
 centres and fits the growth exponent on a log-log scale.  The (radius,
-probe) task t of every domain reads the same random stream t, so a batch of
-domains (`estimate_volume_profiles`) draws each stream once per dimension,
-into two buffers reused across streams, and every task that reads it places
-and counts the points chunk by chunk in a scratch buffer; memory traffic
-stays in cache, and the draws are shared instead of repeated per domain.
+probe) task t of every domain reads the same random stream t, and a stream's
+points in dimension d are built from a prefix of the normals it gives in a
+higher dimension.  So a batch of domains (`estimate_volume_profiles`) makes
+one generator per stream and draws its normals once, for the largest
+dimension that reads it; every task that reads the stream places and counts
+the points chunk by chunk, column by column, in a scratch buffer.  Memory
+traffic stays in cache, and the draws are shared instead of repeated per
+domain or per dimension.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ class DomainSpec:
     probe_centers: np.ndarray
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"domain dimension dim must be at least 1, got {self.dim}")
         centers = np.asarray(self.probe_centers, dtype=float)
         if centers.ndim != 2 or centers.shape[0] == 0:
             raise ValueError(
@@ -65,9 +70,9 @@ def ball_volume(radius: float, dim: int) -> float:
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius**dim
 
 
-# Rows per in-place pass of the sampler: a few hundred kB per chunk, so every
-# step of a pass runs in cache.
-_CHUNK = 16384
+# Rows per pass of the sampler: its two (rows, dim) scratch buffers take a few
+# hundred kB, so every step of a pass runs in cache.
+_CHUNK = 8192
 
 
 def _sum_of_squares(points: np.ndarray) -> np.ndarray:
@@ -114,19 +119,24 @@ def estimate_volume_profiles(
     """`estimate_volume_profile` of each `(spec, radii)`, sharing the draws.
 
     A sample is `center + radius * u**(1/dim) * g / |g|` for a standard
-    normal row g and a uniform u, and stream t gives the same g and u to
-    every domain of one dimension that has a task t.  So each stream is drawn
-    once per dimension: its normals fill one buffer, its uniforms another,
-    and then, chunk by chunk, the directions `g / |g|` and `u**(1/dim)` are
-    taken in place, once, and every (domain, radius, probe) task that reads
-    the stream places the chunk in a scratch buffer and counts its hits
-    there.  The indicator sees only the scratch buffer, so one that writes
-    into its argument cannot change another task's points.  The normal
-    buffer is sized for the largest dimension and viewed for smaller ones.
+    normal row g and a uniform u.  Stream t gives task t of a dim-dimensional
+    domain its first `dim * n` normals, then n uniforms, whatever the domain.
+    So each stream has one generator, and the dimensions that read it are
+    taken in ascending order: the normals are drawn on from where the last
+    dimension stopped, into one buffer sized for the largest dimension, and
+    the uniforms are drawn with the generator's state saved and restored, so
+    the next dimension's normals follow the last ones.  Then, chunk by chunk,
+    the directions `g / |g|` are written column by column to a scratch
+    buffer (the raw normals stay for the next dimension) and `u**(1/dim)` is
+    taken in place, once; every (domain, radius, probe) task that reads the
+    stream places the chunk, column by column, in another scratch buffer and
+    counts its hits there.  The indicator sees only that buffer, so one that
+    writes into its argument cannot change another task's points.
 
-    Each profile equals its domain's whole-task draw bit for bit: filling a
-    buffer takes the same draws in the same order as
-    `standard_normal((n, dim))` and `random(n)`, and each step is the same
+    Each profile equals its domain's whole-task draw bit for bit: NumPy's
+    normal fill takes the same draws in the same order whether it fills a
+    buffer in one call or in two, so the buffers hold the values of
+    `standard_normal((n, dim))` and `random(n)`; each step is the same
     elementwise operation on the same operands (`_sum_of_squares` keeps
     NumPy's summation order), so the points are identical row for row; the
     indicator acts row by row, and the hit count over the sample count is
@@ -141,42 +151,57 @@ def estimate_volume_profiles(
         if np.any(np.diff(radii) <= 0):
             raise ValueError("radii must be strictly increasing")
         tasks.append((spec, radii, [[0] * spec.probe_centers.shape[0] for _ in radii]))
+    if not isinstance(samples_per_radius, (int, np.integer)):
+        raise TypeError(
+            f"samples_per_radius must be an integer, got {samples_per_radius!r}"
+        )
     if samples_per_radius < 10_000:
         raise ValueError(
             f"need at least 10^4 samples per radius, got {samples_per_radius}"
         )
-    n = samples_per_radius
+    n = int(samples_per_radius)
     n_streams = max((r.size * s.probe_centers.shape[0] for s, r, _ in tasks), default=0)
     streams = np.random.SeedSequence(seed).spawn(n_streams)
     max_dim = max((spec.dim for spec, _, _ in tasks), default=0)
     normals = np.empty(n * max_dim)
     uniforms = np.empty(n)
+    directions = np.empty(_CHUNK * max_dim)
     placed = np.empty(_CHUNK * max_dim)
     scale = np.empty(_CHUNK)
-    for dim in sorted({spec.dim for spec, _, _ in tasks}):
-        points = normals[:n * dim].reshape(n, dim)
-        scratch = placed[:_CHUNK * dim].reshape(_CHUNK, dim)
-        for t, stream in enumerate(streams):
-            readers = []  # (spec, radius, probe, hits row) of each task t
-            for spec, radii, hits in tasks:
-                i, j = divmod(t, spec.probe_centers.shape[0])
-                if spec.dim == dim and i < radii.size:
-                    readers.append((spec, radii[i], j, hits[i]))
-            if not readers:
-                continue
-            rng = np.random.default_rng(stream)
-            rng.standard_normal(out=points)
+    for t, stream in enumerate(streams):
+        readers = {}  # dim -> (spec, radius, probe, hits row) of each task t
+        for spec, radii, hits in tasks:
+            i, j = divmod(t, spec.probe_centers.shape[0])
+            if i < radii.size:
+                readers.setdefault(spec.dim, []).append((spec, radii[i], j, hits[i]))
+        rng = np.random.default_rng(stream)
+        drawn = 0
+        for dim in sorted(readers):
+            # a task in dim reads the stream's first dim * n normals, then n
+            # uniforms: the uniforms leave the state where the normals stop
+            rng.standard_normal(out=normals[drawn * n:dim * n])
+            drawn = dim
+            state = rng.bit_generator.state
             rng.random(out=uniforms)
+            rng.bit_generator.state = state
+            points = normals[:n * dim].reshape(n, dim)
             for start in range(0, n, _CHUNK):
-                directions = points[start:start + _CHUNK]
-                u = uniforms[start:start + _CHUNK]
-                directions /= np.sqrt(_sum_of_squares(directions))[:, None]
+                rows = points[start:start + _CHUNK]
+                c = rows.shape[0]
+                dirs = directions[:c * dim].reshape(c, dim)
+                x = placed[:c * dim].reshape(c, dim)
+                s = scale[:c]
+                norm = np.sqrt(_sum_of_squares(rows))
+                for k in range(dim):
+                    np.divide(rows[:, k], norm, out=dirs[:, k])
+                u = uniforms[start:start + c]
                 u **= 1.0 / dim
-                s, x = scale[:u.size], scratch[:u.size]
-                for spec, r, j, row in readers:
+                for spec, r, j, row in readers[dim]:
+                    center = spec.probe_centers[j]
                     np.multiply(u, r, out=s)
-                    np.multiply(directions, s[:, None], out=x)
-                    x += spec.probe_centers[j]
+                    for k in range(dim):
+                        np.multiply(dirs[:, k], s, out=x[:, k])
+                        x[:, k] += center[k]
                     row[j] += np.count_nonzero(np.asarray(spec.indicator(x), dtype=bool))
     profiles = []
     for spec, radii, hits in tasks:

@@ -76,6 +76,18 @@ class TestVolumeEstimates:
         with pytest.raises(ValueError, match="10\\^4"):
             estimate_volume_profile(spec, [1.0, 2.0], 100)
 
+    @pytest.mark.parametrize("samples", [1e4, 20_000.0, "20000", None], ids=repr)
+    def test_samples_per_radius_must_be_an_integer(self, samples):
+        # 1e4 used to fail inside np.empty with a TypeError about '20000.0'
+        with pytest.raises(TypeError, match="samples_per_radius must be an integer"):
+            estimate_volume_profile(box_domain([1.0, 1.0]), [1.0, 2.0], samples)
+
+    def test_numpy_integer_samples_per_radius(self):
+        spec, radii = box_domain([1.0, 1.0]), [1.0, 2.0]
+        a = estimate_volume_profile(spec, radii, np.int64(SAMPLES), seed=1)
+        b = estimate_volume_profile(spec, radii, SAMPLES, seed=1)
+        np.testing.assert_array_equal(a.volumes, b.volumes)
+
     @pytest.mark.parametrize("radii", [
         [1.0, math.nan, 3.0], [-2.0, 1.0, 3.0], [1.0, 2.0, math.inf], [0.0, 1.0, 2.0],
     ], ids=repr)
@@ -91,6 +103,13 @@ class TestVolumeEstimates:
                 indicator=lambda pts: pts[:, 0] >= 1.0,
                 probe_centers=np.zeros((1, 2)),
             )
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_must_be_positive(self, dim):
+        # dim = 0 with (1, 0) probes used to reach the sampler and divide by zero
+        with pytest.raises(ValueError, match=f"dim must be at least 1, got {dim}"):
+            DomainSpec(dim=dim, indicator=lambda pts: np.ones(len(pts), bool),
+                       probe_centers=np.zeros((1, max(dim, 0))))
 
     def test_probe_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -183,7 +202,8 @@ class TestStreamedSampler:
         streams = np.random.SeedSequence(2).spawn(len(radii) * 2)
         tasks = [(r, j) for r in radii for j in range(2)]
         points = np.concatenate(seen)
-        assert len(seen) == len(tasks) * 3 and points.shape == (len(tasks) * samples, dim)
+        chunks = -(-samples // geometry._CHUNK)
+        assert len(seen) == len(tasks) * chunks and points.shape == (len(tasks) * samples, dim)
         for k, (stream, (r, j)) in enumerate(zip(streams, tasks)):
             expected = _sample_in_ball(np.random.default_rng(stream), spec.probe_centers[j],
                                        r, samples)
@@ -201,16 +221,22 @@ class TestStreamedSampler:
             np.testing.assert_array_equal(profile.stderr, stderr)
 
     def test_one_normal_fill_per_stream_and_dimension(self, monkeypatch):
-        fills = []
+        generators, fills = [], {}
         generator = np.random.default_rng
 
         class Counting:
             def __init__(self, stream):
                 self.rng = generator(stream)
                 self.key = stream.spawn_key
+                generators.append(self.key)
+                fills[self.key] = []
+
+            @property
+            def bit_generator(self):
+                return self.rng.bit_generator
 
             def standard_normal(self, out):
-                fills.append((self.key, out.shape[1]))
+                fills[self.key].append(out.size)
                 return self.rng.standard_normal(out=out)
 
             def random(self, out):
@@ -218,11 +244,31 @@ class TestStreamedSampler:
 
         monkeypatch.setattr(geometry.np.random, "default_rng", Counting)
         domains = builtin_domains()
-        estimate_volume_profiles(list(domains.values()), 10_000, seed=0)
-        # six radii and one probe each: streams 0..5, once in 2-d and once in 3-d
-        assert sorted(fills) == sorted({((t,), spec.dim) for spec, radii in domains.values()
-                                        for t in range(radii.size)})
-        assert len(fills) == 12
+        n = 10_000
+        estimate_volume_profiles(list(domains.values()), n, seed=0)
+        # six radii and one probe each: streams 0..5, each read in 2-d and then
+        # in 3-d from one generator, which draws 3n normals in all: the 2-d
+        # points' 2n, then the n that extend them to the 3-d points' 3n
+        assert sorted(generators) == [(t,) for t in range(6)]
+        assert fills == {(t,): [2 * n, n] for t in range(6)}
+
+    @pytest.mark.parametrize("samples", [10_000, 40_001])
+    @pytest.mark.parametrize("radii_2d, radii_3d", [(6, 2), (2, 3)],
+                             ids=["2-d-only-streams", "3-d-only-streams"])
+    def test_streams_read_by_only_one_of_two_dimensions(self, samples, radii_2d, radii_3d):
+        # the 3-d domain has two probes: with 6 and 2 radii streams 0..3 are
+        # read in both dimensions and 4..5 only in 2-d; with 2 and 3 radii
+        # streams 0..1 in both and 2..5 only in 3-d, drawn 3n at once
+        two_probes = DomainSpec(dim=3, indicator=lambda pts: pts[:, 2] >= 0.0,
+                                probe_centers=[[0.0, 0.0, 0.5], [1.0, -1.0, 0.0]])
+        domains = [(wedge_domain(math.pi / 4, probe_distance=10.0),
+                    np.geomspace(1.0, 20.0, radii_2d)),
+                   (two_probes, np.geomspace(2.0, 9.0, radii_3d))]
+        profiles = estimate_volume_profiles(domains, samples, seed=3)
+        for (spec, radii), profile in zip(domains, profiles):
+            volumes, stderr = _reference_profile(spec, radii, samples, seed=3)
+            np.testing.assert_array_equal(profile.volumes, volumes)
+            np.testing.assert_array_equal(profile.stderr, stderr)
 
     def test_an_indicator_that_writes_its_argument_changes_no_other_domain(self):
         def scribble(pts):
