@@ -92,7 +92,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.output:
             written = emit(records, args.format or "json", args.output)
             _print(f"wrote {len(written)} file(s); primary: {written[0]}")
-    except (ValueError, RuntimeError, OSError) as exc:  # OSError: --output unwritable
+    # OSError: --output unwritable; MemoryError: a grid whose operator
+    # cannot be allocated (N = 200000 asks for a 320 GB matrix)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if any(r.converged is False for r in records) else 0

@@ -27,7 +27,9 @@ class Problem:
     operator wherever it serves the new nu (`KernelOperator.serves`: unless
     the kernel is clipped at a cap that depends on nu); otherwise it builds
     the operator for the new nu.  So a continuation builds one operator, or
-    one per stage for a clipped kernel.
+    one per stage for a clipped kernel.  `with_potential` shares the operator
+    and samples the new V, so a sweep over potentials at one kernel and nu
+    builds one operator.
     """
 
     grid: Grid
@@ -41,7 +43,11 @@ class Problem:
     def __post_init__(self):
         _check_nu(self.nu)
         object.__setattr__(self, "operator", KernelOperator(self.grid, self.kernel, self.nu))
-        v = np.asarray(self.potential(self.grid.nodes), dtype=float)
+        self._sample(self.potential)
+
+    def _sample(self, potential: ExternalPotential) -> None:
+        v = np.asarray(potential(self.grid.nodes), dtype=float)
+        object.__setattr__(self, "potential", potential)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "v_vanishes", not np.any(v))
 
@@ -53,6 +59,13 @@ class Problem:
         object.__setattr__(other, "nu", nu)
         if not self.operator.serves(nu):
             object.__setattr__(other, "operator", KernelOperator(self.grid, self.kernel, nu))
+        return other
+
+    def with_potential(self, potential: ExternalPotential) -> "Problem":
+        """The same problem under another external potential, sharing the
+        operator and sampling the new V on the nodes."""
+        other = copy.copy(self)
+        other._sample(potential)
         return other
 
 

@@ -229,10 +229,17 @@ class _Solving:
             max_iterations=_integer(ov, "N_max", SolverConfig.max_iterations),
         )
         records = []
-        # read every point before the first solve; build each Problem in its turn
+        problem = None
+        # read every point before the first solve; build each Problem in its
+        # turn, or take the last one's operator when the kernel object and nu
+        # are the same
         for point in list(self.points(ov, grid, nu)):
             t0 = time.perf_counter()
-            problem = Problem(grid, point.kernel, point.potential, point.lead["nu"])
+            if (problem is not None and point.kernel is problem.kernel
+                    and point.lead["nu"] == problem.nu):
+                problem = problem.with_potential(point.potential)
+            else:
+                problem = Problem(grid, point.kernel, point.potential, point.lead["nu"])
             schedule = point.schedule or ContinuationSchedule((problem.nu,))
             reports = solve_with_continuation(problem, schedule, point.rho0, cfg)
             final = reports[-1]
@@ -268,8 +275,9 @@ def _kp2_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
     if min(gs) <= 0:  # `_exact_metrics` compares with a minimizer only g > 0 has
         raise ValueError(f"g must be positive in kp2, got {min(gs)!r}")
     rho0 = indicator_density(grid, 0.0, 0.25)
+    kernel = PowerLawKernel(2.0)  # one object, so the records share one operator
     for g in gs:
-        yield _Solve({"nu": nu, "g": g, "g_over_gc": g / gc}, PowerLawKernel(2.0),
+        yield _Solve({"nu": nu, "g": g, "g_over_gc": g / gc}, kernel,
                      LinearPotential(g), rho0, {"rho0": "indicator[0,0.25]"})
 
 
@@ -288,9 +296,10 @@ def _power_points(
     ps = _sweep(ov, "p", default_ps)
     gs = _sweep(ov, "g", [0.0, nu])
     for p in ps:
+        kernel = PowerLawKernel(p)  # one object, so the g sweep shares one operator
         for g in gs:
             yield _Solve(
-                {"nu": nu, "p": p, "g": g}, PowerLawKernel(p),
+                {"nu": nu, "p": p, "g": g}, kernel,
                 ZeroPotential() if g == 0 else LinearPotential(g),
                 indicator_density(grid, 0.0, 2.0 if g == 0 else 1.0),
                 {"rho0": "indicator[0,2]" if g == 0 else "indicator[0,1]"},

@@ -205,3 +205,21 @@ class TestProblemNu:
         problem = Problem(make_grid(2.0, 65), PowerLawKernel(2.0), ZeroPotential(), 0.1)
         with pytest.raises(ValueError, match="diffusion parameter must be positive and finite"):
             problem.with_nu(nu)
+
+
+class TestWithPotential:
+    def test_shares_the_operator_and_samples_v(self):
+        grid = make_grid(2.0, 65, SpacingMode.QUADRATIC)
+        rho = indicator_density(grid, 0.0, 1.0)
+        problem = Problem(grid, PowerLawKernel(2.0), ZeroPotential(), 0.1)
+        other = problem.with_potential(LinearPotential(0.5))
+        fresh = Problem(grid, PowerLawKernel(2.0), LinearPotential(0.5), 0.1)
+        assert other.operator is problem.operator
+        assert (other.potential, other.nu, other.kernel) == (LinearPotential(0.5), 0.1,
+                                                             problem.kernel)
+        assert np.array_equal(other.v, fresh.v) and not other.v_vanishes
+        assert total_energy(other, rho) == total_energy(fresh, rho)
+        # the original keeps its own V
+        assert problem.potential == ZeroPotential() and problem.v_vanishes
+        assert not np.any(problem.v)
+        assert other.with_potential(ZeroPotential()).v_vanishes

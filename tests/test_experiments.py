@@ -345,8 +345,9 @@ class TestRecordKeys:
 
 
 class TestOperatorBuilds:
-    """Each solved record builds its kernel operator once; a continuation
-    schedule shares one operator across its stages."""
+    """A call builds one kernel operator per kernel and nu: the records of a
+    sweep over g share their kernel's operator, and a continuation schedule
+    shares one across its stages."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -368,10 +369,25 @@ class TestOperatorBuilds:
         ("custom", {"stages": 3}),
     ])
     def test_one_build_per_record(self, builds, experiment, overrides):
+        # (records, builds): kp2's three g share one kernel; kpsmall and kplarge
+        # sweep g = 0 and g = nu at each p; each multistate schedule and the
+        # custom solve has its own kernel
+        counts = {"kp2": (3, 1), "kpsmall": (4, 2), "kplarge": (2, 1),
+                  "multistate": (2, 2), "custom": (1, 1)}
         records = run_experiment(ExperimentConfig(
             experiment, overrides={"N": 64, "N_max": 5, **overrides}
         ))
-        assert builds[0] == len(records)
+        assert (len(records), builds[0]) == counts[experiment]
+
+    def test_shared_operator_keeps_the_record(self):
+        # the g = nu record, solved on the operator the g = 0 record built,
+        # equals the same record solved on its own
+        nu = 2.0**-6
+        shared = run_experiment(ExperimentConfig("kpsmall", {"N": 64, "p": [2.0]}))[1]
+        alone, = run_experiment(ExperimentConfig("kpsmall", {"N": 64, "p": [2.0], "g": [nu]}))
+        assert shared.parameters == alone.parameters and shared.parameters["g"] == nu
+        assert shared.metrics == alone.metrics
+        assert np.array_equal(shared.samples_y, alone.samples_y)
 
     def test_clipped_kernel_builds_one_operator_per_stage(self, builds):
         # at N = 1024 the p = 32 kernel is clipped at a cap proportional to nu,
@@ -545,6 +561,17 @@ class TestCli:
             [(64, 0.1, defaults[0].parameters["N_max"])],
             [(r.parameters["N"], r.parameters["g"], 40) for r in defaults],
         ]
+
+    def test_unallocatable_operator_exits_two(self, monkeypatch, capsys):
+        # an operator too large for memory is a configuration error, not a
+        # record that did not converge; no real array of that size is asked for
+        def no_memory(self, grid, kernel, nu):
+            raise MemoryError(f"Unable to allocate the {grid.size}-node operator")
+
+        monkeypatch.setattr(KernelOperator, "__init__", no_memory)
+        assert main(["experiment", "kp2", "--set", "N=200000", "--set", "g=[0.1]"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate the 200000-node operator\n"
 
     def test_closed_stdout_keeps_the_status_and_the_file(self, tmp_path):
         # as in `swarmeq experiment kp2 --output x.json | head -1`, the reader

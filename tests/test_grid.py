@@ -21,6 +21,7 @@ from swarmeq import (
     Problem,
     RegularizedQanrKernel,
     SpacingMode,
+    TabulatedKernel,
     ZeroPotential,
     apply_gibbs_map,
     convolve_kernel,
@@ -30,7 +31,7 @@ from swarmeq import (
 )
 from swarmeq.experiments import ExperimentConfig, run_experiment
 from swarmeq.gibbs import DEFAULT_CLAMP_FLOOR
-from swarmeq.grid import _kernel_cap, _next_fast_len, check_density
+from swarmeq.grid import _BUILD_BLOCK, _kernel_cap, _next_fast_len, check_density
 
 
 class TestMakeGrid:
@@ -291,6 +292,82 @@ class TestConvolution:
                 out = np.asarray(super().__call__(x), dtype=float)
                 return np.where(np.abs(np.asarray(x)) > 0.5, np.nan, out)
 
+        # row 0 holds -x_j, first beyond 0.5 in magnitude at x_5 = 0.625
         g = make_grid(1.0, 9)
-        with pytest.raises(ValueError, match="displacement"):
+        expected = f"non-finite value at displacement {np.float64(-0.625)!r}"
+        with pytest.raises(ValueError, match=f"{re.escape(expected)}$"):
             KernelOperator(g, BadKernel(2.0), 2.0**-6)
+
+
+class TestDenseBuild:
+    """The dense operator is filled in row blocks of `_BUILD_BLOCK` entries,
+    with the same matrix, the same errors and a peak of one matrix."""
+
+    KERNELS = [
+        PowerLawKernel(2.0), PowerLawKernel(1.5), RegularizedQanrKernel(0.3),
+        TabulatedKernel(displacements=np.linspace(0.0, 4.0, 9),
+                        values=np.cos(np.linspace(0.0, 4.0, 9))),
+    ]
+
+    @pytest.mark.parametrize("mode", list(SpacingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("n", [3, 65, 200, 300, 511])
+    def test_bit_equal_to_the_whole_matrix(self, n, mode):
+        # 300 nodes take blocks of 218 rows and 511 nodes 128, each ending
+        # on a ragged block
+        g = make_grid(4.0, n, mode)
+        disp = g.nodes[:, None] - g.nodes[None, :]
+        for kernel in self.KERNELS:
+            matrix = KernelOperator(g, kernel, 2.0**-6)._matrix
+            assert np.array_equal(matrix, kernel(disp) * g.weights[None, :]), kernel
+
+    def test_non_finite_value_in_a_later_block(self):
+        # NaN at positive displacements in (2.2, 2.205), which no row of the
+        # first block (x_i <= x_217 = 2.107) reaches
+        class BandKernel(PowerLawKernel):
+            def __call__(self, x):
+                x = np.asarray(x)
+                return np.where((x > 2.2) & (x < 2.205), np.nan, super().__call__(x))
+
+        n = 300
+        g = make_grid(4.0, n, SpacingMode.QUADRATIC)
+        kernel = BandKernel(2.0)
+        disp = g.nodes[:, None] - g.nodes[None, :]
+        first = np.argwhere(~np.isfinite(kernel(disp)))[0]
+        assert _BUILD_BLOCK // n == 218 and first[0] >= 218 and first[1] > 0
+        expected = f"kernel evaluated to a non-finite value at displacement {disp[tuple(first)]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            KernelOperator(g, kernel, 2.0**-6)
+
+    def test_tabulated_range_error(self):
+        # the table ends at 3 < L; TabulatedKernel reads |x|, and row 0 already
+        # spans |x| in [0, L], so the first block raises the error that a
+        # whole-matrix call raises
+        g = make_grid(4.0, 300, SpacingMode.QUADRATIC)
+        kernel = TabulatedKernel(displacements=[0.0, 3.0], values=[1.0, 0.0])
+        with pytest.raises(ValueError) as whole:
+            kernel(g.nodes[:, None] - g.nodes[None, :])
+        with pytest.raises(ValueError) as blocked:
+            KernelOperator(g, kernel, 2.0**-6)
+        assert str(blocked.value) == str(whole.value)
+        assert str(blocked.value) == "displacement outside tabulated range [0.0, 3.0]"
+
+    def test_build_peak_is_about_one_matrix(self):
+        # ru_maxrss is in kB on Linux; a whole-matrix build grew it by 2.95
+        # matrices (displacements, kernel values and product, with the mask),
+        # the blocked build by 1.01
+        code = textwrap.dedent("""
+            import resource
+            from swarmeq import KernelOperator, PowerLawKernel, make_grid
+
+            kernel = PowerLawKernel(2.0)
+            KernelOperator(make_grid(4.0, 300, "quadratic"), kernel, 1.0)  # warm-up
+            grid = make_grid(4.0, 2048, "quadratic")
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            matrix = KernelOperator(grid, kernel, 1.0)._matrix
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) * 1024 / matrix.nbytes)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(swarmeq.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert float(out.stdout) < 1.25
