@@ -64,7 +64,7 @@ def euler_lagrange_residual(problem: Problem, rho: Density) -> float:
         i = int(np.argmax(values <= 0))
         raise ValueError(
             f"density is not strictly positive at node {i} "
-            f"(x = {rho.grid.nodes[i]!r}); not a Gibbs-map output"
+            f"(x = {float(rho.grid.nodes[i])!r}); not a Gibbs-map output"
         )
     return diagnose(problem, rho).lambda_inf
 

@@ -269,6 +269,13 @@ def _schedule(ov: dict[str, Any], nu: float, start: float | None) -> Continuatio
     return schedule
 
 
+def _schedule_echo(schedule: ContinuationSchedule) -> dict[str, Any]:
+    """What a continuation record echoes of its schedule: its span (the first
+    stage's nu over the last), its stage count and the schedule itself."""
+    return {"nu0_over_nu": schedule.nus[0] / schedule.nus[-1],
+            "stages": len(schedule.nus), "schedule": list(schedule.nus)}
+
+
 def _kp2_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
     gc = critical_slope(nu)
     gs = _sweep(ov, "g", [0.25 * gc, gc, 4 * gc])
@@ -325,13 +332,12 @@ def _multistate_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_S
     if "schedule" not in ov and _integer(ov, "stages", _STAGES) < 2:
         # one stage ignores the start, so both records would be the same solve
         raise ValueError(f"multistate needs stages >= 2, got {ov['stages']!r}")
+    kernel = RegularizedQanrKernel(eps)  # one object, so the schedules share one operator
     for start in [None] if "schedule" in ov else [10.0, 2.0]:
         schedule = _schedule(ov, nu, start)
-        last = schedule.nus[-1]
         yield _Solve(
-            {"nu": last, "eps": eps, "nu0_over_nu": schedule.nus[0] / last,
-             "stages": len(schedule.nus)},
-            RegularizedQanrKernel(eps), ZeroPotential(), rho0,
+            {"nu": schedule.nus[-1], "eps": eps, **_schedule_echo(schedule)},
+            kernel, ZeroPotential(), rho0,
             {"prominence": prominence, "rho0": "uniform"}, schedule,
         )
 
@@ -362,14 +368,8 @@ def _custom_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve
         raise ValueError(f"rho0_interval must hold two numbers, got {interval!r}")
     lo, hi = interval
     schedule = _schedule(ov, nu, 10.0) if "schedule" in ov or "stages" in ov else None
-    lead = {"kernel": kind, "nu": schedule.nus[-1] if schedule else nu, "g": g}
-    if schedule is not None:
-        # a continuation echoes its span and stage count, as multistate records
-        # do, and a given schedule itself
-        lead["nu0_over_nu"] = schedule.nus[0] / schedule.nus[-1]
-        lead["stages"] = len(schedule.nus)
-        if "schedule" in ov:
-            lead["schedule"] = list(schedule.nus)
+    lead = {"kernel": kind, "nu": schedule.nus[-1] if schedule else nu, "g": g,
+            **(_schedule_echo(schedule) if schedule else {})}
     yield _Solve(
         lead,
         kernel_class(shape[key]), ZeroPotential() if g == 0 else LinearPotential(g),

@@ -54,7 +54,7 @@ def _gibbs(problem: Problem, conv: np.ndarray) -> tuple[np.ndarray, float, float
     if not (math.isfinite(shift) and math.isfinite(u.max())):
         i = int(np.argmax(~np.isfinite(u)))
         raise GibbsMapError(
-            f"non-finite exponent at node {i} (x = {problem.grid.nodes[i]!r}); "
+            f"non-finite exponent at node {i} (x = {float(problem.grid.nodes[i])!r}); "
             "check kernel and potential values"
         )
     values = np.subtract(shift, u, out=u)

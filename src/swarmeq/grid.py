@@ -86,7 +86,12 @@ class SpacingMode(enum.Enum):
 
 @dataclass(frozen=True)
 class Grid:
-    """Quadrature nodes ``0 = x_0 < ... < x_{N-1} = L`` with trapezoid weights."""
+    """Quadrature nodes ``0 = x_0 < ... < x_{N-1} = L`` with trapezoid weights.
+
+    The nodes must start at 0 and end at `length` exactly, and in uniform mode
+    each must lie within 1e-12 L of L i/(N-1), the spacing the FFT path
+    assumes; `make_grid` and ``np.linspace(0, L, N)`` place them so.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -100,6 +105,14 @@ class Grid:
             raise ValueError("grid nodes must be strictly increasing")
         if not np.all(self.weights > 0):
             raise ValueError("all quadrature weights must be positive")
+        # the FFT path and every reader of `length` take these as given
+        n = self.nodes.size
+        if n < 2 or not (self.nodes[0] == 0 and self.nodes[-1] == self.length):
+            raise ValueError(f"grid nodes must run from 0 to the length {float(self.length)!r}")
+        if self.is_uniform and not np.all(
+            np.abs(self.nodes - self.length * (np.arange(n) / (n - 1))) <= 1e-12 * self.length
+        ):
+            raise ValueError("uniform grid nodes must lie within 1e-12 L of L i/(N-1)")
 
     @property
     def size(self) -> int:
@@ -303,7 +316,7 @@ def _check_finite(kvals: np.ndarray, displacements: np.ndarray) -> None:
         where = np.argwhere(bad)[0]
         d = displacements[tuple(where)]
         raise ValueError(
-            f"kernel evaluated to a non-finite value at displacement {d!r}"
+            f"kernel evaluated to a non-finite value at displacement {float(d)!r}"
         )
 
 

@@ -37,18 +37,22 @@ The exponent floor keeps f and its differences out of subnormal range (the
 
 Every step reuses the kernel operator of the `Problem` and applies it once:
 K * rho is linear, so the convolution of y and of x is the same combination
-of stored convolutions.  The iterates are raw arrays, checked as a `Density`
-would check them where a step could break it, and one `Density` is built for
-the returned state.  The stages of a continuation share the operator through
-`Problem.with_nu`, unless the kernel is clipped at a cap that depends on nu;
-then each stage builds its own.  The report carries `diagnose` of the
-returned density.
+of stored convolutions.  The loop carries each state it evaluates (the
+start, the image T(rho), the candidate x and a y that the step takes) as one
+`(values, conv, energy)` record built by `_iterate`, the only place the
+energy is evaluated; a y that the step does not take is never evaluated.
+The values are raw arrays, checked as a `Density` would check them where a
+step could break it, and one `Density` is built for the returned state.  The
+stages of a continuation share the operator through `Problem.with_nu`, unless
+the kernel is clipped at a cap that depends on nu; then each stage builds its
+own.  The report carries `diagnose` of the returned density.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,6 +163,20 @@ class SolveReport:
         return [1.0 if step in ("full", "secant") else self.tau_c for step in self.step_trace]
 
 
+class _Iterate(NamedTuple):
+    """A state the loop has evaluated: its values, K * values and energy."""
+
+    values: np.ndarray
+    conv: np.ndarray
+    energy: float
+
+
+def _iterate(problem: Problem, values: np.ndarray, conv: np.ndarray) -> _Iterate:
+    """The record of `values`, whose K * values is `conv`; the one energy
+    evaluation of the solve loop."""
+    return _Iterate(values, conv, energy_breakdown(problem, values, conv).total)
+
+
 def solve(
     problem: Problem, rho0: Density, config: SolverConfig | None = None
 ) -> SolveReport:
@@ -182,34 +200,31 @@ def solve(
     wait = 0  # full steps left before the next secant try
     residual = math.inf
 
-    rho = rho0.values
-    conv = operator.apply(rho)
-    energy = energy_breakdown(problem, rho, conv).total
-    energy_trace = [energy]
+    rho = _iterate(problem, rho0.values, operator.apply(rho0.values))
+    energy_trace = [rho.energy]
     step_trace: list[str] = []
 
     while True:
         try:
-            image = gibbs_values(problem, conv)
+            values = gibbs_values(problem, rho.conv)
         except GibbsMapError as exc:
             raise GibbsMapError(f"iteration {len(step_trace)}: {exc}") from exc
-        f = image - rho
+        f = values - rho.values
         previous_residual, residual = residual, integrate(grid, np.abs(f))
         converged = residual < config.tol
         if len(step_trace) >= config.max_iterations:
             break  # budget exhausted; keep whatever the residual test said
 
-        image_conv = operator.apply(image)
-        image_energy = energy_breakdown(problem, image, image_conv).total
-        if not math.isfinite(image_energy):
-            raise GibbsMapError(f"iteration {len(step_trace)}: non-finite energy {image_energy!r}")
-        if image_energy < energy:
-            beta, y, y_conv = 1.0, image, image_conv
+        image = _iterate(problem, values, operator.apply(values))
+        if not math.isfinite(image.energy):
+            raise GibbsMapError(f"iteration {len(step_trace)}: non-finite energy {image.energy!r}")
+        if image.energy < rho.energy:
+            beta, y, y_conv = 1.0, image.values, image.conv
         else:
             beta = tau_c
-            y = (1 - tau_c) * rho + tau_c * image
+            y = (1 - tau_c) * rho.values + tau_c * image.values
             # K * rho is linear in rho, so the combined convolution is exact.
-            y_conv = (1 - tau_c) * conv + tau_c * image_conv
+            y_conv = (1 - tau_c) * rho.conv + tau_c * image.conv
         same = previous is not None and previous[3] == beta
         if not same:
             stored = 0
@@ -234,24 +249,21 @@ def solve(
             if gamma is not None and (beta < 1 or gamma @ b > SECANT_MIN_GAIN * (wf @ wf)):
                 candidate = _anderson_candidate(
                     problem, y - gamma @ d_y[:m], y_conv - gamma @ d_conv[:m],
-                    min(energy, image_energy),
+                    min(rho.energy, image.energy),
                 )
             if candidate is None and beta == 1:
                 wait = SECANT_BACKOFF
         previous = (f, y, y_conv, beta)
+        # y is evaluated only when the step takes it
         if candidate is not None:
-            step = "secant" if beta == 1 else "anderson"
-            rho, conv, energy = candidate
+            step, rho = ("secant" if beta == 1 else "anderson"), candidate
         elif beta == 1:
-            step = "full"
-            rho, conv, energy = image, image_conv, image_energy
+            step, rho = "full", image
         else:
-            step = "conservative"
             check_density(grid, y)
-            rho, conv = y, y_conv
-            energy = energy_breakdown(problem, rho, conv).total
+            step, rho = "conservative", _iterate(problem, y, y_conv)
         step_trace.append(step)
-        energy_trace.append(energy)
+        energy_trace.append(rho.energy)
         if converged:
             # The residual test passed, so this last scheme update is the
             # reported state.  It is a Gibbs image only when the image lowered
@@ -260,7 +272,7 @@ def solve(
             # before.
             break
 
-    density = Density(grid, rho)
+    density = Density(grid, rho.values)
     return SolveReport(
         density=density,
         residual=residual,
@@ -300,19 +312,18 @@ def _fit(
 
 def _anderson_candidate(
     problem: Problem, values: np.ndarray, conv: np.ndarray, energy: float
-) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """(values, K * values, energy) of an Anderson combination, or None unless
-    its values are positive, its mass is unit and its energy is below
-    `energy`.  `min > 0` rejects NaN and -inf, and a value of +inf fails the
-    mass check."""
+) -> _Iterate | None:
+    """The record of an Anderson combination, or None unless its values are
+    positive, its mass is unit and its energy is below `energy`.  `min > 0`
+    rejects NaN and -inf, and a value of +inf fails the mass check."""
     if not values.min() > 0:
         return None
     try:
         check_density(problem.grid, values)
     except ValueError:  # mass drifted beyond the density tolerance
         return None
-    total = energy_breakdown(problem, values, conv).total
-    return (values, conv, total) if total < energy else None
+    candidate = _iterate(problem, values, conv)
+    return candidate if candidate.energy < energy else None
 
 
 def solve_with_continuation(

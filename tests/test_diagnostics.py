@@ -48,7 +48,9 @@ class TestEulerLagrangeResidual:
     def test_rejects_density_with_zeros(self):
         g = make_grid(1.0, 65)
         rho = indicator_density(g, 0.0, 0.5)
-        with pytest.raises(ValueError, match="node"):
+        # the first zero node is x_33 = 0.515625, written as a plain number
+        message = r"^density is not strictly positive at node 33 \(x = 0\.515625\); not a"
+        with pytest.raises(ValueError, match=message):
             euler_lagrange_residual(Problem(g, zero_kernel(), ZeroPotential(), 0.1), rho)
 
     def test_offset_invariance(self):

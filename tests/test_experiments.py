@@ -62,7 +62,7 @@ RECORD_KEYS = {
     "kplarge": ["experiment", "param_nu", "param_p", "param_g", *ECHO_KEYS,
                 "param_rho0", *METRIC_KEYS, "l1_limit_distance", "mass_in_window"],
     "multistate": ["experiment", "param_nu", "param_eps", "param_nu0_over_nu",
-                   "param_stages", *ECHO_KEYS, "param_prominence", "param_rho0",
+                   "param_stages", "param_schedule", *ECHO_KEYS, "param_prominence", "param_rho0",
                    *METRIC_KEYS, "total_iterations", "stages_converged"],
     "custom": ["experiment", "param_kernel", "param_nu", "param_g", *ECHO_KEYS,
                "param_prominence", "param_rho0_interval", "param_p", *METRIC_KEYS,
@@ -257,6 +257,7 @@ class TestRunners:
         for record, start in zip(records, (10.0, 2.0)):
             assert record.parameters["nu0_over_nu"] == start
             assert record.parameters["stages"] == 2
+            assert record.parameters["schedule"] == [r.nu for r in record.solve_reports]
             assert isinstance(record.metrics["total_iterations"], int)
             assert record.metrics["aggregates"] >= 0
 
@@ -280,6 +281,23 @@ class TestRunners:
         assert [r.nu for r in geometric.solve_reports] == list(nus)
         (twin,) = run_experiment(ExperimentConfig("multistate", {**base, "schedule": list(nus)}))
         assert geometric.parameters["nu0_over_nu"] == twin.parameters["nu0_over_nu"]
+        assert geometric.parameters["schedule"] == twin.parameters["schedule"] == list(nus)
+
+    def test_multistate_echoes_the_schedule_it_solved(self):
+        # a given schedule and the geometric one of the same span and stage
+        # count echo the same nu0_over_nu and stages; the echoed schedule is
+        # what tells them apart
+        base = {"N": 64, "N_max": 1}
+        geometric = run_experiment(ExperimentConfig(
+            "multistate", {**base, "nu": 0.01, "stages": 3}))[1]  # started at 2 nu
+        (given,) = run_experiment(ExperimentConfig(
+            "multistate", {**base, "schedule": [0.02, 0.015, 0.01]}))
+        for key in ("nu0_over_nu", "stages"):
+            assert geometric.parameters[key] == given.parameters[key]
+        assert given.parameters["schedule"] == [0.02, 0.015, 0.01]
+        assert geometric.parameters["schedule"] != given.parameters["schedule"]
+        for record in (geometric, given):
+            assert record.parameters["schedule"] == [r.nu for r in record.solve_reports]
 
     @pytest.mark.parametrize("name", ["multistate", "custom"])
     def test_schedule_restatement_that_agrees_changes_nothing(self, name):
@@ -330,8 +348,11 @@ class TestRecordKeys:
             assert list(record_scalars(record)) == RECORD_KEYS[name]
 
     @pytest.mark.parametrize("overrides,echo", [
-        ({"stages": 4, "p": 4}, {"param_nu0_over_nu": 10.0, "param_stages": 4}),
-        ({"stages": 1}, {"param_nu0_over_nu": 1.0, "param_stages": 1}),
+        ({"stages": 4, "p": 4},
+         {"param_nu0_over_nu": 10.0, "param_stages": 4,
+          "param_schedule": list(ContinuationSchedule.geometric(10 * 2.0**-6, 2.0**-6, 4).nus)}),
+        ({"stages": 1}, {"param_nu0_over_nu": 1.0, "param_stages": 1,
+                         "param_schedule": [2.0**-6]}),
         ({"schedule": [0.02, 0.01]},
          {"param_nu0_over_nu": 2.0, "param_stages": 2, "param_schedule": [0.02, 0.01]}),
     ], ids=["stages", "one-stage", "schedule"])
@@ -370,10 +391,10 @@ class TestOperatorBuilds:
     ])
     def test_one_build_per_record(self, builds, experiment, overrides):
         # (records, builds): kp2's three g share one kernel; kpsmall and kplarge
-        # sweep g = 0 and g = nu at each p; each multistate schedule and the
-        # custom solve has its own kernel
+        # sweep g = 0 and g = nu at each p; multistate's two schedules share
+        # one kernel, and the custom solve has its own
         counts = {"kp2": (3, 1), "kpsmall": (4, 2), "kplarge": (2, 1),
-                  "multistate": (2, 2), "custom": (1, 1)}
+                  "multistate": (2, 1), "custom": (1, 1)}
         records = run_experiment(ExperimentConfig(
             experiment, overrides={"N": 64, "N_max": 5, **overrides}
         ))
@@ -607,7 +628,8 @@ class TestCli:
         assert "unknown override" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,echo", [
-        (["experiment", "multistate"], {"param_nu0_over_nu": 2.0, "param_stages": 2}),
+        (["experiment", "multistate"], {"param_nu0_over_nu": 2.0, "param_stages": 2,
+                                        "param_schedule": [0.02, 0.01]}),
         (["solve"], {"param_nu0_over_nu": 2.0, "param_stages": 2,
                      "param_schedule": [0.02, 0.01]}),
     ], ids=["multistate", "custom"])

@@ -81,6 +81,46 @@ class TestGrid:
             Grid(np.array([0.0, 0.5, 1.0]), np.array([0.25, math.nan, 0.25]), 1.0,
                  SpacingMode.UNIFORM)
 
+    @pytest.mark.parametrize("mode", list(SpacingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("shift,length", [(1.0, 3.0), (0.0, 3.0), (-0.5, 2.0)],
+                             ids=["shifted", "short", "shifted-and-short"])
+    def test_rejects_nodes_off_zero_or_length(self, mode, shift, length):
+        g = make_grid(2.0, 64, mode)
+        with pytest.raises(ValueError, match=r"^grid nodes must run from 0 to the length "
+                                             rf"{re.escape(repr(length))}$"):
+            Grid(g.nodes + shift, g.weights, length, mode)
+
+    @pytest.mark.parametrize("nodes", [[], [0.0]], ids=["empty", "one-node"])
+    def test_rejects_fewer_than_two_nodes(self, nodes):
+        nodes = np.array(nodes)
+        with pytest.raises(ValueError, match="^grid nodes must run from 0 to the length 0.0$"):
+            Grid(nodes, np.ones_like(nodes), 0.0, SpacingMode.QUADRATIC)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_rejects_quadratic_nodes_in_uniform_mode(self, n):
+        # at N = 1024 a uniform grid takes the FFT path, which would assume
+        # the spacing L/(N-1) of nodes that do not have it
+        q = make_grid(2.0, n, SpacingMode.QUADRATIC)
+        with pytest.raises(ValueError, match="^uniform grid nodes must lie within"):
+            Grid(q.nodes, q.weights, 2.0, SpacingMode.UNIFORM)
+        Grid(q.nodes, q.weights, 2.0, SpacingMode.QUADRATIC)
+
+    def test_uniform_node_tolerance(self):
+        g = make_grid(3.0, 65)
+        for offset, accepted in ((0.5e-12, True), (2e-12, False)):
+            nodes = g.nodes.copy()
+            nodes[31] += offset * 3.0
+            if accepted:
+                Grid(nodes, g.weights, 3.0, SpacingMode.UNIFORM)
+            else:
+                with pytest.raises(ValueError, match="^uniform grid nodes must lie within"):
+                    Grid(nodes, g.weights, 3.0, SpacingMode.UNIFORM)
+
+    @pytest.mark.parametrize("length,n", [(1.0, 3), (2.0, 1024), (4.0, 8192), (0.7, 1000)])
+    def test_accepts_linspace_nodes(self, length, n):
+        g = make_grid(length, n)
+        Grid(np.linspace(0.0, length, n), g.weights, length, SpacingMode.UNIFORM)
+
 
 class TestIntegrate:
     def test_constant(self):
@@ -294,7 +334,7 @@ class TestConvolution:
 
         # row 0 holds -x_j, first beyond 0.5 in magnitude at x_5 = 0.625
         g = make_grid(1.0, 9)
-        expected = f"non-finite value at displacement {np.float64(-0.625)!r}"
+        expected = "non-finite value at displacement -0.625"
         with pytest.raises(ValueError, match=f"{re.escape(expected)}$"):
             KernelOperator(g, BadKernel(2.0), 2.0**-6)
 
@@ -334,7 +374,7 @@ class TestDenseBuild:
         disp = g.nodes[:, None] - g.nodes[None, :]
         first = np.argwhere(~np.isfinite(kernel(disp)))[0]
         assert _BUILD_BLOCK // n == 218 and first[0] >= 218 and first[1] > 0
-        expected = f"kernel evaluated to a non-finite value at displacement {disp[tuple(first)]!r}"
+        expected = f"kernel evaluated to a non-finite value at displacement {float(disp[tuple(first)])!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             KernelOperator(g, kernel, 2.0**-6)
 

@@ -5,13 +5,13 @@ import warnings
 import numpy as np
 import pytest
 from conftest import zero_kernel
-from scipy.interpolate import CubicSpline
 
 from swarmeq import (
     ContinuationSchedule,
     Density,
     ExternalPotential,
     GibbsMapError,
+    KernelOperator,
     PowerLawKernel,
     Problem,
     RegularizedQanrKernel,
@@ -29,7 +29,7 @@ from swarmeq import (
 )
 from swarmeq import solver
 from swarmeq.experiments import ExperimentConfig, run_experiment
-from swarmeq.grid import MASS_TOL
+from swarmeq.grid import MASS_TOL, check_density
 
 
 def _tau_c(nu: float, config: SolverConfig | None = None) -> float:
@@ -106,6 +106,8 @@ class TestSolve:
         assert fixed_point_residual(problem, report.density) < 1e-6
 
     def test_free_space_state_is_symmetric_about_its_mean(self):
+        from scipy.interpolate import CubicSpline  # the one test of this file that needs SciPy
+
         nu = 2.0**-6
         g = make_grid(4.0, 1024, SpacingMode.UNIFORM)
         problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
@@ -517,6 +519,58 @@ class TestSecant:
         (report,) = record.solve_reports
         assert report.converged
         assert report.step_trace[-2:] == ["secant", "full"]
+
+
+class TestWork:
+    """What a solve evaluates: one energy for the start, one per image, one
+    per candidate that passes the positivity and mass checks and one per
+    conservative step taken; one apply of the operator for the start, one per
+    image and one for the diagnostics of the returned density."""
+
+    @pytest.mark.parametrize("case", ["dense-secant", "fft", "qanr-anderson"])
+    def test_energy_and_apply_counts(self, monkeypatch, case):
+        if case == "dense-secant":
+            problem = _secant_problem()
+            rho0, kinds = indicator_density(problem.grid, 0, 0.25), {"secant"}
+        elif case == "fft":
+            problem = _secant_problem(SpacingMode.UNIFORM, 4.0, 1.5, None)
+            rho0, kinds = indicator_density(problem.grid, 0, 1.0), {"full"}
+            assert problem.operator._matrix is None  # the FFT product
+        else:
+            g = make_grid(8.0, 128, SpacingMode.UNIFORM)
+            problem = Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), 2.0**-10)
+            rho0, kinds = indicator_density(g, 0, 8.0), {"anderson", "conservative"}
+        counts = {"energy": 0, "apply": 0, "candidates": 0}
+        real_energy, real_apply = solver.energy_breakdown, KernelOperator.apply
+        real_candidate = solver._anderson_candidate
+
+        def energy(*args):
+            counts["energy"] += 1
+            return real_energy(*args)
+
+        def apply(self, values):
+            counts["apply"] += 1
+            return real_apply(self, values)
+
+        def candidate(problem, values, conv, bound):
+            if values.min() > 0:
+                try:
+                    check_density(problem.grid, values)
+                    counts["candidates"] += 1
+                except ValueError:
+                    pass
+            return real_candidate(problem, values, conv, bound)
+
+        monkeypatch.setattr(solver, "energy_breakdown", energy)
+        monkeypatch.setattr(KernelOperator, "apply", apply)
+        monkeypatch.setattr(solver, "_anderson_candidate", candidate)
+        report = solve(problem, rho0)
+        assert report.converged and kinds <= set(report.step_trace)
+        conservative = report.step_trace.count("conservative")
+        assert counts["energy"] == (
+            1 + report.iterations + counts["candidates"] + conservative
+        )
+        assert counts["apply"] == report.iterations + 2
 
 
 class TestContinuation:
