@@ -225,17 +225,24 @@ def estimate_volume_profiles(
 
 def estimate_effective_dimension(profile: VolumeProfile) -> float:
     """Least-squares slope of log V against log r over the largest decade of
-    radii: the finite surrogate of the asymptotic growth exponent."""
+    radii: the finite surrogate of the asymptotic growth exponent.
+
+    A radius of the window whose sample had no hit (V estimated as 0, when
+    the domain's share of the ball is below about one in `samples`) has no
+    logarithm, so the fit leaves it out; fewer than two radii with a hit in
+    the window is a degenerate profile."""
     radii = profile.radii
     if radii.size < 3 or radii[-1] / radii[0] < 10:
         raise ValueError("need at least 3 radii spanning at least one decade")
     window = radii >= radii[-1] / 10 * (1 - 1e-12)
     if window.sum() < 2:
         window = np.ones_like(window, dtype=bool)
-    vols = profile.volumes[window]
-    if np.any(vols <= 0):
-        raise ValueError("degenerate volume profile: zero estimated volume in window")
-    slope = np.polyfit(np.log(radii[window]), np.log(vols), 1)[0]
+    window &= profile.volumes > 0
+    if window.sum() < 2:
+        raise ValueError(
+            "degenerate volume profile: fewer than two radii with a hit in the window"
+        )
+    slope = np.polyfit(np.log(radii[window]), np.log(profile.volumes[window]), 1)[0]
     return float(slope)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -86,37 +86,45 @@ class SpacingMode(enum.Enum):
 
 @dataclass(frozen=True)
 class Grid:
-    """Quadrature nodes ``0 = x_0 < ... < x_{N-1} = L`` with trapezoid weights.
+    """The `size`-node grid on [0, `length`] in spacing `mode`, with trapezoid
+    weights: equality and hashing follow these three values, and `nodes` and
+    `weights` are computed from them.
 
-    The nodes must start at 0 and end at `length` exactly, and in uniform mode
-    each must lie within 1e-12 L of L i/(N-1), the spacing the FFT path
-    assumes; `make_grid` and ``np.linspace(0, L, N)`` place them so.
+    `mode` is a SpacingMode or its name ("uniform" or "quadratic").  Uniform
+    mode places x_i = L*i/(N-1), the spacing the FFT path assumes; quadratic
+    mode places x_i = L*(i/(N-1))^2, concentrating resolution at the x = 0
+    boundary.  `length` must be positive and finite and `size` an integer of
+    at least 3.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
     length: float
+    size: int
     mode: SpacingMode
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if not np.all(np.diff(self.nodes) > 0):
-            raise ValueError("grid nodes must be strictly increasing")
-        if not np.all(self.weights > 0):
-            raise ValueError("all quadrature weights must be positive")
-        # the FFT path and every reader of `length` take these as given
-        n = self.nodes.size
-        if n < 2 or not (self.nodes[0] == 0 and self.nodes[-1] == self.length):
-            raise ValueError(f"grid nodes must run from 0 to the length {float(self.length)!r}")
-        if self.is_uniform and not np.all(
-            np.abs(self.nodes - self.length * (np.arange(n) / (n - 1))) <= 1e-12 * self.length
-        ):
-            raise ValueError("uniform grid nodes must lie within 1e-12 L of L i/(N-1)")
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
+        try:
+            mode = SpacingMode(self.mode)
+        except ValueError:
+            raise ValueError(
+                f"unknown grid mode {self.mode!r}; use 'uniform' or 'quadratic'"
+            ) from None
+        length, n = float(self.length), self.size
+        if not 0 < length < math.inf:
+            raise ValueError(f"grid length must be positive and finite, got {length!r}")
+        if not isinstance(n, (int, np.integer)) or n < 3:
+            raise ValueError(f"grid size n must be an integer of at least 3, got {n!r}")
+        s = np.arange(n, dtype=float) / (n - 1)
+        nodes = length * s if mode is SpacingMode.UNIFORM else length * s * s
+        gaps = np.diff(nodes)
+        weights = np.empty(n)
+        weights[0] = gaps[0] / 2
+        weights[-1] = gaps[-1] / 2
+        weights[1:-1] = (gaps[:-1] + gaps[1:]) / 2
+        for name, value in (("length", length), ("size", int(n)), ("mode", mode),
+                            ("nodes", nodes), ("weights", weights)):
+            object.__setattr__(self, name, value)
 
     @property
     def is_uniform(self) -> bool:
@@ -124,28 +132,8 @@ class Grid:
 
 
 def make_grid(length: float, n: int, mode: SpacingMode | str = SpacingMode.UNIFORM) -> Grid:
-    """Build an n-node grid on [0, length] with trapezoid weights.
-
-    `mode` is a SpacingMode or its name ("uniform" or "quadratic").  Uniform
-    mode places x_i = L*i/(N-1); quadratic mode places x_i = L*(i/(N-1))^2,
-    concentrating resolution at the x = 0 boundary.
-    """
-    try:
-        mode = SpacingMode(mode)
-    except ValueError:
-        raise ValueError(f"unknown grid mode {mode!r}; use 'uniform' or 'quadratic'") from None
-    if not length > 0:
-        raise ValueError(f"domain length must be positive, got {length}")
-    if n < 3:
-        raise ValueError(f"need at least 3 quadrature nodes, got {n}")
-    s = np.arange(n, dtype=float) / (n - 1)
-    nodes = length * s if mode is SpacingMode.UNIFORM else length * s * s
-    gaps = np.diff(nodes)
-    weights = np.empty(n)
-    weights[0] = gaps[0] / 2
-    weights[-1] = gaps[-1] / 2
-    weights[1:-1] = (gaps[:-1] + gaps[1:]) / 2
-    return Grid(nodes=nodes, weights=weights, length=float(length), mode=mode)
+    """The n-node grid on [0, length] in spacing `mode` (see `Grid`)."""
+    return Grid(length, n, mode)
 
 
 def integrate(grid: Grid, values: np.ndarray) -> float:

@@ -14,10 +14,10 @@ dy_j of y and df_j of f over successive steps of the same beta:
 
 with gamma the trapezoid-weighted least-squares fit of f by the df_j, solved
 through its normal equations: the Gram matrix of the weighted df_j gains one
-row and column per difference pushed, and an m x m solve (a division at
-m = 1) gives gamma.  The history holds the last ANDERSON_DEPTH differences
-at beta = tau_c and the last one at beta = 1, and it is cleared when beta
-switches.  A singular Gram matrix, or a gamma that is not finite, gives no x.  x is taken when it is
+row and column per difference pushed, and an m x m solve gives gamma.  The
+history holds the last ANDERSON_DEPTH differences at beta = tau_c and the last
+one at beta = 1, and it is cleared when beta switches.  A singular Gram
+matrix, or a gamma that is not finite, gives no x.  x is taken when it is
 finite, positive, of unit mass and of lower energy than both rho and T(rho);
 otherwise the step takes y.  The steps are named "full" (y at beta = 1),
 "secant" (x at beta = 1), "anderson" (x at beta = tau_c) and "conservative"
@@ -295,18 +295,10 @@ def _fit(
     singular or gamma is not finite."""
     gram[slot, :m] = gram[:m, slot] = d_f[:m] @ d_f[slot]
     b = d_f[:m] @ wf
-    if m == 1:
-        # the division np.linalg.solve makes of a 1 x 1 system, without its
-        # wrapper; a zero pivot is the singular case
-        pivot = gram[0, 0]
-        if pivot == 0:
-            return None, b
-        gamma = b / pivot
-    else:
-        try:
-            gamma = np.linalg.solve(gram[:m, :m], b)
-        except np.linalg.LinAlgError:
-            return None, b
+    try:
+        gamma = np.linalg.solve(gram[:m, :m], b)
+    except np.linalg.LinAlgError:
+        return None, b
     return (gamma if all(map(math.isfinite, gamma.tolist())) else None), b
 
 

@@ -802,6 +802,18 @@ class TestCli:
         assert "--format needs --output" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("seed", [2, 3, 6, 13, 21, 35])
+    def test_effdim_fits_past_a_radius_without_hits(self, seed, tmp_path):
+        # at 10^4 samples these seeds draw no hit of bounded-box-3d at r = 20
+        # (about 2.4 expected); the fit leaves that radius out
+        out = tmp_path / "eff.json"
+        code = main(["experiment", "effdim", "--seed", str(seed), "--set", "samples=10000",
+                     "--output", str(out)])
+        assert code == 0
+        records = json.loads(out.read_text())["records"]
+        assert len(records) == 6
+        assert all(math.isfinite(r["effective_dimension"]) for r in records)
+
     def test_seed_flag_feeds_experiment(self, tmp_path):
         out = tmp_path / "eff.json"
         code = main([

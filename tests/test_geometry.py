@@ -350,6 +350,12 @@ class TestEffectiveDimension:
         with pytest.raises(ValueError, match="decade"):
             estimate_effective_dimension(profile)
 
+    def test_radius_without_hits_left_out_of_the_fit(self):
+        radii = np.array([1.0, 5.0, 10.0, 20.0])
+        profile = VolumeProfile(radii=radii, volumes=np.array([1.0, 25.0, 0.0, 400.0]),
+                                stderr=np.zeros(4))
+        assert estimate_effective_dimension(profile) == pytest.approx(2.0, abs=1e-12)
+
     def test_degenerate_profile_rejected(self):
         profile = VolumeProfile(
             radii=np.array([1.0, 5.0, 20.0]),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,56 +72,64 @@ class TestMakeGrid:
             make_grid(2.0, 64, mode)
 
 
-class TestGrid:
-    def test_rejects_nan_node(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            Grid(np.array([0.0, math.nan, 1.0]), np.array([0.25, 0.5, 0.25]), 1.0,
-                 SpacingMode.UNIFORM)
+def _reference_formula(length, n, mode):
+    """The nodes and weights of an n-node grid on [0, length], written out
+    apart from `Grid` to pin its arithmetic bit for bit."""
+    s = np.arange(n, dtype=float) / (n - 1)
+    nodes = length * s if mode is SpacingMode.UNIFORM else length * s * s
+    gaps = np.diff(nodes)
+    weights = np.empty(n)
+    weights[0] = gaps[0] / 2
+    weights[-1] = gaps[-1] / 2
+    weights[1:-1] = (gaps[:-1] + gaps[1:]) / 2
+    return nodes, weights
 
-    def test_rejects_nan_weight(self):
-        with pytest.raises(ValueError, match="weights must be positive"):
-            Grid(np.array([0.0, 0.5, 1.0]), np.array([0.25, math.nan, 0.25]), 1.0,
-                 SpacingMode.UNIFORM)
+
+class TestGrid:
+    def test_init_fields_are_length_size_and_mode(self):
+        assert [f.name for f in dataclasses.fields(Grid) if f.init] == ["length", "size", "mode"]
 
     @pytest.mark.parametrize("mode", list(SpacingMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("shift,length", [(1.0, 3.0), (0.0, 3.0), (-0.5, 2.0)],
-                             ids=["shifted", "short", "shifted-and-short"])
-    def test_rejects_nodes_off_zero_or_length(self, mode, shift, length):
-        g = make_grid(2.0, 64, mode)
-        with pytest.raises(ValueError, match=r"^grid nodes must run from 0 to the length "
-                                             rf"{re.escape(repr(length))}$"):
-            Grid(g.nodes + shift, g.weights, length, mode)
+    def test_equal_values_compare_and_hash_equal(self, mode):
+        a, b = make_grid(2.0, 64, mode), Grid(2, np.int64(64), mode.value)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
 
-    @pytest.mark.parametrize("nodes", [[], [0.0]], ids=["empty", "one-node"])
-    def test_rejects_fewer_than_two_nodes(self, nodes):
-        nodes = np.array(nodes)
-        with pytest.raises(ValueError, match="^grid nodes must run from 0 to the length 0.0$"):
-            Grid(nodes, np.ones_like(nodes), 0.0, SpacingMode.QUADRATIC)
+    @pytest.mark.parametrize("other", [(3.0, 64, "uniform"), (2.0, 65, "uniform"),
+                                       (2.0, 64, "quadratic")], ids=["length", "size", "mode"])
+    def test_differing_values_compare_unequal(self, other):
+        assert make_grid(2.0, 64) != make_grid(*other)
 
-    @pytest.mark.parametrize("n", [64, 1024])
-    def test_rejects_quadratic_nodes_in_uniform_mode(self, n):
-        # at N = 1024 a uniform grid takes the FFT path, which would assume
-        # the spacing L/(N-1) of nodes that do not have it
-        q = make_grid(2.0, n, SpacingMode.QUADRATIC)
-        with pytest.raises(ValueError, match="^uniform grid nodes must lie within"):
-            Grid(q.nodes, q.weights, 2.0, SpacingMode.UNIFORM)
-        Grid(q.nodes, q.weights, 2.0, SpacingMode.QUADRATIC)
+    def test_rejects_infinite_length_by_name(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^grid length must be positive and finite, "
+                                                 "got inf$"):
+                make_grid(math.inf, 5)
 
-    def test_uniform_node_tolerance(self):
-        g = make_grid(3.0, 65)
-        for offset, accepted in ((0.5e-12, True), (2e-12, False)):
-            nodes = g.nodes.copy()
-            nodes[31] += offset * 3.0
-            if accepted:
-                Grid(nodes, g.weights, 3.0, SpacingMode.UNIFORM)
-            else:
-                with pytest.raises(ValueError, match="^uniform grid nodes must lie within"):
-                    Grid(nodes, g.weights, 3.0, SpacingMode.UNIFORM)
+    @pytest.mark.parametrize("n", [5.0, "5", None])
+    def test_rejects_non_integer_size_by_name(self, n):
+        message = f"grid size n must be an integer of at least 3, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_grid(2.0, n)
 
-    @pytest.mark.parametrize("length,n", [(1.0, 3), (2.0, 1024), (4.0, 8192), (0.7, 1000)])
-    def test_accepts_linspace_nodes(self, length, n):
-        g = make_grid(length, n)
-        Grid(np.linspace(0.0, length, n), g.weights, length, SpacingMode.UNIFORM)
+    @pytest.mark.parametrize("mode", list(SpacingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("n", [3, 64, 1000, 1024, 8192])
+    def test_nodes_and_weights_are_the_reference_formula(self, n, mode):
+        g = make_grid(2.7, n, mode)
+        nodes, weights = _reference_formula(2.7, n, mode)
+        assert g.nodes.tobytes() == nodes.tobytes()
+        assert g.weights.tobytes() == weights.tobytes()
+        assert g.nodes[0] == 0 and g.nodes[-1] == g.length
+
+    def test_rejects_node_and_weight_arrays(self):
+        g = make_grid(1.0, 3)
+        with pytest.raises(TypeError):
+            Grid(g.nodes, g.weights, 1.0, SpacingMode.UNIFORM)
+        with pytest.raises(TypeError):
+            Grid(nodes=g.nodes, weights=g.weights, length=1.0, mode=SpacingMode.UNIFORM)
+        with pytest.raises(TypeError):
+            Grid(g.nodes, g.weights, SpacingMode.UNIFORM)
 
 
 class TestIntegrate:
@@ -259,9 +269,9 @@ class TestConvolution:
             assert np.max(np.abs(image - exact)[keep] / exact[keep]) <= 2e-9
 
     def test_next_fast_len_matches_scipy(self):
-        import scipy.fft
+        scipy_fft = pytest.importorskip("scipy.fft")
 
-        assert all(_next_fast_len(n) == scipy.fft.next_fast_len(n, real=True)
+        assert all(_next_fast_len(n) == scipy_fft.next_fast_len(n, real=True)
                    for n in range(1, 20_001))
 
     @pytest.mark.parametrize("n", [512, 1000, 1023, 4096])
@@ -270,7 +280,7 @@ class TestConvolution:
     ], ids=["clipped", "unclipped"])
     def test_fft_product_bit_equal_to_scipy(self, rng, n, kernel, clipped):
         # NumPy's pocketfft gives the bits of the same product through scipy.fft
-        import scipy.fft
+        scipy_fft = pytest.importorskip("scipy.fft")
 
         nu = 2.0**-6
         g = make_grid(4.0, n, SpacingMode.UNIFORM)
@@ -279,9 +289,9 @@ class TestConvolution:
         assert op._matrix is None and (op._peak > op._cap) == clipped
         lags = np.arange(-(n - 1), n) * (g.length / (n - 1))
         cap = _kernel_cap(nu)
-        m = scipy.fft.next_fast_len(2 * n - 1, real=True)
-        spectrum = scipy.fft.rfft(np.clip(kernel(lags), -cap, cap), m)
-        product = scipy.fft.irfft(spectrum * scipy.fft.rfft(g.weights * values, m), m)
+        m = scipy_fft.next_fast_len(2 * n - 1, real=True)
+        spectrum = scipy_fft.rfft(np.clip(kernel(lags), -cap, cap), m)
+        product = scipy_fft.irfft(spectrum * scipy_fft.rfft(g.weights * values, m), m)
         assert np.array_equal(op.apply(values), product[n - 1 : 2 * n - 1])
 
     def test_solve_path_loads_no_scipy(self, tmp_path):

@@ -106,7 +106,7 @@ class TestSolve:
         assert fixed_point_residual(problem, report.density) < 1e-6
 
     def test_free_space_state_is_symmetric_about_its_mean(self):
-        from scipy.interpolate import CubicSpline  # the one test of this file that needs SciPy
+        CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
 
         nu = 2.0**-6
         g = make_grid(4.0, 1024, SpacingMode.UNIFORM)
@@ -353,7 +353,7 @@ class TestAnderson:
         assert gamma is None and b.tolist() == [0.0]
 
     def test_one_column_fit_equals_the_linear_solve(self, rng):
-        # the division gives np.linalg.solve's bits on a 1 x 1 system
+        # on a 1 x 1 system the solve is the division b / gram[0, 0], bit for bit
         gram = np.empty((solver.ANDERSON_DEPTH, solver.ANDERSON_DEPTH))
         d_f = np.zeros((solver.ANDERSON_DEPTH, 16))
         for _ in range(500):
@@ -361,6 +361,7 @@ class TestAnderson:
             wf = rng.standard_normal(16) * 10.0 ** rng.uniform(-20, 20)
             gamma, b = solver._fit(gram, d_f, 0, 1, wf)
             assert gamma.tolist() == np.linalg.solve(gram[:1, :1], b).tolist()
+            assert gamma.tolist() == (b / gram[0, 0]).tolist()
 
     def _problem(self):
         g = make_grid(8.0, 128)
