@@ -66,10 +66,11 @@ def _summary_line(record: ResultRecord) -> str:
     status = record.metrics.get("converged")
     tag = {True: "converged", False: "NOT CONVERGED", None: "done"}[status]
     extras = []
-    for key in ("total_energy", "lambda_inf", "iterations", "total_iterations",
-                "stages_converged", "aggregates", "effective_dimension", "l1_error_exact"):
-        if key in record.metrics and record.metrics[key] is not None:
-            val = record.metrics[key]
+    for key in ("total_energy", "lambda_inf", "iterations", "coarse_iterations",
+                "total_iterations", "stages_converged", "aggregates", "effective_dimension",
+                "l1_error_exact"):
+        val = record.metrics.get(key)
+        if val is not None and not (key == "coarse_iterations" and val == 0):
             extras.append(f"{key}={val:.6g}" if isinstance(val, float) else f"{key}={val}")
     label = ", ".join(
         f"{k}={v}" for k, v in list(record.parameters.items())[:3]

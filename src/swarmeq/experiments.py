@@ -56,7 +56,10 @@ from .solver import (
     SolveReport,
     SolverConfig,
     count_aggregates,
+    refinement_grids,
+    solve_coarse,
     solve_with_continuation,
+    transfer,
 )
 
 _PROMINENCE = 0.05  # default relative drop that separates two aggregates
@@ -149,12 +152,17 @@ def _prominence(ov: dict[str, Any]) -> float:
     return prominence
 
 
-def _solve_metrics(report: SolveReport, prominence: float) -> dict[str, Any]:
+def _solve_metrics(
+    report: SolveReport, coarse: list[SolveReport], prominence: float
+) -> dict[str, Any]:
+    """The metrics of a solved record whose last solve is `report`, after the
+    coarse levels `coarse` of grid sequencing (none for a continuation)."""
     rho = report.density
     diag = report.diagnostics
     return {
         "converged": report.converged,
         "iterations": report.iterations,
+        "coarse_iterations": sum(r.iterations for r in coarse),
         "residual": report.residual,
         "lambda": diag.lam,
         "interaction_energy": diag.energy.interaction,
@@ -209,13 +217,14 @@ class _Solving:
     """The runner of every solving experiment: it reads the keys they share,
     given the experiment's default nu, L and grid mode, and records each point
     that `points(overrides, grid, nu)` yields with the common metrics plus
-    `extra(point, reports)`."""
+    `extra(point, stages)`, where `stages` are the reports of its solve on
+    the requested grid, one per stage of its schedule."""
 
     nu: float
     length: float
     mode: str
     points: Callable[[dict[str, Any], Grid, float], Iterator[_Solve]]
-    extra: Callable[[_Solve, list[SolveReport]], dict[str, Any]] = lambda point, reports: {}
+    extra: Callable[[_Solve, list[SolveReport]], dict[str, Any]] = lambda point, stages: {}
 
     def __call__(self, experiment: str, ov: dict[str, Any]) -> list[ResultRecord]:
         nu = _real("nu", ov.get("nu", self.nu))
@@ -228,31 +237,53 @@ class _Solving:
             tol=_real("tol", ov.get("tol", SolverConfig.tol)),
             max_iterations=_integer(ov, "N_max", SolverConfig.max_iterations),
         )
+        # read every point before the first solve
+        points = list(self.points(ov, grid, nu))
+        coarse: list[list[SolveReport]] = [[] for _ in points]
+        seconds = [0.0] * len(points)
+        # Grid sequencing: a point without a schedule is solved first on each
+        # coarse grid of `grid` (`refinement_grids`), each from the level below.
+        # The levels run in turn over all the points, so each level builds one
+        # operator per kernel and nu, and drops it before the next level's is
+        # built, the operator on `grid` last.
+        for level in refinement_grids(grid):
+            problem = None
+            for i, point in enumerate(points):
+                if point.schedule is None:
+                    t0 = time.perf_counter()
+                    problem = _problem(problem, level, point)
+                    start = coarse[i][-1].density if coarse[i] else point.rho0
+                    coarse[i].append(solve_coarse(problem, start, cfg))
+                    seconds[i] += time.perf_counter() - t0
         records = []
         problem = None
-        # read every point before the first solve; build each Problem in its
-        # turn, or take the last one's operator when the kernel object and nu
-        # are the same
-        for point in list(self.points(ov, grid, nu)):
-            t0 = time.perf_counter()
-            if (problem is not None and point.kernel is problem.kernel
-                    and point.lead["nu"] == problem.nu):
-                problem = problem.with_potential(point.potential)
-            else:
-                problem = Problem(grid, point.kernel, point.potential, point.lead["nu"])
+        for point, levels, spent in zip(points, coarse, seconds):
+            t0 = time.perf_counter() - spent  # the record's time counts its coarse levels
+            problem = _problem(problem, grid, point)
             schedule = point.schedule or ContinuationSchedule((problem.nu,))
-            reports = solve_with_continuation(problem, schedule, point.rho0, cfg)
-            final = reports[-1]
+            start = transfer(levels[-1].density, grid) if levels else point.rho0
+            stages = solve_with_continuation(problem, schedule, start, cfg)
+            final = stages[-1]
             params = {
                 **point.lead, "L": grid.length, "N": grid.size, "grid": grid.mode.value,
                 "tol": cfg.tol, "N_max": cfg.max_iterations,
                 "tau_c": final.tau_c, **point.trail,
             }
             prominence = point.trail.get("prominence", _PROMINENCE)
-            metrics = {**_solve_metrics(final, prominence), **self.extra(point, reports)}
+            metrics = {**_solve_metrics(final, levels, prominence), **self.extra(point, stages)}
             records.append(_record(experiment, params, metrics, "density",
-                                   grid.nodes, final.density.values, t0, reports))
+                                   grid.nodes, final.density.values, t0, levels + stages))
         return records
+
+
+def _problem(previous: Problem | None, grid: Grid, point: _Solve) -> Problem:
+    """The problem of `point` on `grid`: `previous`, the last point's problem on
+    `grid`, under the point's potential when it has the point's kernel object
+    and nu, so that the two share the operator; else a new one."""
+    nu = point.lead["nu"]
+    if previous is not None and point.kernel is previous.kernel and nu == previous.nu:
+        return previous.with_potential(point.potential)
+    return Problem(grid, point.kernel, point.potential, nu)
 
 
 def _schedule(ov: dict[str, Any], nu: float, start: float | None) -> ContinuationSchedule:
@@ -367,6 +398,11 @@ def _custom_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve
     if len(interval) != 2:
         raise ValueError(f"rho0_interval must hold two numbers, got {interval!r}")
     lo, hi = interval
+    if not 0 <= lo < hi <= grid.length:  # else the start would not be the echoed interval
+        raise ValueError(
+            f"rho0_interval must be [lo, hi] with 0 <= lo < hi <= L = {grid.length!r}, "
+            f"got {interval!r}"
+        )
     schedule = _schedule(ov, nu, 10.0) if "schedule" in ov or "stages" in ov else None
     lead = {"kernel": kind, "nu": schedule.nus[-1] if schedule else nu, "g": g,
             **(_schedule_echo(schedule) if schedule else {})}

@@ -46,12 +46,21 @@ step could break it, and one `Density` is built for the returned state.  The
 stages of a continuation share the operator through `Problem.with_nu`, unless
 the kernel is clipped at a cap that depends on nu; then each stage builds its
 own.  The report carries `diagnose` of the returned density.
+
+The number of iterations belongs to the continuum problem, not to the grid:
+kpsmall takes about 1100 at N = 1024, 4096 and 8192 alike.  So a solve asked
+on a fine uniform grid is first made on coarser ones, where an iteration is
+cheap (grid sequencing; Knoll & Keyes, J. Comput. Phys. 193, 2004):
+`refinement_grids` lists them, each level starts from the one below it moved
+by the mass-conserving `transfer`, and `solve_coarse` stops a coarse level at
+COARSE_TOL times the caller's tolerance.  The requested grid is solved last
+with the caller's config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +68,7 @@ import numpy as np
 from .diagnostics import DiagnosticsReport, diagnose
 from .energy import Problem, _check_grid, energy_breakdown
 from .gibbs import GibbsMapError, gibbs_values
-from .grid import Density, check_density, integrate
+from .grid import Density, Grid, check_density, integrate
 
 # History depth at beta = tau_c.  Measured on the default multistate
 # schedules: depths 5 and 6, and the undamped mixing beta = 1, left stages
@@ -85,6 +94,29 @@ SECANT_MIN_GAIN = 0.01
 #   fails every try; at 4 / 8 / 16 it makes 197 / 110 / 60 fits and kpsmall
 #   takes 1075 / 1104 / 1146 iterations.
 SECANT_BACKOFF = 8
+
+# Grid sequencing (`refinement_grids`): the smallest coarse grid, the default
+# N of every solving experiment.
+REFINE_FROM = 1024
+# A coarse level stops at this multiple of the caller's tolerance.  The level
+# above starts from it, and needs it only as close as the two levels'
+# solutions lie: solved to the default tol, they lie 7.7e-7 to 1.5e-3 apart in
+# L1 (medians 6e-5 on kpsmall and 2.8e-5 on kplarge, at N = 8192).  Measured
+# in process on a 2-core x86-64 machine, best of 3 in each of two processes,
+# wall time in s and coarse iterations (the fine levels took 51 to 90):
+#
+#   factor   kpsmall N = 2048 / 4096 / 8192      kplarge N = 2048 / 4096 / 8192
+#   1        0.18-0.19 / 0.24 / 0.31 (1101-1275)  0.18-0.19 / 0.24 / 0.33-0.34 (1130-1329)
+#   3        0.18-0.19 / 0.23-0.24 / 0.30-0.31    0.08 / 0.12-0.13 / 0.21-0.22 (294-380)
+#   10       0.18 / 0.22 / 0.29 (1067-1176)       0.07 / 0.11-0.12 / 0.19 (220-299)
+#   30       0.17-0.18 / 0.21 / 0.28              0.07 / 0.11 / 0.17-0.18 (213-278)
+#   100      0.17 / 0.20 / 0.27 (1048-1095)       0.07 / 0.10 / 0.17-0.18 (204-246)
+#
+# At 1, kplarge's coarse levels reach the plateau of p = 256, g = 0 (1048
+# iterations at N = 1024).  Above 10 the gain is at most 8 %, and a coarse
+# state stopped at 100 tol lies further from its own solution than the median
+# distance to the next level's.
+COARSE_TOL = 10.0
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -340,6 +372,57 @@ def solve_with_continuation(
         reports.append(report)
         rho = report.density
     return reports
+
+
+def refinement_grids(grid: Grid) -> list[Grid]:
+    """The coarse grids a solve on `grid` starts from, coarsest first: for each
+    k >= 1, the grid of ceil(N / 2^k) nodes in the same length and mode, while
+    that is at least REFINE_FROM nodes, so none when N < 2 REFINE_FROM - 1.
+
+    Only uniform grids are refined, whose operators are FFT products of O(N)
+    memory.  A dense operator is N x N: built after the coarse levels, a
+    matrix that cannot be allocated would fail only after every coarse solve,
+    and built before them, it would hold the coarse matrices beside it, a
+    third more memory at the peak."""
+    if not grid.is_uniform:
+        return []
+    sizes = []
+    n = grid.size
+    while (n := -(-n // 2)) >= REFINE_FROM:  # ceil(ceil(N / 2^k) / 2) = ceil(N / 2^(k+1))
+        sizes.append(n)
+    return [Grid(grid.length, n, grid.mode) for n in reversed(sizes)]
+
+
+def transfer(rho: Density, grid: Grid) -> Density:
+    """rho moved to `grid`, a grid of the same length, with its mass.
+
+    Each node of `grid` owns the cell between the midpoints to its neighbours
+    (or the end of [0, L]), whose width is its trapezoid weight, and gets the
+    mass that the piecewise-linear interpolant of rho puts in that cell,
+    divided by the width.  The cells are summed from pieces that each lie
+    within one cell and one interval of rho's nodes, where the interpolant is
+    linear and its trapezoid integral exact, so the transfer keeps the mass,
+    and every value is nonnegative, positive where the interpolant is: a
+    start narrower than a cell keeps its mass.  Summing the pieces, rather
+    than differencing a cumulative mass, keeps tails far below roundoff of
+    the total from turning negative."""
+    x, values = rho.grid.nodes, rho.values
+    edges = np.concatenate(([0.0], (grid.nodes[:-1] + grid.nodes[1:]) / 2, [grid.length]))
+    points = np.union1d(x, edges)
+    heights = np.interp(points, x, values)
+    pieces = np.diff(points) * (heights[:-1] + heights[1:]) / 2
+    cells = np.add.reduceat(pieces, np.searchsorted(points, edges[:-1]))
+    return Density(grid, cells / grid.weights)
+
+
+def solve_coarse(problem: Problem, rho: Density, config: SolverConfig) -> SolveReport:
+    """Solve a coarse level of grid sequencing: `problem` from rho moved to its
+    grid (`transfer`), to COARSE_TOL times the tolerance of `config`."""
+    coarse = replace(config, tol=COARSE_TOL * config.tol)
+    try:
+        return solve(problem, transfer(rho, problem.grid), coarse)
+    except GibbsMapError as exc:
+        raise GibbsMapError(f"coarse grid of {problem.grid.size} nodes: {exc}") from exc
 
 
 def count_aggregates(rho: Density, prominence: float) -> int:

@@ -15,13 +15,18 @@ import swarmeq
 from swarmeq import (
     ContinuationSchedule,
     KernelOperator,
+    LinearPotential,
     PowerLawKernel,
     Problem,
+    SolverConfig,
     ZeroPotential,
     apply_gibbs_map,
+    indicator_density,
     make_grid,
+    solve,
+    solve_with_continuation,
 )
-from swarmeq import experiments
+from swarmeq import experiments, solver
 from swarmeq.cli import build_parser, main
 from swarmeq.experiments import (
     EXPERIMENT_NAMES,
@@ -50,8 +55,8 @@ ACCEPTED_KEYS = {
 # keys and the CSV columns follow it.
 ECHO_KEYS = ["param_L", "param_N", "param_grid", "param_tol", "param_N_max", "param_tau_c"]
 METRIC_KEYS = [
-    "converged", "iterations", "residual", "lambda", "interaction_energy", "entropy",
-    "potential_energy", "total_energy", "lambda_inf", "lambda_inf_support", "e0",
+    "converged", "iterations", "coarse_iterations", "residual", "lambda", "interaction_energy",
+    "entropy", "potential_energy", "total_energy", "lambda_inf", "lambda_inf_support", "e0",
     "com_drift", "m1", "m2", "aggregates", "tail_value", "tail_ok",
 ]
 RECORD_KEYS = {
@@ -400,6 +405,23 @@ class TestOperatorBuilds:
         ))
         assert (len(records), builds[0]) == counts[experiment]
 
+    def test_one_build_per_kernel_per_level(self, monkeypatch):
+        # kpsmall at N = 4096 is solved on 1024, 2048 and 4096 nodes; each level
+        # builds one operator per kernel, shared by the g sweep, and every
+        # level is built only after the level below has been solved
+        sizes = []
+        original = KernelOperator.__init__
+
+        def recording(self, grid, *args):
+            sizes.append(grid.size)
+            original(self, grid, *args)
+
+        monkeypatch.setattr(KernelOperator, "__init__", recording)
+        records = run_experiment(ExperimentConfig(
+            "kpsmall", {"N": 4096, "p": [1.5, 2.0], "N_max": 5}))
+        assert len(records) == 4
+        assert sizes == [1024, 1024, 2048, 2048, 4096, 4096]
+
     def test_shared_operator_keeps_the_record(self):
         # the g = nu record, solved on the operator the g = 0 record built,
         # equals the same record solved on its own
@@ -417,6 +439,65 @@ class TestOperatorBuilds:
             "custom", overrides={"kernel": "power", "p": 32.0, "stages": 3, "N_max": 5}
         ))
         assert builds[0] == 3
+
+
+class TestRefinement:
+    """Grid sequencing: a record without a schedule on a uniform grid of at
+    least 2047 nodes is solved first on the grids of ceil(N / 2^k) >= 1024
+    nodes."""
+
+    def test_record_matches_a_direct_solve(self):
+        nu = 2.0**-6
+        grid = make_grid(4.0, 2048)
+        for record in run_experiment(ExperimentConfig("kpsmall", {"N": 2048, "p": [1.25]})):
+            g = record.parameters["g"]
+            assert record.converged and record.metrics["coarse_iterations"] > 0
+            potential = ZeroPotential() if g == 0 else LinearPotential(g)
+            direct = solve(Problem(grid, PowerLawKernel(1.25), potential, nu),
+                           indicator_density(grid, 0.0, 2.0 if g == 0 else 1.0))
+            assert direct.converged
+            assert record.metrics["total_energy"] == pytest.approx(
+                direct.diagnostics.energy.total, rel=1e-8)
+
+    def test_levels_stop_at_ten_times_the_tolerance_and_the_last_at_it(self, monkeypatch):
+        configs = []
+        original = solver.solve
+
+        def spy(problem, rho0, config=None):
+            configs.append(config)
+            return original(problem, rho0, config)
+
+        monkeypatch.setattr(solver, "solve", spy)
+        (record,) = run_experiment(ExperimentConfig("kpsmall", {
+            "N": 8192, "p": [2.0], "g": [2.0**-6], "tol": 2e-6, "N_max": 500, "tau_c": 0.1}))
+        reports = record.solve_reports
+        assert [r.density.grid.size for r in reports] == [1024, 2048, 4096, 8192]
+        assert [c.tol for c in configs] == [solver.COARSE_TOL * 2e-6] * 3 + [2e-6]
+        assert {(c.max_iterations, c.tau_c) for c in configs} == {(500, 0.1)}
+        assert all(r.converged and r.residual < c.tol for r, c in zip(reports, configs))
+        assert record.metrics["coarse_iterations"] == sum(r.iterations for r in reports[:3])
+        assert record.metrics["iterations"] == reports[-1].iterations
+
+    def test_default_grid_and_continuation_records_equal_a_direct_solve(self):
+        nu = 2.0**-6
+        grid = make_grid(4.0, 1024)
+        (record,) = run_experiment(ExperimentConfig("kpsmall", {"p": [2.0], "g": [nu]}))
+        direct = solve(Problem(grid, PowerLawKernel(2.0), LinearPotential(nu), nu),
+                       indicator_density(grid, 0.0, 1.0))
+        # a continuation keeps its path, so it is not refined at any N
+        grid = make_grid(4.0, 2048)
+        (staged,) = run_experiment(ExperimentConfig(
+            "custom", {"N": 2048, "schedule": [0.02, 0.01], "N_max": 300}))
+        stages = solve_with_continuation(
+            Problem(grid, PowerLawKernel(2.0), ZeroPotential(), 0.01),
+            ContinuationSchedule((0.02, 0.01)), indicator_density(grid, 0.0, 4.0),
+            SolverConfig(max_iterations=300))
+        for rec, reports in ((record, [direct]), (staged, stages)):
+            assert rec.metrics["coarse_iterations"] == 0
+            assert len(rec.solve_reports) == len(reports)
+            assert np.array_equal(rec.samples_y, reports[-1].density.values)
+            assert [r.step_trace for r in rec.solve_reports] == [r.step_trace for r in reports]
+            assert rec.metrics["total_energy"] == reports[-1].diagnostics.energy.total
 
 
 class TestEmit:
@@ -582,6 +663,20 @@ class TestCli:
             [(64, 0.1, defaults[0].parameters["N_max"])],
             [(r.parameters["N"], r.parameters["g"], 40) for r in defaults],
         ]
+
+    def test_start_narrower_than_a_coarse_cell_converges(self, capsys):
+        # the start holds one node of N = 8192, inside one cell of N = 1024
+        assert main(["solve", "--set", "N=8192", "--set", "rho0_interval=[1.0012,1.0016]"]) == 0
+        assert "coarse_iterations=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("interval", ["[2,1]", "[5,6]"], ids=["reversed", "outside"])
+    def test_rho0_interval_outside_the_domain_exits_two(self, interval, monkeypatch, capsys):
+        solves = []
+        monkeypatch.setattr(experiments, "solve_with_continuation",
+                            lambda *args: solves.append(args))
+        assert main(["solve", "--set", f"rho0_interval={interval}"]) == 2
+        assert solves == []
+        assert re.search(r"error: rho0_interval .*\bL = 4\.0\b", capsys.readouterr().err)
 
     def test_unallocatable_operator_exits_two(self, monkeypatch, capsys):
         # an operator too large for memory is a configuration error, not a

@@ -638,6 +638,52 @@ class TestContinuation:
         assert [r.tau_c for r in reports] == [min(5 * nu, 0.95) for nu in schedule.nus]
 
 
+class TestRefinement:
+    @pytest.mark.parametrize("n,sizes", [
+        (1024, []), (2046, []), (2047, [1024]), (2048, [1024]), (3000, [1500]),
+        (8192, [1024, 2048, 4096]), (8191, [1024, 2048, 4096]),
+    ])
+    def test_refinement_grids_halve_down_to_the_default_grid(self, n, sizes):
+        grid = make_grid(4.0, n)
+        levels = solver.refinement_grids(grid)
+        assert [level.size for level in levels] == sizes
+        assert all(level == make_grid(4.0, level.size) for level in levels)
+
+    def test_dense_grids_are_not_refined(self):
+        assert solver.refinement_grids(make_grid(4.0, 8192, SpacingMode.QUADRATIC)) == []
+
+    @pytest.mark.parametrize("source,target", [
+        ((8192, "uniform"), (1024, "uniform")), ((1024, "uniform"), (8192, "uniform")),
+        ((3000, "uniform"), (1500, "uniform")), ((2048, "quadratic"), (700, "uniform")),
+    ])
+    def test_transfer_keeps_mass_and_sign(self, source, target):
+        # a positive density with a tail at the exponent floor, far below the
+        # roundoff of the total mass: every cell keeps a positive value
+        fine, coarse = make_grid(4.0, *source), make_grid(4.0, *target)
+        x = fine.nodes
+        rho = Density.normalized(fine, np.maximum(np.exp(-40 * (x - 1) ** 2), 1e-260))
+        moved = solver.transfer(rho, coarse)
+        assert moved.grid is coarse
+        assert abs(moved.mass - rho.mass) <= MASS_TOL
+        assert np.all(moved.values > 0)
+
+    def test_transfer_keeps_a_constant(self):
+        uniform = Density.normalized(make_grid(4.0, 2048), np.ones(2048))
+        moved = solver.transfer(uniform, make_grid(4.0, 1024))
+        np.testing.assert_allclose(moved.values, 0.25, rtol=1e-13)
+
+    def test_transfer_keeps_a_start_narrower_than_a_cell(self):
+        # one node of N = 8192 in [1.0012, 1.0016]: linear interpolation onto
+        # N = 1024 would give it no mass
+        fine, coarse = make_grid(4.0, 8192), make_grid(4.0, 1024)
+        rho = indicator_density(fine, 1.0012, 1.0016)
+        assert np.count_nonzero(rho.values) == 1
+        moved = solver.transfer(rho, coarse)
+        assert abs(moved.mass - 1.0) <= MASS_TOL
+        assert np.all(moved.values >= 0) and 1 <= np.count_nonzero(moved.values) <= 2
+        assert np.all(np.abs(coarse.nodes[moved.values > 0] - 1.0014) < 2 * 4.0 / 1023)
+
+
 class TestOrder:
     def test_kp2_energy_is_second_order(self):
         # the method's order of accuracy: on the kp2 quadratic grid each
