@@ -61,9 +61,8 @@ RUNS = (
     ["experiment", "kpsmall", "--set", "N=8192"],
     ["experiment", "kpsmall", "--set", "N=1000", "--set", "p=[2.0]"],  # FFT length 2000
     ["experiment", "kplarge", "--set", "N=4096"],
-    ["experiment", "kpsmall", "--set", "tau_c=0.2", "--set", "p=[2.0]",
-     "--set", "grid=quadratic"],
-    ["experiment", "kpsmall", "--set", "grid=quadratic"],  # exits 1: 3 records hit N_max
+    ["experiment", "kpsmall", "--set", "tau_c=0.2", "--set", "p=[2.0]", "--set", "N=256"],
+    ["experiment", "kpsmall", "--set", "N=256", "--set", "p=[2.0]"],
     ["experiment", "multistate", "--set", "nu=0.015625", "--set", "N=128",
      "--set", "stages=2", "--set", "N_max=300"],
     ["experiment", "multistate", *SCHEDULE],
@@ -116,8 +115,9 @@ def _fields(record: dict, prefix: str = "") -> dict:
 
 def nodes(record: dict) -> list[float]:
     """The nodes of a density record: its ``samples.x`` (schema v1), or else
-    those that ``make_grid`` places from ``param_L``, ``param_N`` and
-    ``param_grid`` (schema v2)."""
+    those placed from ``param_L``, ``param_N`` and ``param_grid`` (schema
+    v2): uniform, or quadratic, x_i = L (i/(N-1))^2, in the records of
+    source trees that still had that grid."""
     if "x" in record["samples"]:
         return record["samples"]["x"]
     length, n = record["param_L"], record["param_N"]

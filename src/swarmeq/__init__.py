@@ -53,7 +53,6 @@ from .grid import (
     Density,
     Grid,
     KernelOperator,
-    SpacingMode,
     convolve_kernel,
     indicator_density,
     integrate,

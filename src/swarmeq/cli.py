@@ -30,7 +30,7 @@ def _parse_override(item: str) -> tuple[str, object]:
     try:
         value: object = json.loads(raw)
     except json.JSONDecodeError:
-        value = raw  # bare strings like grid=uniform
+        value = raw  # bare strings like kernel=qanr
     return key.strip(), value
 
 
@@ -94,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
             written = emit(records, args.format or "json", args.output)
             _print(f"wrote {len(written)} file(s); primary: {written[0]}")
     # OSError: --output unwritable; MemoryError: a grid whose operator
-    # cannot be allocated (N = 200000 asks for a 320 GB matrix)
+    # cannot be allocated
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,18 +4,17 @@ Everything downstream (energies, the Gibbs map, diagnostics) integrates with
 the trapezoid weights defined here, so the discrete fixed point of the Gibbs
 map is a critical point of the discrete energy.
 
-The convolution K * rho is a dense matrix-vector product, except on uniform
-grids of at least 512 nodes: there it is a real FFT product with the kernel
-spectrum computed once per operator, through NumPy's pocketfft (`numpy.fft`,
-the same C++ code as `scipy.fft`; the package loads no SciPy).
-FFT roundoff is spread over every node in proportion to max|K|, so the lags
-are first clipped to a cap proportional to the diffusion parameter nu, above
-which the Gibbs image cannot see them; `KernelOperator` derives the cap.
+Grids are uniform, so the convolution K * rho is a Toeplitz sum: a real FFT
+product with the kernel spectrum computed once per operator, through NumPy's
+pocketfft (`numpy.fft`, the same C++ code as `scipy.fft`; the package loads
+no SciPy), in O(N) memory and O(N log N) time at every N.  FFT roundoff is
+spread over every node in proportion to max|K|, so the lags are first
+clipped to a cap proportional to the diffusion parameter nu, above which the
+Gibbs image cannot see them; `KernelOperator` derives the cap.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -29,30 +28,15 @@ if TYPE_CHECKING:
 # Mass tolerance for a valid probability density under the grid quadrature.
 MASS_TOL = 1e-10
 
-# Uniform grids at least this large use the FFT convolution path.  With one
-# BLAS thread on a 2-core x86-64 machine the dense product and the
-# cached-spectrum rFFT product cross over between N = 384 and N = 512
-# (at N = 1024: 430 us dense, 76 us rFFT).
-_FFT_THRESHOLD = 512
-
-# Roundoff of the FFT product on each node per unit of max|K| over the lags,
-# kappa eps with kappa at most 3.9 (clipped power laws on kplarge solutions
-# at N = 1024 and 4096, against an extended-precision dense product).
+# Roundoff of the FFT product of a unit-mass density on each node per unit of
+# max|K| over the lags, kappa eps with kappa at most 3.9 (clipped power laws
+# on kplarge solutions at N = 1024 and 4096, against an extended-precision
+# direct sum).
 _FFT_ROUNDOFF = 4 * np.finfo(float).eps
 
 # The largest perturbation kappa eps C / nu of the Gibbs exponent that the cap
 # C may cause: a thousandth of the solver's default tolerance.
 _EXPONENT_ROUNDOFF = 1e-9
-
-# The dense operator is filled in row blocks of about this many entries
-# (512 kB per temporary), so a build holds the N×N matrix plus one block of
-# displacements, kernel values and mask, where a whole-matrix build held four
-# N×N arrays: one quadratic N = 2048 build grows the peak RSS by 1.01 times
-# its 32 MiB matrix, against 2.95 times whole.  On a 2-core x86-64 machine a
-# quadratic N = 1024 build with p = 2 took 5.9 ms at 2^16 entries, 6.0-6.2 ms
-# at 2^14 or 2^18, 8.4 ms at 2^12 (per-block overhead) and 12-15 ms at 2^20 or
-# whole (temporaries beyond the cache).
-_BUILD_BLOCK = 2**16
 
 
 def _next_fast_len(target: int) -> int:
@@ -77,63 +61,39 @@ def _kernel_cap(nu: float) -> float:
     return _EXPONENT_ROUNDOFF / _FFT_ROUNDOFF * nu
 
 
-class SpacingMode(enum.Enum):
-    """Node placement on [0, L]."""
-
-    UNIFORM = "uniform"
-    QUADRATIC = "quadratic"  # x_i = L (i/(N-1))^2, clusters nodes at x = 0
-
-
 @dataclass(frozen=True)
 class Grid:
-    """The `size`-node grid on [0, `length`] in spacing `mode`, with trapezoid
-    weights: equality and hashing follow these three values, and `nodes` and
-    `weights` are computed from them.
-
-    `mode` is a SpacingMode or its name ("uniform" or "quadratic").  Uniform
-    mode places x_i = L*i/(N-1), the spacing the FFT path assumes; quadratic
-    mode places x_i = L*(i/(N-1))^2, concentrating resolution at the x = 0
-    boundary.  `length` must be positive and finite and `size` an integer of
-    at least 3.
+    """The uniform `size`-node grid x_i = L i/(N-1) on [0, L = `length`], with
+    trapezoid weights: equality and hashing follow these two values, and
+    `nodes` and `weights` are computed from them.  `length` must be positive
+    and finite and `size` an integer of at least 3.
     """
 
     length: float
     size: int
-    mode: SpacingMode
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            mode = SpacingMode(self.mode)
-        except ValueError:
-            raise ValueError(
-                f"unknown grid mode {self.mode!r}; use 'uniform' or 'quadratic'"
-            ) from None
         length, n = float(self.length), self.size
         if not 0 < length < math.inf:
             raise ValueError(f"grid length must be positive and finite, got {length!r}")
         if not isinstance(n, (int, np.integer)) or n < 3:
             raise ValueError(f"grid size n must be an integer of at least 3, got {n!r}")
-        s = np.arange(n, dtype=float) / (n - 1)
-        nodes = length * s if mode is SpacingMode.UNIFORM else length * s * s
+        nodes = length * (np.arange(n, dtype=float) / (n - 1))
         gaps = np.diff(nodes)
         weights = np.empty(n)
         weights[0] = gaps[0] / 2
         weights[-1] = gaps[-1] / 2
         weights[1:-1] = (gaps[:-1] + gaps[1:]) / 2
-        for name, value in (("length", length), ("size", int(n)), ("mode", mode),
+        for name, value in (("length", length), ("size", int(n)),
                             ("nodes", nodes), ("weights", weights)):
             object.__setattr__(self, name, value)
 
-    @property
-    def is_uniform(self) -> bool:
-        return self.mode is SpacingMode.UNIFORM
 
-
-def make_grid(length: float, n: int, mode: SpacingMode | str = SpacingMode.UNIFORM) -> Grid:
-    """The n-node grid on [0, length] in spacing `mode` (see `Grid`)."""
-    return Grid(length, n, mode)
+def make_grid(length: float, n: int) -> Grid:
+    """The uniform n-node grid on [0, length] (see `Grid`)."""
+    return Grid(length, n)
 
 
 def integrate(grid: Grid, values: np.ndarray) -> float:
@@ -198,26 +158,20 @@ class KernelOperator:
     """Precomputed discrete convolution u_i = sum_j w_j K(x_i - x_j) v_j for the
     Gibbs map at diffusion nu.
 
-    Building the operator evaluates the kernel once; applying it afterwards is
-    a matrix-vector product, or an FFT product on uniform grids of at least
-    512 nodes.  There the displacement matrix is Toeplitz, so the sum is a
-    linear convolution with the 2N-1 kernel lags, whose real spectrum is
-    cached at build time after the lags are clipped to [-C, C], with
-    C = 1e-9 nu / (4 eps), about 1.1e6 nu (`_kernel_cap`).  A kernel with
-    max|K| <= C is not clipped, and its FFT product is the plain one.
+    On a uniform grid the displacements x_i - x_j are Toeplitz, so the sum is
+    a linear convolution with the 2N-1 kernel lags.  Building the operator
+    evaluates the kernel once on the lags, clips them to [-C, C], with
+    C = 1e-9 nu / (4 eps), about 1.1e6 nu (`_kernel_cap`), and caches their
+    real spectrum; applying it is one forward and one inverse real FFT.  Its
+    arrays hold O(N) floats.  A kernel with max|K| <= C is not clipped, and
+    its FFT product is the plain one.
 
-    The dense matrix is filled in row blocks of about 2^16 entries
-    (`_BUILD_BLOCK`), each the same products as over the whole matrix, so a
-    build's peak is the matrix plus one block: `swarmeq experiment kp2 --set
-    N=4096 --set 'g=[0.1]'` peaks at 161 MB where a whole-matrix build peaked
-    at 416 MB, and takes 0.20 s against 0.35 s (medians of 7 runs, 2-core
-    x86-64 machine).
-
-    Why C is proportional to nu.  The dense product is exact node by node; the
-    FFT product has an error of about kappa eps max|K| on every node, with
-    kappa at most 3.9 measured at N = 1024 and 4096.  The Gibbs map reads
-    u = K * rho + V only through exp(-(u - min u) / nu), so an error d in u
-    moves the image by d / nu relatively, and its L1 residual by about as much.
+    Why C is proportional to nu.  The direct sum is exact node by node; the
+    FFT product has an error of about kappa eps max|K| on every node for a
+    unit-mass density, with kappa at most 3.9 measured at N = 1024 and 4096.
+    The Gibbs map reads u = K * rho + V only through exp(-(u - min u) / nu),
+    so an error d in u moves the image by d / nu relatively, and its L1
+    residual by about as much.
 
     Upper bound, from roundoff: kappa eps C / nu is held at 1e-9, a thousandth
     of the default solver tolerance of 1e-6.  It must stay well below nu * tol,
@@ -232,7 +186,7 @@ class KernelOperator:
     -F nu with the cap as without it, where F = -600 is the exponent floor of
     the Gibbs map.  Both conditions scale with nu.  On the kplarge solutions
     (p = 16 to 256 on [0, 4], N = 1024, nu = 2^-4, 2^-6 and 2^-9, solved with
-    the dense product) the smallest cap that keeps the exponents on the
+    the direct sum) the smallest cap that keeps the exponents on the
     support to 1e-12 is at most 5.1e4 nu, and the smallest that keeps every
     floored node at the floor is at most 1.5e5 nu, or 8.0e5 nu for p = 256 at
     nu = 2^-4.  Those caps were measured at F = -700.  The condition only
@@ -250,38 +204,23 @@ class KernelOperator:
         if not nu > 0:
             raise ValueError(f"diffusion parameter must be positive, got {nu}")
         self.grid = grid
-        self._matrix = None
         n = grid.size
-        if grid.is_uniform and n >= _FFT_THRESHOLD:
-            lags = np.arange(-(n - 1), n) * (grid.length / (n - 1))
-            kvals = np.asarray(kernel(lags), dtype=float)
-            _check_finite(kvals, lags)
-            self._peak = float(np.max(np.abs(kvals)))
-            self._cap = _kernel_cap(nu)
-            # a circular convolution of length >= 2N-1 leaves outputs
-            # N-1 .. 2N-2 of the linear one free of wrap-around
-            self._fft_len = _next_fast_len(2 * n - 1)
-            self._spectrum = rfft(np.clip(kvals, -self._cap, self._cap), self._fft_len)
-            return
-        # each block's displacements, kernel values and mask are made and
-        # dropped in turn, and each entry is the same product as over the whole
-        # matrix; blocks run in row order, so the first non-finite value found
-        # is the first in row-major order, as a whole-matrix scan finds it
-        nodes, weights = grid.nodes, grid.weights
-        self._matrix = np.empty((n, n))
-        rows = max(1, _BUILD_BLOCK // n)
-        for a in range(0, n, rows):
-            disp = nodes[a : a + rows, None] - nodes[None, :]
-            kvals = np.asarray(kernel(disp), dtype=float)
-            _check_finite(kvals, disp)
-            np.multiply(kvals, weights[None, :], out=self._matrix[a : a + rows])
+        lags = np.arange(-(n - 1), n) * (grid.length / (n - 1))
+        kvals = np.asarray(kernel(lags), dtype=float)
+        bad = lags[~np.isfinite(kvals)]
+        if bad.size:  # name the bad lag nearest zero, the negative one of a pair
+            d = float(bad[np.argmin(np.abs(bad))])
+            raise ValueError(f"kernel evaluated to a non-finite value at displacement {d!r}")
+        self._peak = float(np.max(np.abs(kvals)))
+        self._cap = _kernel_cap(nu)
+        # a circular convolution of length >= 2N-1 leaves outputs
+        # N-1 .. 2N-2 of the linear one free of wrap-around
+        self._fft_len = _next_fast_len(2 * n - 1)
+        self._spectrum = rfft(np.clip(kvals, -self._cap, self._cap), self._fft_len)
 
     def serves(self, nu: float) -> bool:
-        """Whether this operator is the one built for diffusion nu: the dense
-        product serves every nu, the FFT product every nu whose cap clips the
-        lags as this one's does."""
-        if self._matrix is not None:
-            return True
+        """Whether this operator is the one built for diffusion nu: whether
+        the cap at nu clips the lags as this one's does."""
         cap = _kernel_cap(nu)
         return cap == self._cap or self._peak <= min(cap, self._cap)
 
@@ -291,28 +230,16 @@ class KernelOperator:
             raise ValueError(
                 f"grid function has {values.shape} values for {self.grid.size} nodes"
             )
-        if self._matrix is not None:
-            return self._matrix @ values
         n = self.grid.size
         wv = rfft(self.grid.weights * values, self._fft_len)
         return irfft(self._spectrum * wv, self._fft_len)[n - 1 : 2 * n - 1]
 
 
-def _check_finite(kvals: np.ndarray, displacements: np.ndarray) -> None:
-    bad = ~np.isfinite(kvals)
-    if np.any(bad):
-        where = np.argwhere(bad)[0]
-        d = displacements[tuple(where)]
-        raise ValueError(
-            f"kernel evaluated to a non-finite value at displacement {float(d)!r}"
-        )
-
-
 def convolve_kernel(grid: Grid, kernel: "InteractionKernel", rho: Density) -> np.ndarray:
     """Trapezoid discretization of (K * rho)(x_i) over [0, L].
 
-    One-off convenience with the exact kernel (no cap), so on uniform grids
-    of at least 512 nodes its error is about 4 eps max|K| on every node;
-    iterative callers should build a KernelOperator once and reuse it.
+    One-off convenience with the exact kernel (no cap), so its error is about
+    4 eps max|K| on every node; iterative callers should build a
+    KernelOperator once and reuse it.
     """
     return KernelOperator(grid, kernel, math.inf).apply(rho.values)

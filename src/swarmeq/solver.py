@@ -45,7 +45,7 @@ The values are raw arrays, checked as a `Density` would check them where a
 step could break it, and one `Density` is built for the returned state.  The
 stages of a continuation share the operator through `Problem.with_nu`, unless
 the kernel is clipped at a cap that depends on nu; then each stage builds its
-own.  The report carries `diagnose` of the returned density.
+own.  The report gives `diagnose` of the returned density when it is read.
 
 The number of iterations belongs to the continuum problem, not to the grid:
 kpsmall takes about 1100 at N = 1024, 4096 and 8192 alike.  So a solve asked
@@ -60,7 +60,8 @@ with the caller's config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -96,7 +97,7 @@ SECANT_MIN_GAIN = 0.01
 SECANT_BACKOFF = 8
 
 # Grid sequencing (`refinement_grids`): the smallest coarse grid, the default
-# N of every solving experiment.
+# N of every solving experiment but kp2.
 REFINE_FROM = 1024
 # A coarse level stops at this multiple of the caller's tolerance.  The level
 # above starts from it, and needs it only as close as the two levels'
@@ -173,17 +174,26 @@ class ContinuationSchedule:
 
 @dataclass
 class SolveReport:
-    """Outcome of one fixed-point solve; `diagnostics` describes `density`, and
-    `tau_c` is the conservative step and Anderson damping the solve used."""
+    """Outcome of one fixed-point solve of `problem`; `tau_c` is the
+    conservative step and Anderson damping the solve used."""
 
     density: Density
     residual: float
-    diagnostics: DiagnosticsReport
     converged: bool
     energy_trace: list[float]
     step_trace: list[str]  # per step: "full", "secant", "anderson" or "conservative"
-    nu: float
+    problem: Problem = field(repr=False)
     tau_c: float
+
+    @cached_property
+    def diagnostics(self) -> DiagnosticsReport:
+        """`diagnose` of `density`, computed on first read: the coarse levels
+        of grid sequencing are never read."""
+        return diagnose(self.problem, self.density)
+
+    @property
+    def nu(self) -> float:
+        return self.problem.nu
 
     @property
     def iterations(self) -> int:
@@ -304,15 +314,13 @@ def solve(
             # before.
             break
 
-    density = Density(grid, rho.values)
     return SolveReport(
-        density=density,
+        density=Density(grid, rho.values),
         residual=residual,
-        diagnostics=diagnose(problem, density),
         converged=converged,
         energy_trace=energy_trace,
         step_trace=step_trace,
-        nu=problem.nu,
+        problem=problem,
         tau_c=tau_c,
     )
 
@@ -376,21 +384,13 @@ def solve_with_continuation(
 
 def refinement_grids(grid: Grid) -> list[Grid]:
     """The coarse grids a solve on `grid` starts from, coarsest first: for each
-    k >= 1, the grid of ceil(N / 2^k) nodes in the same length and mode, while
-    that is at least REFINE_FROM nodes, so none when N < 2 REFINE_FROM - 1.
-
-    Only uniform grids are refined, whose operators are FFT products of O(N)
-    memory.  A dense operator is N x N: built after the coarse levels, a
-    matrix that cannot be allocated would fail only after every coarse solve,
-    and built before them, it would hold the coarse matrices beside it, a
-    third more memory at the peak."""
-    if not grid.is_uniform:
-        return []
+    k >= 1, the grid of ceil(N / 2^k) nodes on the same length, while that is
+    at least REFINE_FROM nodes, so none when N < 2 REFINE_FROM - 1."""
     sizes = []
     n = grid.size
     while (n := -(-n // 2)) >= REFINE_FROM:  # ceil(ceil(N / 2^k) / 2) = ceil(N / 2^(k+1))
         sizes.append(n)
-    return [Grid(grid.length, n, grid.mode) for n in reversed(sizes)]
+    return [Grid(grid.length, n) for n in reversed(sizes)]
 
 
 def transfer(rho: Density, grid: Grid) -> Density:

@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Each test prints a single [PASS]/[FAIL] line (run with -s to see them live).
-Criteria 1 (the Lambda_inf gate) and 4 (the pinned multistate reference) are
-red: their gates and pinned values are kept as stated because the documents
-do not settle whether the gate or the program is at fault; the README's
-"Tests" section gives the measured cause of each.  Criterion 9 asserts the
+Criterion 4 (the pinned multistate reference) is red: its pinned values are
+kept as stated because the documents do not settle whether the reference or
+the program is at fault; the README's "Tests" section gives the measured
+cause, and the margin by which criterion 1's Lambda_inf gate holds.  Criterion 9 asserts the
 bounds that (log(1 + erf t))'' really has: -4/pi on t >= 0 and -2 < f'' < 0
 on the whole line.
 """
@@ -24,7 +24,6 @@ from swarmeq import (
     RegularizedQanrKernel,
     ShiftedKernel,
     SolverConfig,
-    SpacingMode,
     ZeroPotential,
     apply_gibbs_map,
     com_drift,
@@ -190,8 +189,7 @@ def test_criterion_6_property_suite(kp2_records, multistate_records, kplarge_sub
     # (a) map output mass and positivity, fuzzed
     for _ in range(25):
         n = int(rng.integers(8, 64))
-        mode = SpacingMode.UNIFORM if rng.random() < 0.5 else SpacingMode.QUADRATIC
-        g = make_grid(float(rng.uniform(0.5, 4.0)), n, mode)
+        g = make_grid(float(rng.uniform(0.5, 4.0)), n)
         rho = Density.normalized(g, rng.random(n) + 1e-6)
         image = apply_gibbs_map(
             Problem(g, PowerLawKernel(float(rng.uniform(0.5, 3.0))), ZeroPotential(),
@@ -216,7 +214,7 @@ def test_criterion_6_property_suite(kp2_records, multistate_records, kplarge_sub
                 break
 
     # (c) critical-point residual is invariant under a kernel offset
-    rho = kp2_records[1].solve_reports[0].density
+    rho = kp2_records[1].solve_reports[-1].density
     nu = kp2_records[1].parameters["nu"]
     pot = LinearPotential(kp2_records[1].parameters["g"])
     r_base = euler_lagrange_residual(Problem(rho.grid, PowerLawKernel(2.0), pot, nu), rho)
@@ -229,7 +227,7 @@ def test_criterion_6_property_suite(kp2_records, multistate_records, kplarge_sub
     # (d) discrete fixed point <=> flat critical-point profile, small grids
     for _ in range(6):
         n = int(rng.integers(9, 34))
-        g = make_grid(1.0, n, SpacingMode.UNIFORM)
+        g = make_grid(1.0, n)
         kernel = (PowerLawKernel(float(rng.uniform(1.0, 3.0))) if rng.random() < 0.5
                   else RegularizedQanrKernel(float(rng.uniform(0.2, 0.8))))
         nu_small = float(rng.uniform(0.2, 0.8))
@@ -276,7 +274,7 @@ def test_criterion_7_boundary_flux_identity(kp2_records):
         g = record.parameters["g"]
         nu = record.parameters["nu"]
         tol = record.parameters["tol"]
-        rep = record.solve_reports[0]
+        rep = record.solve_reports[-1]
         problem = Problem(rep.density.grid, PowerLawKernel(2.0), LinearPotential(g), nu)
         drift = com_drift(problem, rep.density)
         bound = max(10 * tol, 1e-4 * g)

@@ -7,7 +7,6 @@ from swarmeq import (
     LinearPotential,
     PowerLawKernel,
     Problem,
-    SpacingMode,
     TruncatedGaussian,
     UnitIntervalState,
     ZeroPotential,
@@ -118,14 +117,14 @@ class TestFamilyEnergy:
 
     def test_matches_grid_energy(self):
         nu, c = 2.0**-4, 0.3
-        g = make_grid(3.5, 8192, SpacingMode.UNIFORM)
+        g = make_grid(3.5, 8192)
         rho = TruncatedGaussian(c, nu).discretize(g)
         numeric = total_energy(Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu), rho).total
         assert abs(numeric - truncated_gaussian_energy(c, nu, 0.0)) <= 1e-6
 
     def test_matches_grid_energy_with_gravity(self):
         nu, c, gval = 2.0**-4, 0.1, 0.05
-        g = make_grid(3.5, 8192, SpacingMode.UNIFORM)
+        g = make_grid(3.5, 8192)
         rho = TruncatedGaussian(c, nu).discretize(g)
         problem = Problem(g, PowerLawKernel(2.0), LinearPotential(gval), nu)
         numeric = total_energy(problem, rho).total
@@ -223,7 +222,7 @@ class TestExactMinimizer:
 
         nu = 2.0**-6
         gc = critical_slope(nu)
-        g = make_grid(2.0, 4096, SpacingMode.UNIFORM)
+        g = make_grid(2.0, 4096)
         rho = exact_minimizer(nu, gc).discretize(g)
         image = apply_gibbs_map(Problem(g, PowerLawKernel(2.0), LinearPotential(gc), nu), rho)
         assert integrate(g, np.abs(image.values - rho.values)) <= 1e-6
@@ -266,6 +265,6 @@ class TestUnitIntervalLimitState:
         np.testing.assert_allclose(state.density(xs), expected, rtol=1e-8)
 
     def test_discretize_normalizes(self):
-        g = make_grid(4.0, 1025, SpacingMode.UNIFORM)
+        g = make_grid(4.0, 1025)
         state = unit_interval_limit_state(ZeroPotential(), 0.1, support_start=1.0)
         assert abs(state.discretize(g).mass - 1.0) <= 1e-14

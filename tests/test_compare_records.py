@@ -5,6 +5,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swarmeq.grid import make_grid
@@ -178,5 +179,9 @@ def test_neighbouring_translate_without_nodes(old_schema):
 
 @pytest.mark.parametrize("grid", ["uniform", "quadratic"])
 def test_v2_nodes_are_the_grid_nodes(grid):
+    # every grid is uniform now; quadratic ones, x_i = L (i/(N-1))^2, are read
+    # from the records of earlier source trees
     record = {"samples": {"y": []}, "param_L": 4.0, "param_N": 1000, "param_grid": grid}
-    assert compare_records.nodes(record) == make_grid(4.0, 1000, grid).nodes.tolist()
+    s = np.arange(1000) / 999
+    nodes = make_grid(4.0, 1000).nodes if grid == "uniform" else 4.0 * s * s
+    assert compare_records.nodes(record) == nodes.tolist()

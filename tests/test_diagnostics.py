@@ -10,7 +10,6 @@ from swarmeq import (
     PowerLawKernel,
     Problem,
     ShiftedKernel,
-    SpacingMode,
     TruncatedGaussian,
     ZeroPotential,
     boundary_condition_error,
@@ -68,7 +67,7 @@ class TestBoundaryCondition:
     def test_discretized_exact_minimizer(self):
         nu = 2.0**-6
         gc = critical_slope(nu)
-        g = make_grid(2.0, 4096, SpacingMode.QUADRATIC)
+        g = make_grid(2.0, 4096)
         rho = exact_minimizer(nu, gc).discretize(g)
         assert boundary_condition_error(problem(g, LinearPotential(gc), nu), rho) <= 1e-6
 
@@ -87,7 +86,7 @@ class TestBoundaryCondition:
 
 class TestComDrift:
     def test_symmetric_profile_has_no_drift(self):
-        g = make_grid(2.0, 201, SpacingMode.UNIFORM)
+        g = make_grid(2.0, 201)
         rho = Density.normalized(g, np.exp(-((g.nodes - 1.0) ** 2) * 5))
         assert abs(com_drift(problem(g, ZeroPotential(), 0.3), rho)) <= 1e-12
 
@@ -106,7 +105,7 @@ class TestComDrift:
 
 class TestMoments:
     def test_uniform_moments(self):
-        g = make_grid(2.0, 1024, SpacingMode.UNIFORM)
+        g = make_grid(2.0, 1024)
         rho = Density.normalized(g, np.ones(1024))
         m = moments(rho)
         assert abs(m.m1 - 1.0) <= 1e-12  # trapezoid is exact for x
@@ -116,12 +115,12 @@ class TestMoments:
 
     def test_truncated_gaussian_mean_closed_form(self):
         nu, c = 2.0**-4, 0.3
-        g = make_grid(3.5, 32768, SpacingMode.UNIFORM)
+        g = make_grid(3.5, 32768)
         tg = TruncatedGaussian(c, nu)
         assert abs(moments(tg.discretize(g)).m1 - tg.mean) <= 1e-8
 
     def test_narrow_bump_localizes(self):
-        g = make_grid(2.0, 4097, SpacingMode.UNIFORM)
+        g = make_grid(2.0, 4097)
         x0 = 0.7
         errors = []
         for width in (0.1, 0.03, 0.01):
@@ -135,7 +134,7 @@ class TestDiagnose:
     def test_full_report(self):
         nu = 2.0**-6
         gc = critical_slope(nu)
-        g = make_grid(2.0, 2048, SpacingMode.QUADRATIC)
+        g = make_grid(2.0, 2048)
         rho = exact_minimizer(nu, gc).discretize(g)
         report = diagnose(Problem(g, PowerLawKernel(2.0), LinearPotential(gc), nu), rho)
         assert report.e0 is not None and report.e0 <= 1e-4

@@ -9,7 +9,6 @@ from swarmeq import (
     LinearPotential,
     PowerLawKernel,
     Problem,
-    SpacingMode,
     ZeroPotential,
     apply_gibbs_map,
     boundary_condition_error,
@@ -40,13 +39,13 @@ class TestInteraction:
 
     def test_uniform_quadratic_kernel(self):
         # (1/2) int int (1/2)(x-y)^2 dx dy over the unit square equals 1/24
-        g = make_grid(1.0, 401, SpacingMode.UNIFORM)
+        g = make_grid(1.0, 401)
         rho = Density.normalized(g, np.ones(401))
         value = interaction(PowerLawKernel(2.0), rho)
         assert abs(value - 1.0 / 24.0) <= 1e-5
 
     def test_matches_double_sum_oracle(self, rng):
-        g = make_grid(1.0, 41, SpacingMode.UNIFORM)
+        g = make_grid(1.0, 41)
         rho = Density.normalized(g, rng.random(41) + 0.1)
         kernel = PowerLawKernel(2.0)
         disp = g.nodes[:, None] - g.nodes[None, :]
@@ -57,7 +56,7 @@ class TestInteraction:
 
     def test_translation_invariance(self):
         # interior bumps shifted by a whole number of grid cells
-        g = make_grid(4.0, 257, SpacingMode.UNIFORM)
+        g = make_grid(4.0, 257)
         bump = indicator_density(g, 0.5, 1.5)
         shifted = indicator_density(g, 2.0, 3.0)
         kernel = PowerLawKernel(2.0)
@@ -103,7 +102,7 @@ class TestEntropy:
 
     def test_half_gaussian_closed_form(self):
         nu = 2.0**-6
-        g = make_grid(2.0, 2048, SpacingMode.UNIFORM)
+        g = make_grid(2.0, 2048)
         a0 = 2.0 / math.sqrt(2 * math.pi * nu)
         rho = Density.normalized(g, a0 * np.exp(-g.nodes**2 / (2 * nu)))
         assert abs(entropy(rho) - (math.log(a0) - 0.5)) <= 1e-6
@@ -123,14 +122,14 @@ class TestTotalEnergy:
         assert breakdown.total == pytest.approx(0.0, abs=1e-13)
 
     def test_uniform_quadratic_with_diffusion(self):
-        g = make_grid(1.0, 401, SpacingMode.UNIFORM)
+        g = make_grid(1.0, 401)
         rho = Density.normalized(g, np.ones(401))
         breakdown = total_energy(Problem(g, PowerLawKernel(2.0), ZeroPotential(), 0.1), rho)
         assert abs(breakdown.total - 1.0 / 24.0) <= 1e-5
         assert abs(breakdown.entropy) <= 1e-12
 
     def test_decomposition_identity(self, rng):
-        g = make_grid(2.5, 97, SpacingMode.QUADRATIC)
+        g = make_grid(2.5, 97)
         for _ in range(10):
             rho = Density.normalized(g, rng.random(97) + 1e-3)
             nu = float(rng.uniform(0.01, 1.0))
@@ -180,10 +179,9 @@ class TestDensityOnAnotherGrid:
         total_energy, apply_gibbs_map, log_partition, fixed_point_residual,
         euler_lagrange_residual, boundary_condition_error, com_drift, diagnose,
     ], ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("mode", list(SpacingMode), ids=lambda m: m.value)
-    def test_rejected(self, function, mode):
+    def test_rejected(self, function):
         problem = Problem(make_grid(2.0, 64), PowerLawKernel(2.0), LinearPotential(0.1), 0.1)
-        other = make_grid(2.0, 64, mode)
+        other = make_grid(2.0, 64)
         rho = Density.normalized(other, np.exp(-other.nodes))  # strictly positive
         with pytest.raises(ValueError, match="problem's grid"):
             function(problem, rho)
@@ -209,7 +207,7 @@ class TestProblemNu:
 
 class TestWithPotential:
     def test_shares_the_operator_and_samples_v(self):
-        grid = make_grid(2.0, 65, SpacingMode.QUADRATIC)
+        grid = make_grid(2.0, 65)
         rho = indicator_density(grid, 0.0, 1.0)
         problem = Problem(grid, PowerLawKernel(2.0), ZeroPotential(), 0.1)
         other = problem.with_potential(LinearPotential(0.5))

@@ -37,7 +37,7 @@ from swarmeq.experiments import (
     run_experiment,
 )
 
-SOLVE_KEYS = {"nu", "g", "L", "N", "grid", "tol", "N_max", "tau_c"}
+SOLVE_KEYS = {"nu", "g", "L", "N", "tol", "N_max", "tau_c"}
 CONTINUATION_KEYS = {"eps", "schedule", "stages", "prominence"}
 # Each experiment in CLI order: the override keys it accepts, and one key that
 # only another experiment accepts.
@@ -146,7 +146,8 @@ class TestConfigs:
             run_experiment(ExperimentConfig(name, {key: value}))
 
     def test_bad_grid_value_rejected(self):
-        with pytest.raises(ValueError, match="grid mode"):
+        # every grid is uniform, so `grid` is no override key
+        with pytest.raises(ValueError, match=re.escape("unknown override keys ['grid']")):
             run_experiment(ExperimentConfig("kp2", overrides={"grid": "chebyshev", "N": 64}))
 
     @pytest.mark.parametrize("name", list(ACCEPTED_KEYS))
@@ -210,7 +211,7 @@ class TestRunners:
     def test_kpsmall_kernel_above_the_cap_at_small_nu(self):
         # at nu = 2^-11 the p = 11 kernel (max|K| = 4**11 / 11, below the old
         # fixed gate of 1e6) lies above the cap; an unclipped FFT product took
-        # 574 and 395 iterations where the dense product takes 45 and 26, and
+        # 574 and 395 iterations where the exact product took 45 and 26, and
         # moved the energy by 7.9e-9 relative
         records = run_experiment(
             ExperimentConfig("kpsmall", overrides={"p": [8.0, 11.0], "nu": 2.0**-11})
@@ -225,7 +226,7 @@ class TestRunners:
 
     def test_continuation_stages_keep_the_gibbs_image(self):
         # each stage of a clipped continuation applies the operator built for
-        # its own nu, so its image matches the exact dense product on the support
+        # its own nu, so its image matches the exact product on the support
         (record,) = run_experiment(ExperimentConfig(
             "custom", overrides={"kernel": "power", "p": 32.0, "stages": 3}
         ))
@@ -407,8 +408,9 @@ class TestOperatorBuilds:
 
     def test_one_build_per_kernel_per_level(self, monkeypatch):
         # kpsmall at N = 4096 is solved on 1024, 2048 and 4096 nodes; each level
-        # builds one operator per kernel, shared by the g sweep, and every
-        # level is built only after the level below has been solved
+        # builds one operator per kernel, shared by the g sweep; the requested
+        # grid's are built first, and every coarse level's only after the
+        # level below has been solved
         sizes = []
         original = KernelOperator.__init__
 
@@ -420,7 +422,7 @@ class TestOperatorBuilds:
         records = run_experiment(ExperimentConfig(
             "kpsmall", {"N": 4096, "p": [1.5, 2.0], "N_max": 5}))
         assert len(records) == 4
-        assert sizes == [1024, 1024, 2048, 2048, 4096, 4096]
+        assert sizes == [4096, 4096, 1024, 1024, 2048, 2048]
 
     def test_shared_operator_keeps_the_record(self):
         # the g = nu record, solved on the operator the g = 0 record built,
@@ -580,20 +582,21 @@ class TestEmit:
             for key, value in record_scalars(record).items():
                 if isinstance(value, float):
                     assert loaded[key] == value  # repr round-trips exactly
-            assert list(loaded["samples"]) == ["y"]
-            nodes = make_grid(loaded["param_L"], loaded["param_N"], loaded["param_grid"]).nodes
+            assert list(loaded["samples"]) == ["y"] and loaded["param_grid"] == "uniform"
+            nodes = make_grid(loaded["param_L"], loaded["param_N"]).nodes
             assert nodes.tobytes() == record.samples_x.tobytes()
 
     @pytest.mark.parametrize("experiment, overrides", [
         ("kpsmall", {"N": 601, "L": 3.0, "p": [2.0], "tol": 1e-5}),
         ("kp2", {"N": 257, "L": 1.5, "g": [1.0], "tol": 1e-5}),
-    ], ids=["uniform", "quadratic"])
+    ], ids=["kpsmall", "kp2"])
     def test_density_nodes_are_the_echoed_grid(self, experiment, overrides, tmp_path):
         records = run_experiment(ExperimentConfig(experiment, overrides=overrides))
         emit(records, "json", tmp_path / "r.json")
         doc = json.loads((tmp_path / "r.json").read_text())
         for record, loaded in zip(records, doc["records"]):
-            nodes = make_grid(loaded["param_L"], loaded["param_N"], loaded["param_grid"]).nodes
+            assert loaded["param_grid"] == "uniform"
+            nodes = make_grid(loaded["param_L"], loaded["param_N"]).nodes
             assert nodes.tobytes() == record.samples_x.tobytes()
 
     @pytest.mark.parametrize("experiment, overrides", [
@@ -822,14 +825,6 @@ class TestCli:
         assert main(["experiment", "gamma-energy", "--set", "n_c=5",
                      "--output", str(tmp_path)]) == 2
         assert f"error: failed writing results to {tmp_path}" in capsys.readouterr().err
-
-    def test_quadratic_grid_near_one_power_does_not_converge(self, capsys):
-        # a known failure: on the quadratic grid this g = 0 solve spends its
-        # budget; pinned until the record says why it stopped
-        code = main(["experiment", "kpsmall", "--set", "grid=quadratic",
-                     "--set", "p=[1.0625]", "--set", "g=[0.0]"])
-        out = capsys.readouterr().out
-        assert (code, "NOT CONVERGED" in out, "iterations=2000" in out) == (1, True, True)
 
     @pytest.mark.parametrize("name,item", [
         ("kp2", "g=[]"), ("kpsmall", "p=[]"), ("gamma-energy", "g=[]"),

@@ -16,7 +16,6 @@ from swarmeq import (
     Problem,
     RegularizedQanrKernel,
     SolverConfig,
-    SpacingMode,
     ZeroPotential,
     count_aggregates,
     fixed_point_residual,
@@ -34,7 +33,7 @@ from swarmeq.grid import MASS_TOL, check_density
 
 def _tau_c(nu: float, config: SolverConfig | None = None) -> float:
     """The conservative step a one-step solve at nu reports."""
-    g = make_grid(4.0, 64, SpacingMode.UNIFORM)
+    g = make_grid(4.0, 64)
     problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
     config = config or SolverConfig(max_iterations=1)
     return solve(problem, indicator_density(g, 0, 2), config).tau_c
@@ -99,7 +98,7 @@ class TestSolve:
 
     def test_converged_state_is_a_fixed_point(self):
         nu = 2.0**-6
-        g = make_grid(4.0, 512, SpacingMode.UNIFORM)
+        g = make_grid(4.0, 512)
         problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
         report = solve(problem, indicator_density(g, 0, 2))
         assert report.converged
@@ -109,7 +108,7 @@ class TestSolve:
         CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
 
         nu = 2.0**-6
-        g = make_grid(4.0, 1024, SpacingMode.UNIFORM)
+        g = make_grid(4.0, 1024)
         problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
         report = solve(problem, indicator_density(g, 0, 2))
         m1 = moments(report.density).m1
@@ -124,7 +123,7 @@ class TestSolve:
     def test_energy_decreases_on_full_steps(self):
         # a converging case whose full steps are rejected often enough that
         # the Anderson and conservative branches both run
-        g = make_grid(8.0, 128, SpacingMode.UNIFORM)
+        g = make_grid(8.0, 128)
         problem = Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), 2.0**-10)
         report = solve(problem, indicator_density(g, 0, 8.0))
         assert report.converged
@@ -140,7 +139,7 @@ class TestSolve:
         from swarmeq import LinearPotential, critical_slope
 
         nu = 2.0**-6
-        g = make_grid(2.0, 512, SpacingMode.QUADRATIC)
+        g = make_grid(2.0, 512)
         kinds = set()
         for slope in (0.5 * critical_slope(nu), critical_slope(nu)):
             problem = Problem(g, PowerLawKernel(2.0), LinearPotential(slope), nu)
@@ -157,7 +156,7 @@ class TestSolve:
         from swarmeq.gibbs import log_partition
 
         nu = 2.0**-6
-        g = make_grid(2.0, 512, SpacingMode.QUADRATIC)
+        g = make_grid(2.0, 512)
         problem = Problem(g, PowerLawKernel(2.0), LinearPotential(critical_slope(nu)), nu)
         report = solve(problem, indicator_density(g, 0, 0.25))
         assert report.converged
@@ -172,8 +171,8 @@ class TestSolve:
         from swarmeq import LinearPotential, critical_slope
 
         nu = 2.0**-6
-        free = make_grid(4.0, 512, SpacingMode.UNIFORM)
-        wall = make_grid(2.0, 512, SpacingMode.QUADRATIC)
+        free = make_grid(4.0, 512)
+        wall = make_grid(2.0, 512)
         cases = [
             (Problem(free, PowerLawKernel(2.0), ZeroPotential(), nu),
              indicator_density(free, 0, 2)),
@@ -190,7 +189,7 @@ class TestSolve:
 
     def test_non_convergence_is_reported_not_raised(self):
         nu = 2.0**-10
-        g = make_grid(8.0, 128, SpacingMode.UNIFORM)
+        g = make_grid(8.0, 128)
         report = solve(
             Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), nu),
             indicator_density(g, 0, 8), SolverConfig(max_iterations=2),
@@ -204,7 +203,7 @@ class TestSolve:
             solve(problem, indicator_density(make_grid(2.0, 64), 0, 1))
 
     def test_final_density_is_valid(self, rng):
-        g = make_grid(2.0, 256, SpacingMode.UNIFORM)
+        g = make_grid(2.0, 256)
         rho0 = Density.normalized(g, rng.random(256) + 0.01)
         report = solve(Problem(g, PowerLawKernel(2.0), ZeroPotential(), 0.1), rho0)
         assert abs(report.density.mass - 1.0) <= 1e-10
@@ -287,7 +286,7 @@ class TestAnderson:
         # the first stage of the default multistate run, whose aggregates leave
         # nodes between them at the exponent floor
         seen = _watch_subnormals(monkeypatch)
-        g = make_grid(8.0, 1024, SpacingMode.UNIFORM)
+        g = make_grid(8.0, 1024)
         problem = Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), 10 * 2.0**-13)
         report = solve(problem, indicator_density(g, 0, 8))
         assert report.converged and "anderson" in report.step_trace
@@ -309,7 +308,7 @@ class TestAnderson:
             return gamma, b
 
         monkeypatch.setattr(solver, "_fit", fit)
-        g = make_grid(8.0, 1024, SpacingMode.UNIFORM)
+        g = make_grid(8.0, 1024)
         problem = Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), 10 * 2.0**-13)
         report = solve(problem, indicator_density(g, 0, 8))
         assert report.converged
@@ -397,26 +396,26 @@ class TestAnderson:
         assert drifted.step_trace[: k + 1] == [*plain.step_trace[:k], "conservative"]
 
 
-def _secant_problem(mode=SpacingMode.QUADRATIC, length=2.0, p=2.0, slope_factor=0.5):
+def _secant_problem(length=2.0, p=2.0, slope_factor=0.5):
     """A problem whose every image lowers the energy, so that each fit of its
     solve is a secant fit."""
     from swarmeq import LinearPotential, critical_slope
 
     nu = 2.0**-6
-    g = make_grid(length, 512, mode)
+    g = make_grid(length, 512)
     slope = nu if slope_factor is None else slope_factor * critical_slope(nu)
     return Problem(g, PowerLawKernel(p), LinearPotential(slope), nu)
 
 
 class TestSecant:
-    @pytest.mark.parametrize("mode,length,p,slope_factor,support", [
-        (SpacingMode.QUADRATIC, 2.0, 2.0, 0.5, 0.25),  # dense product
-        (SpacingMode.UNIFORM, 4.0, 1.5, None, 1.0),  # FFT product, g = nu
-    ], ids=["dense", "fft"])
+    @pytest.mark.parametrize("length,p,slope_factor,support", [
+        (2.0, 2.0, 0.5, 0.25),  # kp2 at half the critical slope
+        (4.0, 1.5, None, 1.0),  # g = nu
+    ], ids=["kp2", "fft"])
     def test_accepted_step_carries_its_convolution_and_lowers_energy(
-        self, monkeypatch, mode, length, p, slope_factor, support
+        self, monkeypatch, length, p, slope_factor, support
     ):
-        problem = _secant_problem(mode, length, p, slope_factor)
+        problem = _secant_problem(length, p, slope_factor)
         taken = []
         real = solver._anderson_candidate
 
@@ -477,7 +476,7 @@ class TestSecant:
         # a fit on a zero difference, or on one orthogonal to f in the weighted
         # product, removes nothing: no candidate is tried, and each such fit
         # skips the next SECANT_BACKOFF full steps
-        problem = _secant_problem(SpacingMode.UNIFORM, 4.0, 1.5, None)
+        problem = _secant_problem(4.0, 1.5, None)
         rho0 = indicator_density(problem.grid, 0, 1.0)
         real_fit = solver._fit
         for blind in (lambda a, b: 0 * a, lambda a, b: a - b * (b @ a) / (b @ b)):
@@ -526,19 +525,19 @@ class TestWork:
     """What a solve evaluates: one energy for the start, one per image, one
     per candidate that passes the positivity and mass checks and one per
     conservative step taken; one apply of the operator for the start, one per
-    image and one for the diagnostics of the returned density."""
+    image and one for the diagnostics of the returned density, on their first
+    read."""
 
-    @pytest.mark.parametrize("case", ["dense-secant", "fft", "qanr-anderson"])
+    @pytest.mark.parametrize("case", ["kp2-secant", "fft", "qanr-anderson"])
     def test_energy_and_apply_counts(self, monkeypatch, case):
-        if case == "dense-secant":
+        if case == "kp2-secant":
             problem = _secant_problem()
             rho0, kinds = indicator_density(problem.grid, 0, 0.25), {"secant"}
         elif case == "fft":
-            problem = _secant_problem(SpacingMode.UNIFORM, 4.0, 1.5, None)
+            problem = _secant_problem(4.0, 1.5, None)
             rho0, kinds = indicator_density(problem.grid, 0, 1.0), {"full"}
-            assert problem.operator._matrix is None  # the FFT product
         else:
-            g = make_grid(8.0, 128, SpacingMode.UNIFORM)
+            g = make_grid(8.0, 128)
             problem = Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), 2.0**-10)
             rho0, kinds = indicator_density(g, 0, 8.0), {"anderson", "conservative"}
         counts = {"energy": 0, "apply": 0, "candidates": 0}
@@ -571,13 +570,15 @@ class TestWork:
         assert counts["energy"] == (
             1 + report.iterations + counts["candidates"] + conservative
         )
+        assert counts["apply"] == report.iterations + 1
+        assert report.diagnostics is report.diagnostics
         assert counts["apply"] == report.iterations + 2
 
 
 class TestContinuation:
     def test_single_entry_equals_plain_solve(self):
         nu = 2.0**-6
-        g = make_grid(4.0, 256, SpacingMode.UNIFORM)
+        g = make_grid(4.0, 256)
         rho0 = indicator_density(g, 0, 2)
         problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), nu)
         direct = solve(problem, rho0)
@@ -587,7 +588,7 @@ class TestContinuation:
         assert staged[0].iterations == direct.iterations
 
     def test_schedule_must_end_at_problem_nu(self):
-        g = make_grid(4.0, 64, SpacingMode.UNIFORM)
+        g = make_grid(4.0, 64)
         problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), 2.0**-6)
         with pytest.raises(ValueError, match="schedule ends at 0.03125"):
             solve_with_continuation(
@@ -597,7 +598,7 @@ class TestContinuation:
     def test_warm_start_chains_stages(self):
         from swarmeq import LinearPotential, critical_slope
 
-        g = make_grid(2.0, 256, SpacingMode.QUADRATIC)
+        g = make_grid(2.0, 256)
         schedule = ContinuationSchedule.geometric(2.0**-4, 2.0**-6, stages=3)
         potential = LinearPotential(critical_slope(2.0**-6))
         problem = Problem(g, PowerLawKernel(2.0), potential, 2.0**-6)
@@ -615,7 +616,7 @@ class TestContinuation:
         # attractive-repulsive aggregates translate slowly at nu = 2**-13:
         # the relaxed scheme alone leaves every stage at the iteration budget
         nu = 2.0**-13
-        g = make_grid(8.0, 128, SpacingMode.UNIFORM)
+        g = make_grid(8.0, 128)
         reports = solve_with_continuation(
             Problem(g, RegularizedQanrKernel(0.3), ZeroPotential(), nu),
             ContinuationSchedule.geometric(2 * nu, nu, stages=8),
@@ -629,7 +630,7 @@ class TestContinuation:
                     assert report.energy_trace[k + 1] < report.energy_trace[k]
 
     def test_step_sizes_follow_stage_diffusion(self):
-        g = make_grid(4.0, 128, SpacingMode.UNIFORM)
+        g = make_grid(4.0, 128)
         schedule = ContinuationSchedule((2.0**-4, 2.0**-5))
         reports = solve_with_continuation(
             Problem(g, PowerLawKernel(2.0), ZeroPotential(), 2.0**-5),
@@ -649,21 +650,17 @@ class TestRefinement:
         assert [level.size for level in levels] == sizes
         assert all(level == make_grid(4.0, level.size) for level in levels)
 
-    def test_dense_grids_are_not_refined(self):
-        assert solver.refinement_grids(make_grid(4.0, 8192, SpacingMode.QUADRATIC)) == []
-
     @pytest.mark.parametrize("source,target", [
-        ((8192, "uniform"), (1024, "uniform")), ((1024, "uniform"), (8192, "uniform")),
-        ((3000, "uniform"), (1500, "uniform")), ((2048, "quadratic"), (700, "uniform")),
+        (make_grid(4.0, a), make_grid(4.0, b))
+        for a, b in ((8192, 1024), (1024, 8192), (3000, 1500), (2048, 700))
     ])
     def test_transfer_keeps_mass_and_sign(self, source, target):
         # a positive density with a tail at the exponent floor, far below the
         # roundoff of the total mass: every cell keeps a positive value
-        fine, coarse = make_grid(4.0, *source), make_grid(4.0, *target)
-        x = fine.nodes
-        rho = Density.normalized(fine, np.maximum(np.exp(-40 * (x - 1) ** 2), 1e-260))
-        moved = solver.transfer(rho, coarse)
-        assert moved.grid is coarse
+        x = source.nodes
+        rho = Density.normalized(source, np.maximum(np.exp(-40 * (x - 1) ** 2), 1e-260))
+        moved = solver.transfer(rho, target)
+        assert moved.grid is target
         assert abs(moved.mass - rho.mass) <= MASS_TOL
         assert np.all(moved.values > 0)
 
@@ -686,14 +683,16 @@ class TestRefinement:
 
 class TestOrder:
     def test_kp2_energy_is_second_order(self):
-        # the method's order of accuracy: on the kp2 quadratic grid each
-        # doubling of N from 256 to 2048 divides the energy's change by 4
+        # the method's order of accuracy: on the kp2 grid each doubling of N
+        # from 256 to 2048 divides the energy's change by 4 (at g = gc the
+        # half-Gaussian's odd derivatives vanish at the wall, and the change
+        # falls by 16)
         from swarmeq import critical_slope
 
         gc = critical_slope(2.0**-6)
         energies = np.array([
-            [r.metrics["total_energy"]
-             for r in run_experiment(ExperimentConfig("kp2", {"N": n, "g": [0.25 * gc, gc]}))]
+            [r.metrics["total_energy"] for r in run_experiment(
+                ExperimentConfig("kp2", {"N": n, "g": [0.25 * gc, 4 * gc]}))]
             for n in (256, 512, 1024, 2048)
         ])
         differences = np.diff(energies, axis=0)
@@ -704,7 +703,7 @@ class TestOrder:
 
 class TestCountAggregates:
     def grid_density(self, values):
-        g = make_grid(float(len(values) - 1), len(values), SpacingMode.UNIFORM)
+        g = make_grid(float(len(values) - 1), len(values))
         return Density.normalized(g, np.asarray(values, dtype=float))
 
     def test_uniform_has_none(self):
