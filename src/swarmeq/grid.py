@@ -4,13 +4,14 @@ Everything downstream (energies, the Gibbs map, diagnostics) integrates with
 the trapezoid weights defined here, so the discrete fixed point of the Gibbs
 map is a critical point of the discrete energy.
 
-Grids are uniform, so the convolution K * rho is a Toeplitz sum: a real FFT
-product with the kernel spectrum computed once per operator, through NumPy's
-pocketfft (`numpy.fft`, the same C++ code as `scipy.fft`; the package loads
-no SciPy), in O(N) memory and O(N log N) time at every N.  FFT roundoff is
-spread over every node in proportion to max|K|, so the lags are first
-clipped to a cap proportional to the diffusion parameter nu, above which the
-Gibbs image cannot see them; `KernelOperator` derives the cap.
+Grids are uniform, so the convolution K * rho is a Toeplitz sum.  From 512
+nodes up it is a real FFT product with the kernel spectrum computed once per
+operator, through NumPy's pocketfft (`numpy.fft`, the same C++ code as
+`scipy.fft`; the package loads no SciPy), in O(N) memory and O(N log N)
+time; below 512 nodes it is a dense matrix-vector product of at most 2 MB.
+FFT roundoff is spread over every node in proportion to max|K|, so the lags
+are first clipped to a cap proportional to the diffusion parameter nu, above
+which the Gibbs image cannot see them; `KernelOperator` derives the cap.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ if TYPE_CHECKING:
 
 # Mass tolerance for a valid probability density under the grid quadrature.
 MASS_TOL = 1e-10
+
+# Grids at least this large use the FFT convolution path, smaller ones the
+# dense product.  With one BLAS thread on a 2-core x86-64 machine the dense
+# product is the faster at N = 64-256 (2-10 us per apply against 11-15 us)
+# and the slower at N = 511 (46 against 24 us); below this threshold records
+# keep the bits they have had since it was set, and the metastable qanr
+# continuation at N = 128 converges in all 8 stages under the dense
+# product's roundoff, in 4 under the FFT product's.
+_FFT_THRESHOLD = 512
 
 # Roundoff of the FFT product of a unit-mass density on each node per unit of
 # max|K| over the lags, kappa eps with kappa at most 3.9 (clipped power laws
@@ -159,12 +169,15 @@ class KernelOperator:
     Gibbs map at diffusion nu.
 
     On a uniform grid the displacements x_i - x_j are Toeplitz, so the sum is
-    a linear convolution with the 2N-1 kernel lags.  Building the operator
-    evaluates the kernel once on the lags, clips them to [-C, C], with
-    C = 1e-9 nu / (4 eps), about 1.1e6 nu (`_kernel_cap`), and caches their
-    real spectrum; applying it is one forward and one inverse real FFT.  Its
-    arrays hold O(N) floats.  A kernel with max|K| <= C is not clipped, and
-    its FFT product is the plain one.
+    a linear convolution with the 2N-1 kernel lags.  From 512 nodes up
+    (`_FFT_THRESHOLD`) building the operator evaluates the kernel once on the
+    lags, clips them to [-C, C], with C = 1e-9 nu / (4 eps), about 1.1e6 nu
+    (`_kernel_cap`), and caches their real spectrum; applying it is one
+    forward and one inverse real FFT, and its arrays hold O(N) floats.  A
+    kernel with max|K| <= C is not clipped, and its FFT product is the plain
+    one.  Below 512 nodes the operator is the N x N matrix w_j K(x_i - x_j),
+    at most 2 MB, applied as a matrix-vector product: exact node by node, and
+    serving every nu unclipped.
 
     Why C is proportional to nu.  The direct sum is exact node by node; the
     FFT product has an error of about kappa eps max|K| on every node for a
@@ -204,13 +217,17 @@ class KernelOperator:
         if not nu > 0:
             raise ValueError(f"diffusion parameter must be positive, got {nu}")
         self.grid = grid
+        self._matrix = None
         n = grid.size
+        if n < _FFT_THRESHOLD:
+            disp = grid.nodes[:, None] - grid.nodes[None, :]
+            kvals = np.asarray(kernel(disp), dtype=float)
+            _check_finite(kvals, disp)
+            self._matrix = kvals * grid.weights[None, :]
+            return
         lags = np.arange(-(n - 1), n) * (grid.length / (n - 1))
         kvals = np.asarray(kernel(lags), dtype=float)
-        bad = lags[~np.isfinite(kvals)]
-        if bad.size:  # name the bad lag nearest zero, the negative one of a pair
-            d = float(bad[np.argmin(np.abs(bad))])
-            raise ValueError(f"kernel evaluated to a non-finite value at displacement {d!r}")
+        _check_finite(kvals, lags)
         self._peak = float(np.max(np.abs(kvals)))
         self._cap = _kernel_cap(nu)
         # a circular convolution of length >= 2N-1 leaves outputs
@@ -219,8 +236,11 @@ class KernelOperator:
         self._spectrum = rfft(np.clip(kvals, -self._cap, self._cap), self._fft_len)
 
     def serves(self, nu: float) -> bool:
-        """Whether this operator is the one built for diffusion nu: whether
-        the cap at nu clips the lags as this one's does."""
+        """Whether this operator is the one built for diffusion nu: the dense
+        product serves every nu, the FFT product every nu whose cap clips the
+        lags as this one's does."""
+        if self._matrix is not None:
+            return True
         cap = _kernel_cap(nu)
         return cap == self._cap or self._peak <= min(cap, self._cap)
 
@@ -230,16 +250,27 @@ class KernelOperator:
             raise ValueError(
                 f"grid function has {values.shape} values for {self.grid.size} nodes"
             )
+        if self._matrix is not None:
+            return self._matrix @ values
         n = self.grid.size
         wv = rfft(self.grid.weights * values, self._fft_len)
         return irfft(self._spectrum * wv, self._fft_len)[n - 1 : 2 * n - 1]
 
 
+def _check_finite(kvals: np.ndarray, displacements: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite kernel value's
+    displacement, in row-major order."""
+    bad = ~np.isfinite(kvals)
+    if np.any(bad):
+        d = displacements[tuple(np.argwhere(bad)[0])]
+        raise ValueError(f"kernel evaluated to a non-finite value at displacement {float(d)!r}")
+
+
 def convolve_kernel(grid: Grid, kernel: "InteractionKernel", rho: Density) -> np.ndarray:
     """Trapezoid discretization of (K * rho)(x_i) over [0, L].
 
-    One-off convenience with the exact kernel (no cap), so its error is about
-    4 eps max|K| on every node; iterative callers should build a
-    KernelOperator once and reuse it.
+    One-off convenience with the exact kernel (no cap), so from 512 nodes up
+    its error is about 4 eps max|K| on every node; iterative callers should
+    build a KernelOperator once and reuse it.
     """
     return KernelOperator(grid, kernel, math.inf).apply(rho.values)

@@ -210,19 +210,27 @@ class TestConvolution:
             scale = np.max(np.abs(ref)) or 1.0
             assert np.max(np.abs(u - ref)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("n,fft", [(511, False), (512, True)])
+    def test_fft_threshold(self, n, fft):
+        op = KernelOperator(make_grid(4.0, n), PowerLawKernel(2.0), 2.0**-6)
+        assert (op._matrix is None) is fft
+
     @pytest.mark.parametrize("n", [3, 4, 5, 64, 255, 511, 1024])
     @pytest.mark.parametrize("kernel", [
         PowerLawKernel(2.0), PowerLawKernel(32.0), RegularizedQanrKernel(0.3),
     ], ids=repr)
     @pytest.mark.parametrize("nu", [math.inf, 2.0**-6, 2.0**-12], ids=repr)
-    def test_fft_product_matches_the_direct_sum(self, rng, n, kernel, nu):
+    def test_fft_product_matches_the_direct_sum(self, monkeypatch, rng, n, kernel, nu):
         # the documented roundoff of the FFT product: at most 4 eps max|K| on
         # every node for a unit-mass density, max|K| over the clipped lags,
         # against sum_j w_j clip(K(x_i - x_j)) v_j summed in extended precision
-        # (p = 32 is clipped at both finite nu, p = 2 and qanr at neither)
+        # (p = 32 is clipped at both finite nu, p = 2 and qanr at neither);
+        # grids below the threshold are built with the FFT product too
+        monkeypatch.setattr(swarmeq.grid, "_FFT_THRESHOLD", 3)
         g = make_grid(4.0, n)
         values = Density.normalized(g, rng.random(n) + 0.01).values
         op = KernelOperator(g, kernel, nu)
+        assert op._matrix is None
         cap = _kernel_cap(nu)
         clipped = np.clip(kernel(g.nodes[:, None] - g.nodes[None, :]), -cap, cap)
         direct = (clipped.astype(np.longdouble) * g.weights) @ values.astype(np.longdouble)
