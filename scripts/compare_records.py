@@ -10,8 +10,9 @@ package.  Every run in ``RUNS`` goes through ``python -m swarmeq.cli`` once
 with each directory on ``PYTHONPATH``, writing into a temporary directory.
 The JSON records are compared field by field, key order included, and
 ``wall_time_s`` is ignored; when they parse equal, the raw texts are compared
-too, with each ``"wall_time_s": <number>`` masked, so that a change of layout
-or of how a number is written (``1e16`` as ``1e+16``) shows.  Schema v1
+too, with each ``"wall_time_s": <number>`` masked (with or without the space
+after the colon), so that a change of layout or of how a number is written
+(``1e16`` as ``1e+16``) shows.  Schema v1
 documents carry the nodes of a density record as ``samples.x`` and v2 ones
 leave them out; when the two schemas differ, density records are compared
 without ``samples.x`` and their texts are not compared.  The CSV run
@@ -38,9 +39,10 @@ import tempfile
 from pathlib import Path
 
 IGNORED = "wall_time_s"
-# IGNORED with its value as the JSON text writes it; a string value that holds
-# the key has its quotes escaped, so it cannot match.
-_IGNORED_TEXT = re.compile(r'"wall_time_s": -?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+# IGNORED with its value as the JSON text writes it, in the spaced layout of
+# `json.dumps` or the compact one; a string value that holds the key has its
+# quotes escaped, so it cannot match.
+_IGNORED_TEXT = re.compile(r'"wall_time_s":\s*-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
 # Largest relative change of total_energy, and smallest change of m1 in node
 # spacings, of a record that moved to a neighbouring translate (see
 # `translate`).  Converged records whose last bits moved shift m1 by at most

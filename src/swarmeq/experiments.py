@@ -12,7 +12,6 @@ parameter set (no hidden defaults), scalar metrics, and a sampled curve
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
 import sys
@@ -24,6 +23,7 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+import orjson
 
 from .analytic import (
     critical_slope,
@@ -96,20 +96,27 @@ class ResultRecord:
     wall_time_s: float
     solve_reports: list[SolveReport] = field(default_factory=list, repr=False)
 
+    def __post_init__(self):
+        # float arrays in C order, the only layout orjson encodes
+        self.samples_x = np.ascontiguousarray(self.samples_x, dtype=float)
+        self.samples_y = np.ascontiguousarray(self.samples_y, dtype=float)
+
     @property
     def converged(self) -> bool | None:
         return self.metrics.get("converged")
 
 
 def _integer(ov: dict[str, Any], key: str, default: int) -> int:
-    """The override `key`, or the default, as an int.  It must be a number
-    that `_real` accepts and a whole one: any other would be truncated, so it
-    is a configuration error."""
+    """The override `key`, or the default, as an int: a number that `_real`
+    accepts, whole (any other would be truncated) and within the 64 bits the
+    JSON writer encodes.  Any other value is a configuration error."""
     value = ov.get(key, default)
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Real) and _real(key, value).is_integer()
     ):
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    if not -(2**63) <= value < 2**64:
+        raise ValueError(f"{key} must fit in 64 bits, got {value!r}")
     return int(value)
 
 
@@ -187,8 +194,8 @@ def _record(experiment, params, metrics, kind, xs, ys, t0, reports) -> ResultRec
         parameters=params,
         metrics=metrics,
         samples_kind=kind,
-        samples_x=np.asarray(xs, dtype=float),
-        samples_y=np.asarray(ys, dtype=float),
+        samples_x=xs,
+        samples_y=ys,
         wall_time_s=time.perf_counter() - t0,
         solve_reports=reports,
     )
@@ -534,12 +541,6 @@ _SAMPLE_HEADERS = {
 }
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def record_scalars(record: ResultRecord) -> dict[str, Any]:
     """Flat scalar view of a record (parameters then metrics), with numpy
     scalars as the Python numbers they hold."""
@@ -551,43 +552,42 @@ def record_scalars(record: ResultRecord) -> dict[str, Any]:
     return {key: val.item() if isinstance(val, np.generic) else val for key, val in out.items()}
 
 
-def _json_document(records: list[ResultRecord], scalars: list[dict[str, Any]]) -> str:
-    """The schema v2 document of the records.  One `json.dumps` without
-    `indent` takes the C encoder; `json.dump` to a file would not."""
-    return json.dumps({"schema": "swarmeq.records.v2", "records": [
-        {**{k: _json_safe(v) for k, v in row.items()},
-         "wall_time_s": r.wall_time_s, "samples_kind": r.samples_kind,
-         "samples": {"y": r.samples_y.tolist()} if r.samples_kind == "density"
-         else {"x": r.samples_x.tolist(), "y": r.samples_y.tolist()}}
+def _json_document(records: list[ResultRecord], scalars: list[dict[str, Any]]) -> bytes:
+    """The schema v2 document of the records, with the sample arrays passed
+    to orjson as arrays."""
+    return orjson.dumps({"schema": "swarmeq.records.v2", "records": [
+        {**row, "wall_time_s": r.wall_time_s, "samples_kind": r.samples_kind,
+         "samples": {"y": r.samples_y} if r.samples_kind == "density"
+         else {"x": r.samples_x, "y": r.samples_y}}
         for r, row in zip(records, scalars)
-    ]})
+    ]}, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
 def emit(records: list[ResultRecord], fmt: str, path: str | Path) -> list[Path]:
     """Write records to disk; returns the list of files written.
 
-    JSON is a single document with embedded samples (schema v2), encoded by
-    one `json.dumps` before the file is opened, so a record that cannot be
-    encoded leaves no file.  A density record's samples hold `y` only: its
-    nodes are `make_grid(param_L, param_N).nodes`, the uniform grid that
-    `param_grid` names.  Other records keep `x`.  CSV writes one row per
-    record plus a two-column sidecar file per record for the samples, nodes
-    included.  Both modules serialize
-    floats with repr, which round-trips exactly; CSV writes None as an empty
-    cell, JSON writes it and every non-finite scalar as null, and non-finite
-    samples as NaN, Infinity and -Infinity.
+    JSON is one compact document with embedded samples (schema v2), encoded
+    by orjson before the file is opened, so a record that cannot be encoded
+    (a `set`, an int outside 64 bits) leaves no file.  A density record's
+    samples hold `y` only: its nodes are `make_grid(param_L, param_N).nodes`,
+    the uniform grid that `param_grid` names.  Other records keep `x`.  CSV
+    writes one row per record plus a two-column sidecar file per record for
+    the samples, nodes included.  Both write each float as the shortest
+    decimal that round-trips exactly, with the digits of `repr`; CSV writes
+    None as an empty cell, and JSON writes it and every non-finite float,
+    scalar or sample, as null, so the document is strict JSON.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     path = Path(path)
     scalars = [record_scalars(r) for r in records]
     if fmt == "json":
-        text = _json_document(records, scalars)  # a failed encoding leaves no file
+        document = _json_document(records, scalars)  # a failed encoding leaves no file
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "json":
-            with open(path, "w") as fh:
-                fh.write(text)
+            with open(path, "wb") as fh:
+                fh.write(document)
             return [path]
         columns = [*dict.fromkeys(key for row in scalars for key in row), "wall_time_s"]
         written = [path]

@@ -75,6 +75,17 @@ def test_text_compared_with_wall_time_masked(indent):
     assert compare_records.compare_json(old_text, new_text) == expected
 
 
+def test_compact_text_compared_with_wall_time_masked():
+    new = copy.deepcopy(DOC)
+    new["records"][0]["wall_time_s"] = 0.25
+    new["records"][1]["wall_time_s"] = 1e-05
+    old_text, new_text = (json.dumps(doc, separators=(",", ":")) for doc in (DOC, new))
+    assert '"wall_time_s":0.25,' in new_text
+    assert compare_records.compare_json(old_text, new_text) == []
+    spaced = json.dumps(new)
+    assert compare_records.compare_json(old_text, spaced) == ["bytes differ, first at line 1"]
+
+
 def test_same_number_written_another_way():
     new = copy.deepcopy(DOC)
     new["records"][1]["e0"] = 1e16

@@ -85,8 +85,9 @@ def tiny_kp2():
 
 
 def v2_document(records):
-    """The v2 JSON text of `records`: `json.dumps` of the document, in which a
-    density record's samples hold only y."""
+    """The v2 JSON text of `records` as the `json.dumps` writer wrote it, in
+    which a density record's samples hold only y and non-finite samples are
+    NaN, Infinity or -Infinity."""
     return json.dumps({"schema": "swarmeq.records.v2", "records": [
         {**{k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in record_scalars(r).items()},
@@ -102,8 +103,29 @@ def demo_record(xs=(0.0, 0.5), ys=(2.0, 1.0), kind="density", **parameters):
                         np.array(xs, dtype=float), np.array(ys, dtype=float), 0.125)
 
 
+def exact(value):
+    """A parsed JSON value with each finite float as its `float.hex` spelling
+    and each non-finite one as None, and each object as its list of items: two
+    values compare equal when they hold the same keys in the same order and
+    the same floats bit for bit."""
+    if isinstance(value, dict):
+        return [(key, exact(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        return [exact(item) for item in value]
+    if isinstance(value, float):
+        return value.hex() if math.isfinite(value) else None
+    return value
+
+
+def strict_loads(text):
+    """`json.loads` that rejects NaN, Infinity and -Infinity, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 FLOAT_SPELLINGS = [-0.0, 5e-324, 1e-300, 1e16, 1e22, 2.0, -3.0, 0.1, 123456789.0]
-# Records whose JSON text must be v2_document byte for byte.
+# Records whose JSON document must parse to v2_document's, float for float.
 V2_CASES = {
     "one-record": lambda: [demo_record()],
     "many-records": lambda: [*tiny_kp2(), demo_record(), demo_record((1.0,), (2.0,))],
@@ -544,26 +566,60 @@ class TestEmit:
              "wall_time_s": 0.5, "samples_kind": "volume_profile",
              "samples": {"x": [1.0], "y": [math.pi]}},
         ]}
-        assert (tmp_path / "r.json").read_text() == (
-            '{"schema": "swarmeq.records.v2", "records": ['
-            '{"experiment": "demo", "param_n": 3, "param_flag": true, "converged": null, '
-            '"value": 0.1, "bad": null, "wall_time_s": 0.25, "samples_kind": "density", '
-            '"samples": {"y": [2.0, 1e-300]}}, '
-            '{"experiment": "demo", "param_n": 4, "converged": false, "extra": 1e+16, '
-            '"wall_time_s": 0.5, "samples_kind": "volume_profile", '
-            '"samples": {"x": [1.0], "y": [3.141592653589793]}}]}')
+        assert (tmp_path / "r.json").read_bytes() == (
+            b'{"schema":"swarmeq.records.v2","records":['
+            b'{"experiment":"demo","param_n":3,"param_flag":true,"converged":null,'
+            b'"value":0.1,"bad":null,"wall_time_s":0.25,"samples_kind":"density",'
+            b'"samples":{"y":[2.0,1e-300]}},'
+            b'{"experiment":"demo","param_n":4,"converged":false,"extra":1e16,'
+            b'"wall_time_s":0.5,"samples_kind":"volume_profile",'
+            b'"samples":{"x":[1.0],"y":[3.141592653589793]}}]}')
         emit([], "csv", tmp_path / "e.csv")
         assert (tmp_path / "e.csv").read_bytes() == b"record,wall_time_s,samples_file\r\n"
         emit([], "json", tmp_path / "e.json")
-        assert (tmp_path / "e.json").read_text() == (
-            '{"schema": "swarmeq.records.v2", "records": []}')
+        assert (tmp_path / "e.json").read_bytes() == (
+            b'{"schema":"swarmeq.records.v2","records":[]}')
 
-    # The test keeps the name it had when it pinned the v1 layout.
     @pytest.mark.parametrize("case", list(V2_CASES))
-    def test_json_bytes_match_v1(self, case, tmp_path):
+    def test_json_parses_as_the_json_dumps_writer(self, case, tmp_path):
+        # only the spelling moved: every key and finite float parses the same,
+        # and a non-finite sample is null where NaN or Infinity was written
         records = V2_CASES[case]()
         emit(records, "json", tmp_path / "r.json")
-        assert (tmp_path / "r.json").read_text() == v2_document(records)
+        loaded = strict_loads((tmp_path / "r.json").read_text())
+        assert exact(loaded) == exact(json.loads(v2_document(records)))
+
+    def test_random_floats_round_trip_bit_for_bit(self, tmp_path):
+        # 10^5 random float64 bit patterns (the non-finite ones left out) with
+        # subnormals, signed zeros, the extremes and FLOAT_SPELLINGS, as
+        # samples and as scalars
+        bits = np.random.default_rng(0).integers(0, 2**64, 100_000, dtype=np.uint64)
+        drawn = bits.view(np.float64)
+        tiny = np.finfo(float).smallest_normal
+        edges = [0.0, -0.0, 5e-324, -5e-324, tiny * (1 - 2**-52), tiny, -tiny,
+                 sys.float_info.max, -sys.float_info.max, *FLOAT_SPELLINGS]
+        values = np.concatenate([drawn[np.isfinite(drawn)], edges])
+        records = [ResultRecord("demo", {"edges": edges}, {"f": edges[-1]}, "energy_curve",
+                                values, values[::-1].copy(), 0.5)]
+        emit(records, "json", tmp_path / "r.json")
+        (loaded,) = strict_loads((tmp_path / "r.json").read_text())["records"]
+        for xs, expected in ((loaded["samples"]["x"], values),
+                             (loaded["samples"]["y"], values[::-1]),
+                             (loaded["param_edges"], edges)):
+            assert np.array(xs).view(np.uint64).tolist() == (
+                np.array(expected).view(np.uint64).tolist())
+        assert loaded["f"].hex() == edges[-1].hex()
+
+    def test_strided_samples_emit(self, tmp_path):
+        # orjson encodes C-ordered arrays only; a record makes its samples so
+        grid = np.linspace(0.0, 1.0, 9)
+        records = [ResultRecord("demo", {}, {}, "energy_curve", grid[::2], grid[::-4], 0.5),
+                   experiments._record("demo", {}, {}, "density", grid[1::2], grid[::-2],
+                                       0.0, [])]
+        emit(records, "json", tmp_path / "r.json")
+        loaded = strict_loads((tmp_path / "r.json").read_text())["records"]
+        assert loaded[0]["samples"] == {"x": grid[::2].tolist(), "y": grid[::-4].tolist()}
+        assert loaded[1]["samples"] == {"y": grid[::-2].tolist()}
 
     def test_unencodable_record_leaves_no_file(self, tmp_path):
         path = tmp_path / "r.json"
@@ -581,7 +637,7 @@ class TestEmit:
         for record, loaded in zip(records, doc["records"]):
             for key, value in record_scalars(record).items():
                 if isinstance(value, float):
-                    assert loaded[key] == value  # repr round-trips exactly
+                    assert loaded[key] == value  # the shortest spelling round-trips
             assert list(loaded["samples"]) == ["y"] and loaded["param_grid"] == "uniform"
             nodes = make_grid(loaded["param_L"], loaded["param_N"]).nodes
             assert nodes.tobytes() == record.samples_x.tobytes()
@@ -811,6 +867,34 @@ class TestCli:
         assert main(["experiment", *command]) == 2
         assert calls == []
         assert re.search(rf"error: .*\b{key}\b", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,key", [
+        (["kpsmall", "--set", f"N_max={2**64}", "--set", "p=[2.0]", "--set", "g=[0.0]"],
+         "N_max"),
+        (["kpsmall", "--set", f"N_max={-2**63 - 1}", "--set", "p=[2.0]"], "N_max"),
+        (["effdim", "--seed", str(2**64)], "seed"),
+    ], ids=["N_max=2**64", "N_max=-2**63-1", "seed=2**64"])
+    def test_integer_outside_64_bits_exits_two_before_any_work(
+        self, command, key, monkeypatch, tmp_path, capsys
+    ):
+        # the JSON writer encodes integers of at most 64 bits; a larger one
+        # would fail only after the work, when the records are written
+        calls = []
+        monkeypatch.setattr(experiments, "solve_with_continuation",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(experiments, "estimate_volume_profiles",
+                            lambda *args, **kwargs: calls.append(args) or [])
+        out = tmp_path / "x.json"
+        assert main(["experiment", *command, "--output", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        assert re.search(rf"error: {key} must fit in 64 bits, got -?\d+$",
+                         capsys.readouterr().err)
+
+    def test_largest_64_bit_seed_is_written(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["experiment", "effdim", "--seed", str(2**64 - 1),
+                     "--set", "samples=10000", "--output", str(out)]) == 0
+        assert {r["param_seed"] for r in json.loads(out.read_text())["records"]} == {2**64 - 1}
 
     def test_valid_effdim_reaches_the_sampler_spy(self, monkeypatch):
         # the positive control of the spy above: a valid call does reach it
