@@ -18,11 +18,12 @@ leave them out; when the two schemas differ, density records are compared
 without ``samples.x`` and their texts are not compared.  The CSV run
 compares the main file without its ``wall_time_s`` column, and every sidecar.
 For each run the script prints ``identical``, or each field that moved with its
-largest relative change over the records (``bytes differ`` and the first
-differing line when only the text moved) and, for a solving run, its total
-iterations before and after; a density record that settled on a neighbouring
-translate of its old state gets one line instead of its fields.  A run whose
-only change is the schema gets that one line.  It exits 1 if anything moved.
+largest relative change over the records (``bytes differ`` with the offset
+and an excerpt of the first difference when only the text moved) and, for a
+solving run, its total iterations before and after; a density record that
+settled on a neighbouring translate of its old state gets one line instead of
+its fields.  A run whose only change is the schema gets that one line.  It
+exits 1 if anything moved.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ _IGNORED_TEXT = re.compile(r'"wall_time_s":\s*-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
 # 0.42 and 1.18 nodes.
 TRANSLATE_ENERGY = 1e-12
 TRANSLATE_SHIFT = 0.1
+# Characters of context on each side of the first difference of two texts
+# (`compare_json`): a compact JSON document is one line, so a line number
+# would not locate it.
+EXCERPT = 16
 SCHEDULE = ["--set", "schedule=[0.02,0.01]", "--set", "N=128", "--set", "N_max=300"]
 # CLI arguments of each compared run, without --output.
 RUNS = (
@@ -236,15 +241,17 @@ def compare_documents(old: dict, new: dict) -> list[str]:
 def compare_json(old: str, new: str) -> list[str]:
     """compare_documents on two JSON texts, and when it finds nothing (so
     the schemas are equal), the texts themselves with each IGNORED value
-    masked."""
+    masked: their first difference as a character offset into the masked
+    texts, with up to EXCERPT characters of each on either side of it."""
     lines = compare_documents(json.loads(old), json.loads(new))
     if lines:
         return lines
-    old, new = (_IGNORED_TEXT.sub('"wall_time_s": ?', text).split("\n") for text in (old, new))
+    old, new = (_IGNORED_TEXT.sub('"wall_time_s": ?', text) for text in (old, new))
     if old == new:
         return []
-    line = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
-    return [f"bytes differ, first at line {line + 1}"]
+    at = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    lo, hi = max(0, at - EXCERPT), at + EXCERPT
+    return [f"bytes differ, first at offset {at}: {old[lo:hi]!r} -> {new[lo:hi]!r}"]
 
 
 def _csv_records(path: Path) -> list[dict]:

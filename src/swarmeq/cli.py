@@ -93,8 +93,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.output:
             written = emit(records, args.format or "json", args.output)
             _print(f"wrote {len(written)} file(s); primary: {written[0]}")
-    # OSError: --output unwritable; MemoryError: a grid whose operator
-    # cannot be allocated
+    # OSError: --output unwritable; MemoryError: a grid (`make_grid`, before
+    # any solve) or an operator (as its first record reaches it) that cannot
+    # be allocated
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,9 +29,8 @@ class Problem:
     the operator for the new nu.  So a continuation builds one operator, or
     one per stage for a clipped kernel.  `with_potential` shares the operator
     and samples the new V, so a sweep over potentials at one kernel and nu
-    builds one operator.  `with_grid` builds the operator and samples V on
-    another grid: the problem of one level of grid sequencing
-    (`solver.refinement_grids`).
+    builds one operator.  A problem on another grid, such as a level of grid
+    sequencing (`solver.refinement_grids`), is a new `Problem`.
     """
 
     grid: Grid
@@ -62,11 +61,6 @@ class Problem:
         if not self.operator.serves(nu):
             object.__setattr__(other, "operator", KernelOperator(self.grid, self.kernel, nu))
         return other
-
-    def with_grid(self, grid: Grid) -> "Problem":
-        """The same problem on another grid, with the operator built and V
-        sampled on `grid`."""
-        return Problem(grid, self.kernel, self.potential, self.nu)
 
     def with_potential(self, potential: ExternalPotential) -> "Problem":
         """The same problem under another external potential, sharing the

@@ -241,37 +241,22 @@ class _Solving:
             tol=_real("tol", ov.get("tol", SolverConfig.tol)),
             max_iterations=_integer(ov, "N_max", SolverConfig.max_iterations),
         )
-        # read every point before the first solve
-        points = list(self.points(ov, grid, nu))
-        # The problems on `grid` are built first, one operator per kernel and
-        # nu, so that an operator that cannot be allocated fails before any
-        # solve; each record's time counts its share of the builds.
-        problems, seconds, problem = [], [], None
+        points = list(self.points(ov, grid, nu))  # read every point before the first solve
+        levels = refinement_grids(grid)
+        latest: dict[Grid, Problem] = {}
+        records = []
         for point in points:
             t0 = time.perf_counter()
-            problem = _problem(problem, grid, point)
-            problems.append(problem)
-            seconds.append(time.perf_counter() - t0)
-        coarse: list[list[SolveReport]] = [[] for _ in points]
-        # Grid sequencing: a point without a schedule is solved first on each
-        # coarse grid of `grid` (`refinement_grids`), each from the level below.
-        # The levels run in turn over all the points, so each level builds one
-        # operator per kernel and nu.
-        for level in refinement_grids(grid):
-            problem = None
-            for i, point in enumerate(points):
-                if point.schedule is None:
-                    t0 = time.perf_counter()
-                    problem = _problem(problem, level, point)
-                    start = coarse[i][-1].density if coarse[i] else point.rho0
-                    coarse[i].append(solve_coarse(problem, start, cfg))
-                    seconds[i] += time.perf_counter() - t0
-        records = []
-        for point, problem, levels, spent in zip(points, problems, coarse, seconds):
-            t0 = time.perf_counter() - spent  # the record's time counts its coarse levels
+            # Grid sequencing: a point without a schedule is solved first on each
+            # coarse grid of `grid` (`refinement_grids`), each from the level below.
+            rho, coarse = point.rho0, []
+            for level in levels if point.schedule is None else ():
+                coarse.append(solve_coarse(_problem(latest, level, point), rho, cfg))
+                rho = coarse[-1].density
+            problem = _problem(latest, grid, point)
             schedule = point.schedule or ContinuationSchedule((problem.nu,))
-            start = transfer(levels[-1].density, grid) if levels else point.rho0
-            stages = solve_with_continuation(problem, schedule, start, cfg)
+            stages = solve_with_continuation(
+                problem, schedule, transfer(rho, grid) if coarse else rho, cfg)
             final = stages[-1]
             params = {
                 **point.lead, "L": grid.length, "N": grid.size, "grid": "uniform",
@@ -279,20 +264,24 @@ class _Solving:
                 "tau_c": final.tau_c, **point.trail,
             }
             prominence = point.trail.get("prominence", _PROMINENCE)
-            metrics = {**_solve_metrics(final, levels, prominence), **self.extra(point, stages)}
+            metrics = {**_solve_metrics(final, coarse, prominence), **self.extra(point, stages)}
             records.append(_record(experiment, params, metrics, "density",
-                                   grid.nodes, final.density.values, t0, levels + stages))
+                                   grid.nodes, final.density.values, t0, coarse + stages))
         return records
 
 
-def _problem(previous: Problem | None, grid: Grid, point: _Solve) -> Problem:
-    """The problem of `point` on `grid`: `previous`, the last point's problem on
-    `grid`, under the point's potential when it has the point's kernel object
-    and nu, so that the two share the operator; else a new one."""
+def _problem(latest: dict[Grid, Problem], grid: Grid, point: _Solve) -> Problem:
+    """The problem of `point` on `grid`, which becomes the grid's entry in
+    `latest`: the entry before it under the point's potential when that has
+    the point's kernel object and nu, so that the two share the operator;
+    else a new one."""
     nu = point.lead["nu"]
+    previous = latest.get(grid)
     if previous is not None and point.kernel is previous.kernel and nu == previous.nu:
-        return previous.with_potential(point.potential)
-    return Problem(grid, point.kernel, point.potential, nu)
+        latest[grid] = previous.with_potential(point.potential)
+    else:
+        latest[grid] = Problem(grid, point.kernel, point.potential, nu)
+    return latest[grid]
 
 
 def _schedule(ov: dict[str, Any], nu: float, start: float | None) -> ContinuationSchedule:

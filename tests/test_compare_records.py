@@ -71,7 +71,8 @@ def test_text_compared_with_wall_time_masked(indent):
     new = copy.deepcopy(DOC)
     new["records"][1]["wall_time_s"] = 1.5e-05
     old_text, new_text = json.dumps(DOC, indent=1), json.dumps(new, indent=indent)
-    expected = [] if indent == 1 else ["bytes differ, first at line 2"]
+    expected = [] if indent == 1 else [
+        """bytes differ, first at offset 3: '{\\n "schema": "swarm' -> '{\\n  "schema": "swar'"""]
     assert compare_records.compare_json(old_text, new_text) == expected
 
 
@@ -83,7 +84,9 @@ def test_compact_text_compared_with_wall_time_masked():
     assert '"wall_time_s":0.25,' in new_text
     assert compare_records.compare_json(old_text, new_text) == []
     spaced = json.dumps(new)
-    assert compare_records.compare_json(old_text, spaced) == ["bytes differ, first at line 1"]
+    assert compare_records.compare_json(old_text, spaced) == [
+        """bytes differ, first at offset 10: '{"schema":"swarmeq.records' -> """
+        """'{"schema": "swarmeq.record'"""]
 
 
 def test_same_number_written_another_way():
@@ -93,8 +96,23 @@ def test_same_number_written_another_way():
     assert '"e0": 1e+16' in old_text
     new_text = old_text.replace('"e0": 1e+16', '"e0": 1e16')
     assert compare_records.compare_documents(json.loads(old_text), json.loads(new_text)) == []
+    # the offset is into the texts with each wall_time_s masked, which here
+    # shortens the first record's "0.04" to "?"
+    at = old_text.index("1e+16") + 2 - 3
     assert compare_records.compare_json(old_text, new_text) == [
-        f"bytes differ, first at line {old_text[:old_text.index('1e+16')].count(chr(10)) + 1}"]
+        f"bytes differ, first at offset {at}: "
+        """'031,\\n   "e0": 1e+16,\\n   "wall_ti' -> '031,\\n   "e0": 1e16,\\n   "wall_tim'"""]
+
+
+def test_one_line_documents_locate_a_late_difference():
+    # a compact document is one line: the offset and the excerpts say where
+    # in it the texts part, here in the last sample of the last record
+    old_text = json.dumps(DOC, separators=(",", ":"))
+    new_text = old_text.replace("1e-200", "1.0e-200")
+    masked = old_text.replace(':0.04,', ': ?,').replace(':0.02,', ': ?,')
+    assert compare_records.compare_json(old_text, new_text) == [
+        f"bytes differ, first at offset {masked.index('1e-200') + 1}: "
+        """',1.0],"y":[3.0,1e-200]}}]}' -> ',1.0],"y":[3.0,1.0e-200]}}]}'"""]
 
 
 def test_moved_field_is_reported_without_byte_line():

@@ -222,18 +222,3 @@ class TestWithPotential:
         assert not np.any(problem.v)
         assert other.with_potential(ZeroPotential()).v_vanishes
 
-
-class TestWithGrid:
-    def test_builds_the_problem_on_the_other_grid(self):
-        grid, coarse = make_grid(4.0, 2048), make_grid(4.0, 1024)
-        kernel, potential = PowerLawKernel(1.5), LinearPotential(0.5)
-        problem = Problem(grid, kernel, potential, 0.1)
-        other = problem.with_grid(coarse)
-        fresh = Problem(coarse, kernel, potential, 0.1)
-        assert other.grid is coarse and problem.grid is grid
-        assert (other.kernel, other.potential, other.nu) == (kernel, potential, 0.1)
-        assert other.operator is not problem.operator
-        rho = indicator_density(coarse, 0.0, 1.0)
-        assert np.array_equal(other.v, fresh.v)
-        assert np.array_equal(other.operator.apply(rho.values), fresh.operator.apply(rho.values))
-        assert total_energy(other, rho) == total_energy(fresh, rho)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -430,9 +431,7 @@ class TestOperatorBuilds:
 
     def test_one_build_per_kernel_per_level(self, monkeypatch):
         # kpsmall at N = 4096 is solved on 1024, 2048 and 4096 nodes; each level
-        # builds one operator per kernel, shared by the g sweep; the requested
-        # grid's are built first, and every coarse level's only after the
-        # level below has been solved
+        # builds one operator per kernel, shared by the g sweep
         sizes = []
         original = KernelOperator.__init__
 
@@ -444,7 +443,7 @@ class TestOperatorBuilds:
         records = run_experiment(ExperimentConfig(
             "kpsmall", {"N": 4096, "p": [1.5, 2.0], "N_max": 5}))
         assert len(records) == 4
-        assert sizes == [4096, 4096, 1024, 1024, 2048, 2048]
+        assert sizes == [1024, 2048, 4096, 1024, 2048, 4096]
 
     def test_shared_operator_keeps_the_record(self):
         # the g = nu record, solved on the operator the g = 0 record built,
@@ -501,6 +500,26 @@ class TestRefinement:
         assert all(r.converged and r.residual < c.tol for r, c in zip(reports, configs))
         assert record.metrics["coarse_iterations"] == sum(r.iterations for r in reports[:3])
         assert record.metrics["iterations"] == reports[-1].iterations
+
+    def test_record_time_counts_its_own_coarse_and_fine_solves(self, monkeypatch):
+        timed = []  # (report, seconds) of every solve
+        original = solver.solve
+
+        def spy(problem, rho0, config=None):
+            t0 = time.perf_counter()
+            report = original(problem, rho0, config)
+            timed.append((report, time.perf_counter() - t0))
+            return report
+
+        monkeypatch.setattr(solver, "solve", spy)
+        records = run_experiment(ExperimentConfig("kpsmall", {"N": 4096, "p": [1.5, 2.0]}))
+        assert len(records) == 4 and len(timed) == 12
+        for record in records:
+            assert [r.density.grid.size for r in record.solve_reports] == [1024, 2048, 4096]
+            own = [s for report, s in timed
+                   if any(report is r for r in record.solve_reports)]
+            assert len(own) == 3
+            assert record.wall_time_s >= sum(own)
 
     def test_default_grid_and_continuation_records_equal_a_direct_solve(self):
         nu = 2.0**-6
@@ -739,9 +758,14 @@ class TestCli:
 
     def test_unallocatable_operator_exits_two(self, monkeypatch, capsys):
         # an operator too large for memory is a configuration error, not a
-        # record that did not converge; no real array of that size is asked for
+        # record that did not converge; no real array of that size is asked
+        # for, and the coarse levels before it are solved as usual
+        original = KernelOperator.__init__
+
         def no_memory(self, grid, kernel, nu):
-            raise MemoryError(f"Unable to allocate the {grid.size}-node operator")
+            if grid.size == 200000:
+                raise MemoryError(f"Unable to allocate the {grid.size}-node operator")
+            original(self, grid, kernel, nu)
 
         monkeypatch.setattr(KernelOperator, "__init__", no_memory)
         assert main(["experiment", "kp2", "--set", "N=200000", "--set", "g=[0.1]"]) == 2
