@@ -77,6 +77,7 @@ RUNS = (
     ["solve", "--set", "kernel=qanr", "--set", "eps=0.3", "--set", "nu=0.001",
      "--set", "stages=6"],
     ["solve", *SCHEDULE],
+    ["solve", "--set", "p=32", "--set", "stages=3"],  # a continuation with a clipped kernel
     ["experiment", "kp2", "--format", "csv"],
 )
 

@@ -7,7 +7,6 @@ diffusion entropy + potential.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -23,14 +22,11 @@ class Problem:
 
     Construction validates nu, builds the kernel operator for nu
     (`operator`) and samples V on the nodes (`v`), once, noting whether V
-    vanishes on every node (`v_vanishes`).  `with_nu` shares V, and the
-    operator wherever it serves the new nu (`KernelOperator.serves`: unless
-    the kernel is clipped at a cap that depends on nu); otherwise it builds
-    the operator for the new nu.  So a continuation builds one operator, or
-    one per stage for a clipped kernel.  `with_potential` shares the operator
-    and samples the new V, so a sweep over potentials at one kernel and nu
-    builds one operator.  A problem on another grid, such as a level of grid
-    sequencing (`solver.refinement_grids`), is a new `Problem`.
+    vanishes on every node (`v_vanishes`).  Every problem builds its own: a
+    problem at another nu, under another potential or on another grid, such
+    as a continuation stage or a level of grid sequencing
+    (`solver.refinement_grids`), is a new `Problem`.  From 512 nodes up a
+    build costs one to two applications of the operator.
     """
 
     grid: Grid
@@ -42,37 +38,12 @@ class Problem:
     v_vanishes: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_nu(self.nu)
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"diffusion parameter must be positive and finite, got {self.nu}")
         object.__setattr__(self, "operator", KernelOperator(self.grid, self.kernel, self.nu))
-        self._sample(self.potential)
-
-    def _sample(self, potential: ExternalPotential) -> None:
-        v = np.asarray(potential(self.grid.nodes), dtype=float)
-        object.__setattr__(self, "potential", potential)
+        v = np.asarray(self.potential(self.grid.nodes), dtype=float)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "v_vanishes", not np.any(v))
-
-    def with_nu(self, nu: float) -> "Problem":
-        """The same problem at another diffusion value, sharing V and, where it
-        serves nu, the operator."""
-        _check_nu(nu)
-        other = copy.copy(self)
-        object.__setattr__(other, "nu", nu)
-        if not self.operator.serves(nu):
-            object.__setattr__(other, "operator", KernelOperator(self.grid, self.kernel, nu))
-        return other
-
-    def with_potential(self, potential: ExternalPotential) -> "Problem":
-        """The same problem under another external potential, sharing the
-        operator and sampling the new V on the nodes."""
-        other = copy.copy(self)
-        other._sample(potential)
-        return other
-
-
-def _check_nu(nu: float) -> None:
-    if not 0 < nu < math.inf:
-        raise ValueError(f"diffusion parameter must be positive and finite, got {nu}")
 
 
 def _check_grid(problem: Problem, rho: Density) -> None:

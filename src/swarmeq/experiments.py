@@ -243,7 +243,6 @@ class _Solving:
         )
         points = list(self.points(ov, grid, nu))  # read every point before the first solve
         levels = refinement_grids(grid)
-        latest: dict[Grid, Problem] = {}
         records = []
         for point in points:
             t0 = time.perf_counter()
@@ -251,9 +250,10 @@ class _Solving:
             # coarse grid of `grid` (`refinement_grids`), each from the level below.
             rho, coarse = point.rho0, []
             for level in levels if point.schedule is None else ():
-                coarse.append(solve_coarse(_problem(latest, level, point), rho, cfg))
+                coarse.append(solve_coarse(
+                    Problem(level, point.kernel, point.potential, point.lead["nu"]), rho, cfg))
                 rho = coarse[-1].density
-            problem = _problem(latest, grid, point)
+            problem = Problem(grid, point.kernel, point.potential, point.lead["nu"])
             schedule = point.schedule or ContinuationSchedule((problem.nu,))
             stages = solve_with_continuation(
                 problem, schedule, transfer(rho, grid) if coarse else rho, cfg)
@@ -268,20 +268,6 @@ class _Solving:
             records.append(_record(experiment, params, metrics, "density",
                                    grid.nodes, final.density.values, t0, coarse + stages))
         return records
-
-
-def _problem(latest: dict[Grid, Problem], grid: Grid, point: _Solve) -> Problem:
-    """The problem of `point` on `grid`, which becomes the grid's entry in
-    `latest`: the entry before it under the point's potential when that has
-    the point's kernel object and nu, so that the two share the operator;
-    else a new one."""
-    nu = point.lead["nu"]
-    previous = latest.get(grid)
-    if previous is not None and point.kernel is previous.kernel and nu == previous.nu:
-        latest[grid] = previous.with_potential(point.potential)
-    else:
-        latest[grid] = Problem(grid, point.kernel, point.potential, nu)
-    return latest[grid]
 
 
 def _schedule(ov: dict[str, Any], nu: float, start: float | None) -> ContinuationSchedule:
@@ -311,9 +297,8 @@ def _kp2_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_Solve]:
     if min(gs) <= 0:  # `_exact_metrics` compares with a minimizer only g > 0 has
         raise ValueError(f"g must be positive in kp2, got {min(gs)!r}")
     rho0 = indicator_density(grid, 0.0, 0.25)
-    kernel = PowerLawKernel(2.0)  # one object, so the records share one operator
     for g in gs:
-        yield _Solve({"nu": nu, "g": g, "g_over_gc": g / gc}, kernel,
+        yield _Solve({"nu": nu, "g": g, "g_over_gc": g / gc}, PowerLawKernel(2.0),
                      LinearPotential(g), rho0, {"rho0": "indicator[0,0.25]"})
 
 
@@ -332,10 +317,9 @@ def _power_points(
     ps = _sweep(ov, "p", default_ps)
     gs = _sweep(ov, "g", [0.0, nu])
     for p in ps:
-        kernel = PowerLawKernel(p)  # one object, so the g sweep shares one operator
         for g in gs:
             yield _Solve(
-                {"nu": nu, "p": p, "g": g}, kernel,
+                {"nu": nu, "p": p, "g": g}, PowerLawKernel(p),
                 ZeroPotential() if g == 0 else LinearPotential(g),
                 indicator_density(grid, 0.0, 2.0 if g == 0 else 1.0),
                 {"rho0": "indicator[0,2]" if g == 0 else "indicator[0,1]"},
@@ -361,7 +345,7 @@ def _multistate_points(ov: dict[str, Any], grid: Grid, nu: float) -> Iterator[_S
     if "schedule" not in ov and _integer(ov, "stages", _STAGES) < 2:
         # one stage ignores the start, so both records would be the same solve
         raise ValueError(f"multistate needs stages >= 2, got {ov['stages']!r}")
-    kernel = RegularizedQanrKernel(eps)  # one object, so the schedules share one operator
+    kernel = RegularizedQanrKernel(eps)
     for start in [None] if "schedule" in ov else [10.0, 2.0]:
         schedule = _schedule(ov, nu, start)
         yield _Solve(

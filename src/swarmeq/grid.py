@@ -176,8 +176,8 @@ class KernelOperator:
     forward and one inverse real FFT, and its arrays hold O(N) floats.  A
     kernel with max|K| <= C is not clipped, and its FFT product is the plain
     one.  Below 512 nodes the operator is the N x N matrix w_j K(x_i - x_j),
-    at most 2 MB, applied as a matrix-vector product: exact node by node, and
-    serving every nu unclipped.
+    at most 2 MB, applied as a matrix-vector product: exact node by node and
+    unclipped.
 
     Why C is proportional to nu.  The direct sum is exact node by node; the
     FFT product has an error of about kappa eps max|K| on every node for a
@@ -228,21 +228,11 @@ class KernelOperator:
         lags = np.arange(-(n - 1), n) * (grid.length / (n - 1))
         kvals = np.asarray(kernel(lags), dtype=float)
         _check_finite(kvals, lags)
-        self._peak = float(np.max(np.abs(kvals)))
-        self._cap = _kernel_cap(nu)
+        cap = _kernel_cap(nu)
         # a circular convolution of length >= 2N-1 leaves outputs
         # N-1 .. 2N-2 of the linear one free of wrap-around
         self._fft_len = _next_fast_len(2 * n - 1)
-        self._spectrum = rfft(np.clip(kvals, -self._cap, self._cap), self._fft_len)
-
-    def serves(self, nu: float) -> bool:
-        """Whether this operator is the one built for diffusion nu: the dense
-        product serves every nu, the FFT product every nu whose cap clips the
-        lags as this one's does."""
-        if self._matrix is not None:
-            return True
-        cap = _kernel_cap(nu)
-        return cap == self._cap or self._peak <= min(cap, self._cap)
+        self._spectrum = rfft(np.clip(kvals, -cap, cap), self._fft_len)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)

@@ -42,10 +42,9 @@ start, the image T(rho), the candidate x and a y that the step takes) as one
 `(values, conv, energy)` record built by `_iterate`, the only place the
 energy is evaluated; a y that the step does not take is never evaluated.
 The values are raw arrays, checked as a `Density` would check them where a
-step could break it, and one `Density` is built for the returned state.  The
-stages of a continuation share the operator through `Problem.with_nu`, unless
-the kernel is clipped at a cap that depends on nu; then each stage builds its
-own.  The report gives `diagnose` of the returned density when it is read.
+step could break it, and one `Density` is built for the returned state.  Each
+stage of a continuation is a `Problem` with its own operator.  The report
+gives `diagnose` of the returned density when it is read.
 
 The number of iterations belongs to the continuum problem, not to the grid:
 kpsmall takes about 1100 at N = 1024, 4096 and 8192 alike.  So a solve asked
@@ -364,17 +363,20 @@ def solve_with_continuation(
     rho0: Density,
     config: SolverConfig | None = None,
 ) -> list[SolveReport]:
-    """Solve `problem.with_nu(nu)` for each nu of the schedule, which must end at
+    """Solve the problem at each nu of the schedule, which must end at
     `problem.nu`, warm-starting each stage from the previous output density.
-    The conservative step is re-derived per stage unless the config pins it.
-    Returns one report per stage, final stage (the solve of `problem`) last."""
+    Each stage before the last is a new `Problem` at its nu, with its own
+    operator and V; the last is `problem`.  The conservative step is
+    re-derived per stage unless the config pins it.  Returns one report per
+    stage, final stage (the solve of `problem`) last."""
     if schedule.nus[-1] != problem.nu:
         raise ValueError(f"schedule ends at {schedule.nus[-1]!r}, not at problem.nu = {problem.nu!r}")
     reports: list[SolveReport] = []
     rho = rho0
     for j, nu in enumerate(schedule.nus):
+        stage = problem if nu == problem.nu else replace(problem, nu=nu)
         try:
-            report = solve(problem.with_nu(nu), rho, config=config)
+            report = solve(stage, rho, config=config)
         except GibbsMapError as exc:
             raise GibbsMapError(f"continuation stage {j} (nu = {nu}): {exc}") from exc
         reports.append(report)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from conftest import zero_kernel
 
+import swarmeq.solver
 from swarmeq import (
+    ContinuationSchedule,
     Density,
     LinearPotential,
     PowerLawKernel,
@@ -20,6 +22,7 @@ from swarmeq import (
     indicator_density,
     integrate,
     make_grid,
+    solve_with_continuation,
     total_energy,
 )
 from swarmeq.energy import _entropy, energy_breakdown
@@ -188,8 +191,9 @@ class TestDensityOnAnotherGrid:
 
 
 class TestProblemNu:
-    """nu must be positive and finite at construction and in `with_nu`: at
-    nu = inf the entropy term is infinite and a solve could only fail later."""
+    """nu must be positive and finite at construction, so also at each stage
+    of a continuation: at nu = inf the entropy term is infinite and a solve
+    could only fail later."""
 
     BAD = [0.0, -1.0, math.nan, math.inf]
 
@@ -198,27 +202,24 @@ class TestProblemNu:
         with pytest.raises(ValueError, match="diffusion parameter must be positive and finite"):
             Problem(make_grid(2.0, 65), PowerLawKernel(2.0), ZeroPotential(), nu)
 
-    @pytest.mark.parametrize("nu", BAD, ids=repr)
-    def test_rejected_by_with_nu(self, nu):
+    def test_rejected_by_a_continuation_stage(self, monkeypatch):
+        # the schedule accepts nu = inf; its stage is rejected before any solve
         problem = Problem(make_grid(2.0, 65), PowerLawKernel(2.0), ZeroPotential(), 0.1)
+        solves = []
+        monkeypatch.setattr(swarmeq.solver, "solve", lambda *args, **kwargs: solves.append(args))
+        schedule = ContinuationSchedule((math.inf, 0.1))
+        rho = indicator_density(problem.grid, 0.0, 1.0)
         with pytest.raises(ValueError, match="diffusion parameter must be positive and finite"):
-            problem.with_nu(nu)
+            solve_with_continuation(problem, schedule, rho)
+        assert solves == []
 
 
-class TestWithPotential:
-    def test_shares_the_operator_and_samples_v(self):
+class TestConstruction:
+    def test_samples_v_on_the_nodes(self):
         grid = make_grid(2.0, 65)
-        rho = indicator_density(grid, 0.0, 1.0)
-        problem = Problem(grid, PowerLawKernel(2.0), ZeroPotential(), 0.1)
-        other = problem.with_potential(LinearPotential(0.5))
-        fresh = Problem(grid, PowerLawKernel(2.0), LinearPotential(0.5), 0.1)
-        assert other.operator is problem.operator
-        assert (other.potential, other.nu, other.kernel) == (LinearPotential(0.5), 0.1,
-                                                             problem.kernel)
-        assert np.array_equal(other.v, fresh.v) and not other.v_vanishes
-        assert total_energy(other, rho) == total_energy(fresh, rho)
-        # the original keeps its own V
-        assert problem.potential == ZeroPotential() and problem.v_vanishes
-        assert not np.any(problem.v)
-        assert other.with_potential(ZeroPotential()).v_vanishes
+        linear = Problem(grid, PowerLawKernel(2.0), LinearPotential(0.5), 0.1)
+        assert np.array_equal(linear.v, LinearPotential(0.5)(grid.nodes))
+        assert not linear.v_vanishes
+        flat = Problem(grid, PowerLawKernel(2.0), ZeroPotential(), 0.1)
+        assert flat.v_vanishes and not np.any(flat.v)
 

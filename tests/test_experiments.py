@@ -255,10 +255,9 @@ class TestRunners:
         ))
         assert record.converged
         reports = record.solve_reports
-        grid = reports[-1].density.grid
-        problem = Problem(grid, PowerLawKernel(32.0), ZeroPotential(), reports[-1].nu)
         for report in reports:
-            stage = problem.with_nu(report.nu)
+            stage = report.problem
+            assert (stage.kernel, stage.nu) == (PowerLawKernel(32.0), report.nu)
             rho = report.density
             _, exact = exact_gibbs_image(stage, rho)
             image = apply_gibbs_map(stage, rho).values
@@ -395,9 +394,8 @@ class TestRecordKeys:
 
 
 class TestOperatorBuilds:
-    """A call builds one kernel operator per kernel and nu: the records of a
-    sweep over g share their kernel's operator, and a continuation schedule
-    shares one across its stages."""
+    """Every problem builds its own kernel operator: one per record, stage
+    and grid level."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -419,19 +417,18 @@ class TestOperatorBuilds:
         ("custom", {"stages": 3}),
     ])
     def test_one_build_per_record(self, builds, experiment, overrides):
-        # (records, builds): kp2's three g share one kernel; kpsmall and kplarge
-        # sweep g = 0 and g = nu at each p; multistate's two schedules share
-        # one kernel, and the custom solve has its own
-        counts = {"kp2": (3, 1), "kpsmall": (4, 2), "kplarge": (2, 1),
-                  "multistate": (2, 1), "custom": (1, 1)}
+        # (records, builds): one build per record and stage; kpsmall and kplarge
+        # sweep g = 0 and g = nu at each p, and multistate has two 3-stage schedules
+        counts = {"kp2": (3, 3), "kpsmall": (4, 4), "kplarge": (2, 2),
+                  "multistate": (2, 6), "custom": (1, 3)}
         records = run_experiment(ExperimentConfig(
             experiment, overrides={"N": 64, "N_max": 5, **overrides}
         ))
         assert (len(records), builds[0]) == counts[experiment]
 
-    def test_one_build_per_kernel_per_level(self, monkeypatch):
-        # kpsmall at N = 4096 is solved on 1024, 2048 and 4096 nodes; each level
-        # builds one operator per kernel, shared by the g sweep
+    def test_one_build_per_record_per_level(self, monkeypatch):
+        # kpsmall at N = 4096 is solved on 1024, 2048 and 4096 nodes; each of
+        # its four records builds one operator per level
         sizes = []
         original = KernelOperator.__init__
 
@@ -443,25 +440,16 @@ class TestOperatorBuilds:
         records = run_experiment(ExperimentConfig(
             "kpsmall", {"N": 4096, "p": [1.5, 2.0], "N_max": 5}))
         assert len(records) == 4
-        assert sizes == [1024, 2048, 4096, 1024, 2048, 4096]
+        assert sizes == [1024, 2048, 4096] * 4
 
-    def test_shared_operator_keeps_the_record(self):
-        # the g = nu record, solved on the operator the g = 0 record built,
-        # equals the same record solved on its own
+    def test_sweep_record_equals_the_record_run_alone(self):
+        # the g = nu record of a sweep over g equals the same record run alone
         nu = 2.0**-6
-        shared = run_experiment(ExperimentConfig("kpsmall", {"N": 64, "p": [2.0]}))[1]
+        swept = run_experiment(ExperimentConfig("kpsmall", {"N": 64, "p": [2.0]}))[1]
         alone, = run_experiment(ExperimentConfig("kpsmall", {"N": 64, "p": [2.0], "g": [nu]}))
-        assert shared.parameters == alone.parameters and shared.parameters["g"] == nu
-        assert shared.metrics == alone.metrics
-        assert np.array_equal(shared.samples_y, alone.samples_y)
-
-    def test_clipped_kernel_builds_one_operator_per_stage(self, builds):
-        # at N = 1024 the p = 32 kernel is clipped at a cap proportional to nu,
-        # so each of the 3 stages builds the operator for its own nu
-        run_experiment(ExperimentConfig(
-            "custom", overrides={"kernel": "power", "p": 32.0, "stages": 3, "N_max": 5}
-        ))
-        assert builds[0] == 3
+        assert swept.parameters == alone.parameters and swept.parameters["g"] == nu
+        assert swept.metrics == alone.metrics
+        assert np.array_equal(swept.samples_y, alone.samples_y)
 
 
 class TestRefinement:

@@ -180,6 +180,13 @@ class TestDensity:
         assert np.all(rho.values[g.nodes > 1.0] == 0)
 
 
+def _lags(grid):
+    """The 2N-1 displacements x_i - x_j of a uniform grid, that the FFT
+    product evaluates the kernel on."""
+    n = grid.size
+    return np.arange(-(n - 1), n) * (grid.length / (n - 1))
+
+
 class TestConvolution:
     def test_zero_kernel(self):
         g = make_grid(1.0, 9)
@@ -254,9 +261,10 @@ class TestConvolution:
         for record in run_experiment(ExperimentConfig("kplarge", {"nu": nu})):
             rho = record.solve_reports[-1].density
             g = record.parameters["g"]
-            problem = Problem(rho.grid, PowerLawKernel(record.parameters["p"]),
+            kernel = PowerLawKernel(record.parameters["p"])
+            problem = Problem(rho.grid, kernel,
                               ZeroPotential() if g == 0 else LinearPotential(g), nu)
-            assert problem.operator._peak > problem.operator._cap
+            assert np.max(np.abs(kernel(_lags(rho.grid)))) > _kernel_cap(nu)
             exponent, exact = exact_gibbs_image(problem, rho)
             image = apply_gibbs_map(problem, rho).values
             keep = (rho.values >= 1e-6 * rho.values.max()) | (exponent <= DEFAULT_CLAMP_FLOOR)
@@ -280,9 +288,9 @@ class TestConvolution:
         g = make_grid(4.0, n)
         values = rng.random(n)
         op = KernelOperator(g, kernel, nu)
-        assert (op._peak > op._cap) == clipped
-        lags = np.arange(-(n - 1), n) * (g.length / (n - 1))
+        lags = _lags(g)
         cap = _kernel_cap(nu)
+        assert (np.max(np.abs(kernel(lags))) > cap) == clipped
         m = scipy_fft.next_fast_len(2 * n - 1, real=True)
         spectrum = scipy_fft.rfft(np.clip(kernel(lags), -cap, cap), m)
         product = scipy_fft.irfft(spectrum * scipy_fft.rfft(g.weights * values, m), m)

@@ -606,6 +606,12 @@ class TestContinuation:
         reports = solve_with_continuation(problem, schedule, rho0)
         assert [r.nu for r in reports] == list(schedule.nus)
         assert all(r.converged for r in reports)
+        # each earlier stage is a new problem on the same grid, kernel and
+        # potential; the last stage solves `problem` itself
+        assert reports[-1].problem is problem
+        for r in reports[:-1]:
+            assert r.problem.grid is g and r.problem.operator is not problem.operator
+            assert (r.problem.kernel, r.problem.potential) == (problem.kernel, potential)
         # the warm-started last stage needs far fewer iterations than the
         # same stage started cold from the uniform density
         cold = solve(problem, rho0)
