@@ -202,15 +202,21 @@ class TestProblemNu:
         with pytest.raises(ValueError, match="diffusion parameter must be positive and finite"):
             Problem(make_grid(2.0, 65), PowerLawKernel(2.0), ZeroPotential(), nu)
 
-    def test_rejected_by_a_continuation_stage(self, monkeypatch):
-        # the schedule accepts nu = inf; its stage is rejected before any solve
+    @pytest.mark.parametrize("nu", BAD, ids=repr)
+    def test_rejected_by_a_continuation_stage(self, nu, monkeypatch):
+        # no bad nu reaches a solve: the schedule rejects 0, -1 and nan, and
+        # accepts inf, whose stage is rejected before any solve
         problem = Problem(make_grid(2.0, 65), PowerLawKernel(2.0), ZeroPotential(), 0.1)
         solves = []
         monkeypatch.setattr(swarmeq.solver, "solve", lambda *args, **kwargs: solves.append(args))
-        schedule = ContinuationSchedule((math.inf, 0.1))
         rho = indicator_density(problem.grid, 0.0, 1.0)
-        with pytest.raises(ValueError, match="diffusion parameter must be positive and finite"):
-            solve_with_continuation(problem, schedule, rho)
+        if nu == math.inf:
+            schedule = ContinuationSchedule((nu, 0.1))
+            with pytest.raises(ValueError, match="diffusion parameter must be positive and finite"):
+                solve_with_continuation(problem, schedule, rho)
+        else:
+            with pytest.raises(ValueError, match="all diffusion values must be positive"):
+                ContinuationSchedule((nu, 0.1))
         assert solves == []
 
 

@@ -451,6 +451,24 @@ class TestOperatorBuilds:
         assert swept.metrics == alone.metrics
         assert np.array_equal(swept.samples_y, alone.samples_y)
 
+    def test_clipped_kernel_builds_one_operator_per_stage(self, monkeypatch):
+        # at N = 1024 the p = 32 kernel is clipped at a cap proportional to nu,
+        # so each of the 3 stages builds the operator for its own nu
+        nus = []
+        original = KernelOperator.__init__
+
+        def recording(self, grid, kernel, nu):
+            nus.append(nu)
+            original(self, grid, kernel, nu)
+
+        monkeypatch.setattr(KernelOperator, "__init__", recording)
+        record, = run_experiment(ExperimentConfig(
+            "custom", overrides={"kernel": "power", "p": 32.0, "stages": 3, "N_max": 5}
+        ))
+        # the record's problem at the target nu is built first, then the stages before it
+        stages = [report.nu for report in record.solve_reports]
+        assert nus == stages[-1:] + stages[:-1] and len(set(nus)) == 3
+
 
 class TestRefinement:
     """Grid sequencing: a record without a schedule on a uniform grid of at
