@@ -70,6 +70,7 @@ RUNS = (
     ["experiment", "kplarge", "--set", "N=4096"],
     ["experiment", "kpsmall", "--set", "tau_c=0.2", "--set", "p=[2.0]", "--set", "N=256"],
     ["experiment", "kpsmall", "--set", "N=256", "--set", "p=[2.0]"],
+    ["experiment", "kpsmall", "--set", "N=511"],  # the largest direct-sum grid
     ["experiment", "multistate", "--set", "nu=0.015625", "--set", "N=128",
      "--set", "stages=2", "--set", "N_max=300"],
     ["experiment", "multistate", *SCHEDULE],

@@ -4,11 +4,11 @@ Everything downstream (energies, the Gibbs map, diagnostics) integrates with
 the trapezoid weights defined here, so the discrete fixed point of the Gibbs
 map is a critical point of the discrete energy.
 
-Grids are uniform, so the convolution K * rho is a Toeplitz sum.  From 512
-nodes up it is a real FFT product with the kernel spectrum computed once per
-operator, through NumPy's pocketfft (`numpy.fft`, the same C++ code as
-`scipy.fft`; the package loads no SciPy), in O(N) memory and O(N log N)
-time; below 512 nodes it is a dense matrix-vector product of at most 2 MB.
+Grids are uniform, so the convolution K * rho is a Toeplitz sum over the
+2N-1 kernel lags, which an operator evaluates once and holds in O(N) memory:
+below 512 nodes a direct sum, from 512 up a real FFT product with their
+spectrum cached, through NumPy's pocketfft (`numpy.fft`, the same C++ code as
+`scipy.fft`; the package loads no SciPy), in O(N log N) time.
 FFT roundoff is spread over every node in proportion to max|K|, so the lags
 are first clipped to a cap proportional to the diffusion parameter nu, above
 which the Gibbs image cannot see them; `KernelOperator` derives the cap.
@@ -29,13 +29,13 @@ if TYPE_CHECKING:
 # Mass tolerance for a valid probability density under the grid quadrature.
 MASS_TOL = 1e-10
 
-# Grids at least this large use the FFT convolution path, smaller ones the
-# dense product.  With one BLAS thread on a 2-core x86-64 machine the dense
-# product is the faster at N = 64-256 (2-10 us per apply against 11-15 us)
-# and the slower at N = 511 (46 against 24 us); below this threshold records
-# keep the bits they have had since it was set, and the metastable qanr
-# continuation at N = 128 converges in all 8 stages under the dense
-# product's roundoff, in 4 under the FFT product's.
+# Grids at least this large take the FFT product, smaller ones the direct sum
+# over the lags.  On a shared 2-core x86-64 machine (qanr kernel, median of
+# 3000 applies) the direct sum takes 6-9, 17-18 and 59-62 us per apply at
+# N = 64-128, 256 and 511, the FFT product 15-28, 20-34 and 27-28 us.  The
+# threshold keeps records, not speed: below it they keep the direct sum's
+# roundoff, on which their outcomes depend (the metastable qanr continuation
+# at N = 128 converges in all 8 stages under it, in 4 under the FFT product).
 _FFT_THRESHOLD = 512
 
 # Roundoff of the FFT product of a unit-mass density on each node per unit of
@@ -169,15 +169,15 @@ class KernelOperator:
     Gibbs map at diffusion nu.
 
     On a uniform grid the displacements x_i - x_j are Toeplitz, so the sum is
-    a linear convolution with the 2N-1 kernel lags.  From 512 nodes up
-    (`_FFT_THRESHOLD`) building the operator evaluates the kernel once on the
-    lags, clips them to [-C, C], with C = 1e-9 nu / (4 eps), about 1.1e6 nu
-    (`_kernel_cap`), and caches their real spectrum; applying it is one
-    forward and one inverse real FFT, and its arrays hold O(N) floats.  A
-    kernel with max|K| <= C is not clipped, and its FFT product is the plain
-    one.  Below 512 nodes the operator is the N x N matrix w_j K(x_i - x_j),
-    at most 2 MB, applied as a matrix-vector product: exact node by node and
-    unclipped.
+    a linear convolution with the 2N-1 kernel lags.  Building the operator
+    evaluates the kernel once on the lags, and at every N its arrays hold
+    O(N) floats.  From 512 nodes up (`_FFT_THRESHOLD`) it clips the lags to
+    [-C, C], with C = 1e-9 nu / (4 eps), about 1.1e6 nu (`_kernel_cap`), and
+    caches their real spectrum; applying it is one forward and one inverse
+    real FFT.  A kernel with max|K| <= C is not clipped, and its FFT product
+    is the plain one.  Below 512 nodes it keeps the lags unclipped, and
+    applying it is the direct sum over them (`numpy.convolve`): exact node by
+    node, to the dot-product bound N eps sum_j w_j |K(x_i - x_j)| v_j.
 
     Why C is proportional to nu.  The direct sum is exact node by node; the
     FFT product has an error of about kappa eps max|K| on every node for a
@@ -217,17 +217,14 @@ class KernelOperator:
         if not nu > 0:
             raise ValueError(f"diffusion parameter must be positive, got {nu}")
         self.grid = grid
-        self._matrix = None
+        self._lags = None
         n = grid.size
-        if n < _FFT_THRESHOLD:
-            disp = grid.nodes[:, None] - grid.nodes[None, :]
-            kvals = np.asarray(kernel(disp), dtype=float)
-            _check_finite(kvals, disp)
-            self._matrix = kvals * grid.weights[None, :]
-            return
         lags = np.arange(-(n - 1), n) * (grid.length / (n - 1))
         kvals = np.asarray(kernel(lags), dtype=float)
         _check_finite(kvals, lags)
+        if n < _FFT_THRESHOLD:
+            self._lags = kvals
+            return
         cap = _kernel_cap(nu)
         # a circular convolution of length >= 2N-1 leaves outputs
         # N-1 .. 2N-2 of the linear one free of wrap-around
@@ -240,19 +237,19 @@ class KernelOperator:
             raise ValueError(
                 f"grid function has {values.shape} values for {self.grid.size} nodes"
             )
-        if self._matrix is not None:
-            return self._matrix @ values
+        wv = self.grid.weights * values
+        if self._lags is not None:  # "valid": outputs N-1 .. 2N-2 of the full sum
+            return np.convolve(self._lags, wv, mode="valid")
         n = self.grid.size
-        wv = rfft(self.grid.weights * values, self._fft_len)
-        return irfft(self._spectrum * wv, self._fft_len)[n - 1 : 2 * n - 1]
+        return irfft(self._spectrum * rfft(wv, self._fft_len), self._fft_len)[n - 1 : 2 * n - 1]
 
 
-def _check_finite(kvals: np.ndarray, displacements: np.ndarray) -> None:
-    """Raise ValueError naming the first non-finite kernel value's
-    displacement, in row-major order."""
+def _check_finite(kvals: np.ndarray, lags: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite kernel value's lag, in
+    ascending order."""
     bad = ~np.isfinite(kvals)
     if np.any(bad):
-        d = displacements[tuple(np.argwhere(bad)[0])]
+        d = lags[np.argmax(bad)]
         raise ValueError(f"kernel evaluated to a non-finite value at displacement {float(d)!r}")
 
 

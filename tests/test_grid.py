@@ -217,10 +217,29 @@ class TestConvolution:
             scale = np.max(np.abs(ref)) or 1.0
             assert np.max(np.abs(u - ref)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("n,fft", [(511, False), (512, True)])
-    def test_fft_threshold(self, n, fft):
-        op = KernelOperator(make_grid(4.0, n), PowerLawKernel(2.0), 2.0**-6)
-        assert (op._matrix is None) is fft
+    @pytest.mark.parametrize("n", [511, 512])
+    def test_fft_threshold(self, rng, n):
+        # below 512 nodes the product is the direct sum over the unclipped
+        # lags, within the dot-product bound n eps sum_j w_j |K(x_i - x_j)| v_j
+        # on each node; from 512 up it is the FFT product over the clipped
+        # lags, within its 4 eps max|K|.  p = 32 has max|K| above the cap, so
+        # the two sums differ far beyond either bound.
+        nu = 2.0**-6
+        g = make_grid(4.0, n)
+        kernel = PowerLawKernel(32.0)
+        values = Density.normalized(g, rng.random(n) + 0.01).values
+        cap = _kernel_cap(nu)
+        lags = kernel(_lags(g))
+        assert np.max(np.abs(lags)) > cap
+        if n >= 512:
+            lags = np.clip(lags, -cap, cap)
+        i = np.arange(n)
+        terms = lags[i[:, None] - i[None, :] + n - 1].astype(np.longdouble) * (g.weights * values)
+        error = np.abs(KernelOperator(g, kernel, nu).apply(values) - terms.sum(axis=1))
+        if n < 512:
+            assert np.all(error <= n * np.finfo(float).eps * np.abs(terms).sum(axis=1))
+        else:
+            assert np.max(error) <= _FFT_ROUNDOFF * cap
 
     @pytest.mark.parametrize("n", [3, 4, 5, 64, 255, 511, 1024])
     @pytest.mark.parametrize("kernel", [
@@ -234,19 +253,23 @@ class TestConvolution:
         # (p = 32 is clipped at both finite nu, p = 2 and qanr at neither);
         # grids below the threshold are built with the FFT product too
         monkeypatch.setattr(swarmeq.grid, "_FFT_THRESHOLD", 3)
+        transforms = []
+        irfft = swarmeq.grid.irfft
+        monkeypatch.setattr(swarmeq.grid, "irfft",
+                            lambda *args: transforms.append(args) or irfft(*args))
         g = make_grid(4.0, n)
         values = Density.normalized(g, rng.random(n) + 0.01).values
-        op = KernelOperator(g, kernel, nu)
-        assert op._matrix is None
         cap = _kernel_cap(nu)
         clipped = np.clip(kernel(g.nodes[:, None] - g.nodes[None, :]), -cap, cap)
         direct = (clipped.astype(np.longdouble) * g.weights) @ values.astype(np.longdouble)
-        error = np.max(np.abs(op.apply(values) - direct))
+        error = np.max(np.abs(KernelOperator(g, kernel, nu).apply(values) - direct))
+        assert len(transforms) == 1  # the apply took the FFT branch
         assert error <= _FFT_ROUNDOFF * np.max(np.abs(clipped))
 
-    def test_operator_memory_is_linear_in_n(self):
-        # the spectrum and the grid's nodes and weights, about 32 N bytes
-        n = 2**17
+    @pytest.mark.parametrize("n", [511, 2**17])
+    def test_operator_memory_is_linear_in_n(self, n):
+        # the lags or the spectrum, and the grid's nodes and weights: about
+        # 32 N bytes
         op = KernelOperator(make_grid(4.0, n), PowerLawKernel(2.0), 2.0**-6)
         arrays = [a for owner in (op, op.grid) for a in vars(owner).values()
                   if isinstance(a, np.ndarray)]
@@ -338,15 +361,17 @@ class TestConvolution:
         rhs = integrate(g, eta.values * convolve_kernel(g, kernel, rho))
         assert abs(lhs - rhs) <= 1e-10
 
-    def test_non_finite_kernel_aborts_with_displacement(self):
+    @pytest.mark.parametrize("n", [9, 513])
+    def test_non_finite_kernel_aborts_with_displacement(self, n):
         class BadKernel(PowerLawKernel):
             def __call__(self, x):
                 out = np.asarray(super().__call__(x), dtype=float)
                 return np.where(np.abs(np.asarray(x)) > 0.5, np.nan, out)
 
-        # row 0 holds -x_j, first beyond 0.5 in magnitude at x_5 = 0.625
-        g = make_grid(1.0, 9)
-        expected = "non-finite value at displacement -0.625"
+        # the lags ascend from -L, which is already beyond 0.5 in magnitude,
+        # on the direct-sum grid and the FFT grid alike
+        g = make_grid(1.0, n)
+        expected = "non-finite value at displacement -1.0"
         with pytest.raises(ValueError, match=f"{re.escape(expected)}$"):
             KernelOperator(g, BadKernel(2.0), 2.0**-6)
 

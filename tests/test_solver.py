@@ -409,9 +409,9 @@ def _secant_problem(length=2.0, p=2.0, slope_factor=0.5, n=512):
 
 class TestSecant:
     @pytest.mark.parametrize("length,p,slope_factor,support,n", [
-        (2.0, 2.0, 0.5, 0.25, 256),  # kp2 at half the critical slope, dense product
+        (2.0, 2.0, 0.5, 0.25, 256),  # kp2 at half the critical slope, direct sum
         (4.0, 1.5, None, 1.0, 512),  # g = nu, FFT product
-    ], ids=["dense", "fft"])
+    ], ids=["direct", "fft"])
     def test_accepted_step_carries_its_convolution_and_lowers_energy(
         self, monkeypatch, length, p, slope_factor, support, n
     ):
@@ -528,9 +528,9 @@ class TestWork:
     image and one for the diagnostics of the returned density, on their first
     read."""
 
-    @pytest.mark.parametrize("case", ["dense-secant", "fft", "qanr-anderson"])
+    @pytest.mark.parametrize("case", ["direct-secant", "fft", "qanr-anderson"])
     def test_energy_and_apply_counts(self, monkeypatch, case):
-        if case == "dense-secant":
+        if case == "direct-secant":
             problem = _secant_problem(n=256)
             rho0, kinds = indicator_density(problem.grid, 0, 0.25), {"secant"}
         elif case == "fft":
