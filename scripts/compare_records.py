@@ -74,6 +74,7 @@ RUNS = (
     ["experiment", "multistate", "--set", "nu=0.015625", "--set", "N=128",
      "--set", "stages=2", "--set", "N_max=300"],
     ["experiment", "multistate", *SCHEDULE],
+    ["experiment", "multistate", "--set", "N=2048"],  # a refined continuation
     ["solve"],
     ["solve", "--set", "kernel=qanr", "--set", "eps=0.3", "--set", "nu=0.001",
      "--set", "stages=6"],
@@ -124,15 +125,12 @@ def _fields(record: dict, prefix: str = "") -> dict:
 
 def nodes(record: dict) -> list[float]:
     """The nodes of a density record: its ``samples.x`` (schema v1), or else
-    those placed from ``param_L``, ``param_N`` and ``param_grid`` (schema
-    v2): uniform, or quadratic, x_i = L (i/(N-1))^2, in the records of
-    source trees that still had that grid."""
+    the uniform nodes x_i = L i/(N-1) placed from ``param_L`` and
+    ``param_N`` (schema v2)."""
     if "x" in record["samples"]:
         return record["samples"]["x"]
     length, n = record["param_L"], record["param_N"]
-    s = [i / (n - 1) for i in range(n)]
-    return [length * t for t in s] if record["param_grid"] == "uniform" else [
-        length * t * t for t in s]
+    return [length * (i / (n - 1)) for i in range(n)]
 
 
 def translate(index: int, old: dict, new: dict) -> str | None:

@@ -56,10 +56,7 @@ from .solver import (
     SolveReport,
     SolverConfig,
     count_aggregates,
-    refinement_grids,
-    solve_coarse,
     solve_with_continuation,
-    transfer,
 )
 
 _PROMINENCE = 0.05  # default relative drop that separates two aggregates
@@ -163,7 +160,7 @@ def _solve_metrics(
     report: SolveReport, coarse: list[SolveReport], prominence: float
 ) -> dict[str, Any]:
     """The metrics of a solved record whose last solve is `report`, after the
-    coarse levels `coarse` of grid sequencing (none for a continuation)."""
+    solves `coarse` on coarser grids (`solve_with_continuation`)."""
     rho = report.density
     diag = report.diagnostics
     return {
@@ -223,9 +220,9 @@ class _Solve:
 class _Solving:
     """The runner of every solving experiment: it reads the keys they share,
     given the experiment's default nu, L and N, and records each point that
-    `points(overrides, grid, nu)` yields with the common metrics plus
-    `extra(point, stages)`, where `stages` are the reports of its solve on
-    the requested grid, one per stage of its schedule."""
+    `points(overrides, grid, nu)` yields, solved by one `solve_with_continuation`
+    call, with the common metrics plus `extra(point, stages)`, where `stages`
+    holds the last solve at each nu of its schedule, in schedule order."""
 
     nu: float
     length: float
@@ -242,22 +239,15 @@ class _Solving:
             max_iterations=_integer(ov, "N_max", SolverConfig.max_iterations),
         )
         points = list(self.points(ov, grid, nu))  # read every point before the first solve
-        levels = refinement_grids(grid)
         records = []
         for point in points:
             t0 = time.perf_counter()
-            # Grid sequencing: a point without a schedule is solved first on each
-            # coarse grid of `grid` (`refinement_grids`), each from the level below.
-            rho, coarse = point.rho0, []
-            for level in levels if point.schedule is None else ():
-                coarse.append(solve_coarse(
-                    Problem(level, point.kernel, point.potential, point.lead["nu"]), rho, cfg))
-                rho = coarse[-1].density
             problem = Problem(grid, point.kernel, point.potential, point.lead["nu"])
-            schedule = point.schedule or ContinuationSchedule((problem.nu,))
-            stages = solve_with_continuation(
-                problem, schedule, transfer(rho, grid) if coarse else rho, cfg)
-            final = stages[-1]
+            reports = solve_with_continuation(
+                problem, point.schedule or ContinuationSchedule((problem.nu,)), point.rho0, cfg)
+            final = reports[-1]
+            coarse = [r for r in reports if r.problem.grid is not grid]
+            stages = list({r.nu: r for r in reports}.values())  # last solve per nu, in order
             params = {
                 **point.lead, "L": grid.length, "N": grid.size, "grid": "uniform",
                 "tol": cfg.tol, "N_max": cfg.max_iterations,
@@ -266,7 +256,7 @@ class _Solving:
             prominence = point.trail.get("prominence", _PROMINENCE)
             metrics = {**_solve_metrics(final, coarse, prominence), **self.extra(point, stages)}
             records.append(_record(experiment, params, metrics, "density",
-                                   grid.nodes, final.density.values, t0, coarse + stages))
+                                   grid.nodes, final.density.values, t0, reports))
         return records
 
 

@@ -50,10 +50,10 @@ The number of iterations belongs to the continuum problem, not to the grid:
 kpsmall takes about 1100 at N = 1024, 4096 and 8192 alike.  So a solve asked
 on a fine uniform grid is first made on coarser ones, where an iteration is
 cheap (grid sequencing; Knoll & Keyes, J. Comput. Phys. 193, 2004):
-`refinement_grids` lists them, each level starts from the one below it moved
-by the mass-conserving `transfer`, and `solve_coarse` stops a coarse level at
-COARSE_TOL times the caller's tolerance.  The requested grid is solved last
-with the caller's config.
+`solve_with_continuation` follows the schedule on the coarsest grid that
+`refinement_grids` lists and the last nu on each finer one, each level from
+the one below moved by the mass-conserving `transfer`, and stops every solve
+off the requested grid at COARSE_TOL times the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -363,22 +363,34 @@ def solve_with_continuation(
     rho0: Density,
     config: SolverConfig | None = None,
 ) -> list[SolveReport]:
-    """Solve the problem at each nu of the schedule, which must end at
-    `problem.nu`, warm-starting each stage from the previous output density.
-    Each stage before the last is a new `Problem` at its nu, with its own
+    """Solve the problem along the schedule, which must end at `problem.nu`,
+    each solve warm-started from the previous output density (moved by
+    `transfer` when the grid changes).  On a grid that `refinement_grids`
+    refines, every stage is solved on the coarsest level and the last nu then
+    on each finer one, each solve off `problem.grid` to COARSE_TOL times the
+    tolerance.  Each solve but the last is a new `Problem`, with its own
     operator and V; the last is `problem`.  The conservative step is
-    re-derived per stage unless the config pins it.  Returns one report per
-    stage, final stage (the solve of `problem`) last."""
+    re-derived per solve unless the config pins it.  Returns every solve's
+    report in order."""
     if schedule.nus[-1] != problem.nu:
         raise ValueError(f"schedule ends at {schedule.nus[-1]!r}, not at problem.nu = {problem.nu!r}")
+    _check_grid(problem, rho0)
+    config = config or SolverConfig()
+    coarse = replace(config, tol=COARSE_TOL * config.tol)
+    grids = [*refinement_grids(problem.grid), problem.grid]
+    last = len(schedule.nus) - 1
+    plan = [(grids[0], j) for j in range(last)] + [(grid, last) for grid in grids]
     reports: list[SolveReport] = []
     rho = rho0
-    for j, nu in enumerate(schedule.nus):
-        stage = problem if nu == problem.nu else replace(problem, nu=nu)
+    for grid, j in plan:
+        nu, fine = schedule.nus[j], grid is problem.grid
+        stage = problem if fine and j == last else replace(problem, grid=grid, nu=nu)
         try:
-            report = solve(stage, rho, config=config)
+            report = solve(stage, rho if rho.grid is grid else transfer(rho, grid),
+                           config if fine else coarse)
         except GibbsMapError as exc:
-            raise GibbsMapError(f"continuation stage {j} (nu = {nu}): {exc}") from exc
+            level = "" if fine else f"coarse grid of {grid.size} nodes, "
+            raise GibbsMapError(f"{level}continuation stage {j} (nu = {nu}): {exc}") from exc
         reports.append(report)
         rho = report.density
     return reports
@@ -415,16 +427,6 @@ def transfer(rho: Density, grid: Grid) -> Density:
     pieces = np.diff(points) * (heights[:-1] + heights[1:]) / 2
     cells = np.add.reduceat(pieces, np.searchsorted(points, edges[:-1]))
     return Density(grid, cells / grid.weights)
-
-
-def solve_coarse(problem: Problem, rho: Density, config: SolverConfig) -> SolveReport:
-    """Solve a coarse level of grid sequencing: `problem` from rho moved to its
-    grid (`transfer`), to COARSE_TOL times the tolerance of `config`."""
-    coarse = replace(config, tol=COARSE_TOL * config.tol)
-    try:
-        return solve(problem, transfer(rho, problem.grid), coarse)
-    except GibbsMapError as exc:
-        raise GibbsMapError(f"coarse grid of {problem.grid.size} nodes: {exc}") from exc
 
 
 def count_aggregates(rho: Density, prominence: float) -> int:

@@ -5,7 +5,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from swarmeq.grid import make_grid
@@ -196,7 +195,7 @@ def test_schema_change_alone_is_one_line():
 
 @pytest.mark.parametrize("old_schema", ["v1", "v2"])
 def test_neighbouring_translate_without_nodes(old_schema):
-    # the v2 records' nodes come from param_L, param_N and param_grid
+    # the v2 records' nodes come from param_L and param_N
     old, new = _bump_record(5, -0.675), _v2(_bump_record(6, -0.675))
     new["samples"]["y"][6] = 1.25
     old = old if old_schema == "v1" else _v2(old)
@@ -206,11 +205,6 @@ def test_neighbouring_translate_without_nodes(old_schema):
         _doc(old_schema, [old]), _doc("v2", [new])) == [*schema, line]
 
 
-@pytest.mark.parametrize("grid", ["uniform", "quadratic"])
-def test_v2_nodes_are_the_grid_nodes(grid):
-    # every grid is uniform now; quadratic ones, x_i = L (i/(N-1))^2, are read
-    # from the records of earlier source trees
-    record = {"samples": {"y": []}, "param_L": 4.0, "param_N": 1000, "param_grid": grid}
-    s = np.arange(1000) / 999
-    nodes = make_grid(4.0, 1000).nodes if grid == "uniform" else 4.0 * s * s
-    assert compare_records.nodes(record) == nodes.tolist()
+def test_v2_nodes_are_the_grid_nodes():
+    record = {"samples": {"y": []}, "param_L": 4.0, "param_N": 1000, "param_grid": "uniform"}
+    assert compare_records.nodes(record) == make_grid(4.0, 1000).nodes.tolist()

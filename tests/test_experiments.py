@@ -428,7 +428,7 @@ class TestOperatorBuilds:
 
     def test_one_build_per_record_per_level(self, monkeypatch):
         # kpsmall at N = 4096 is solved on 1024, 2048 and 4096 nodes; each of
-        # its four records builds one operator per level
+        # its four records builds one operator per level, in whatever order
         sizes = []
         original = KernelOperator.__init__
 
@@ -440,7 +440,8 @@ class TestOperatorBuilds:
         records = run_experiment(ExperimentConfig(
             "kpsmall", {"N": 4096, "p": [1.5, 2.0], "N_max": 5}))
         assert len(records) == 4
-        assert sizes == [1024, 2048, 4096] * 4
+        assert len(sizes) == 12
+        assert [sorted(sizes[k:k + 3]) for k in range(0, 12, 3)] == [[1024, 2048, 4096]] * 4
 
     def test_sweep_record_equals_the_record_run_alone(self):
         # the g = nu record of a sweep over g equals the same record run alone
@@ -471,9 +472,9 @@ class TestOperatorBuilds:
 
 
 class TestRefinement:
-    """Grid sequencing: a record without a schedule on a uniform grid of at
-    least 2047 nodes is solved first on the grids of ceil(N / 2^k) >= 1024
-    nodes."""
+    """Grid sequencing: a record on a uniform grid of at least 2047 nodes is
+    solved first on the grids of ceil(N / 2^k) >= 1024 nodes, its whole
+    schedule on the coarsest."""
 
     def test_record_matches_a_direct_solve(self):
         nu = 2.0**-6
@@ -531,9 +532,10 @@ class TestRefinement:
         nu = 2.0**-6
         grid = make_grid(4.0, 1024)
         (record,) = run_experiment(ExperimentConfig("kpsmall", {"p": [2.0], "g": [nu]}))
-        direct = solve(Problem(grid, PowerLawKernel(2.0), LinearPotential(nu), nu),
-                       indicator_density(grid, 0.0, 1.0))
-        # a continuation keeps its path, so it is not refined at any N
+        direct = [solve(Problem(grid, PowerLawKernel(2.0), LinearPotential(nu), nu),
+                        indicator_density(grid, 0.0, 1.0))]
+        # a continuation at N = 2048 follows its schedule on 1024 nodes and
+        # solves its last nu on 1024 and then 2048 nodes
         grid = make_grid(4.0, 2048)
         (staged,) = run_experiment(ExperimentConfig(
             "custom", {"N": 2048, "schedule": [0.02, 0.01], "N_max": 300}))
@@ -541,12 +543,34 @@ class TestRefinement:
             Problem(grid, PowerLawKernel(2.0), ZeroPotential(), 0.01),
             ContinuationSchedule((0.02, 0.01)), indicator_density(grid, 0.0, 4.0),
             SolverConfig(max_iterations=300))
-        for rec, reports in ((record, [direct]), (staged, stages)):
-            assert rec.metrics["coarse_iterations"] == 0
+        assert record.metrics["coarse_iterations"] == 0
+        assert [r.density.grid.size for r in stages] == [1024, 1024, 2048]
+        assert staged.metrics["coarse_iterations"] == stages[0].iterations + stages[1].iterations > 0
+        assert staged.metrics["total_iterations"] == stages[0].iterations + stages[2].iterations
+        assert staged.metrics["stages_converged"] == 2 and staged.converged
+        for rec, reports in ((record, direct), (staged, stages)):
             assert len(rec.solve_reports) == len(reports)
             assert np.array_equal(rec.samples_y, reports[-1].density.values)
             assert [r.step_trace for r in rec.solve_reports] == [r.step_trace for r in reports]
+            assert rec.metrics["iterations"] == reports[-1].iterations
             assert rec.metrics["total_energy"] == reports[-1].diagnostics.energy.total
+
+    def test_continuation_levels_stop_at_ten_times_the_tolerance_and_the_last_at_it(
+            self, monkeypatch):
+        configs = []
+        original = solver.solve
+
+        def spy(problem, rho0, config=None):
+            configs.append((problem.grid.size, problem.nu, config))
+            return original(problem, rho0, config)
+
+        monkeypatch.setattr(solver, "solve", spy)
+        run_experiment(ExperimentConfig("custom", {
+            "N": 4096, "schedule": [0.04, 0.02, 0.01], "tol": 2e-6, "N_max": 50}))
+        assert [(n, nu) for n, nu, _ in configs] == [
+            (1024, 0.04), (1024, 0.02), (1024, 0.01), (2048, 0.01), (4096, 0.01)]
+        assert [c.tol for _, _, c in configs] == [solver.COARSE_TOL * 2e-6] * 4 + [2e-6]
+        assert {c.max_iterations for _, _, c in configs} == {50}
 
 
 class TestEmit:

@@ -256,6 +256,23 @@ class TestSolveErrors:
         with pytest.raises(GibbsMapError, match=r"^iteration 0: partition value 0\.0"):
             solve(problem, rho0)
 
+    @pytest.mark.parametrize("size,where", [
+        (1024, r"coarse grid of 1024 nodes, continuation stage 0 \(nu = 0\.02\)"),
+        (2048, r"continuation stage 1 \(nu = 0\.01\)"),
+    ])
+    def test_continuation_names_the_grid_and_the_stage(self, size, where):
+        # V is NaN at node 1 of one grid only, so the first solve on that
+        # grid fails: at stage 0 on the coarse grid, at the last stage on
+        # the requested one
+        coarse, grid = make_grid(4.0, 1024), make_grid(4.0, 2048)
+        x0 = (coarse if size == 1024 else grid).nodes[1]
+        assert (x0 in coarse.nodes) != (x0 in grid.nodes)
+        problem = Problem(grid, PowerLawKernel(2.0), _NanAt(x0), 0.01)
+        with pytest.raises(GibbsMapError, match=f"^{where}: iteration 0: non-finite exponent "
+                                                f"at node 1"):
+            solve_with_continuation(problem, ContinuationSchedule((0.02, 0.01)),
+                                    indicator_density(grid, 0, 4), SolverConfig(max_iterations=5))
+
 
 def _subnormal(a: np.ndarray) -> bool:
     return bool(np.any((a != 0) & (np.abs(a) < np.finfo(float).tiny)))
