@@ -65,6 +65,7 @@ RUNS = (
     ["experiment", "gamma-energy"],
     ["experiment", "effdim", "--seed", "0"],
     ["experiment", "effdim", "--seed", "3", "--set", "samples=123457"],
+    ["experiment", "effdim", "--seed", "4", "--set", "samples=500000"],  # the benchmark's size
     ["experiment", "kpsmall", "--set", "N=8192"],
     ["experiment", "kpsmall", "--set", "N=1000", "--set", "p=[2.0]"],  # FFT length 2000
     ["experiment", "kplarge", "--set", "N=4096"],

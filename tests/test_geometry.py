@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -173,6 +175,38 @@ def _extra_domains():
     }
 
 
+def _pin_cpus(monkeypatch, cpus):
+    """Let the sampler see `cpus` usable CPUs, and so run min(2, cpus) workers."""
+    monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def _points_seen_and_drawn(dim):
+    """The chunks a 2-probe, 2-radius domain's indicator sees at 40 001 samples,
+    and each task's points as the whole-task sampler draws them."""
+    seen = []
+
+    def indicator(pts):
+        seen.append(pts.copy())
+        return pts[:, 0] >= 0
+
+    spec = DomainSpec(dim=dim, indicator=indicator, probe_centers=np.full((2, dim), 0.25))
+    seen.clear()  # the probe check
+    radii, samples = [1.5, 7.0], 40_001
+    estimate_volume_profile(spec, radii, samples, seed=2)
+    streams = np.random.SeedSequence(2).spawn(len(radii) * 2)
+    tasks = [(r, j) for r in radii for j in range(2)]
+    expected = [_sample_in_ball(np.random.default_rng(stream), spec.probe_centers[j], r, samples)
+                for stream, (r, j) in zip(streams, tasks)]
+    assert len(seen) == len(tasks) * -(-samples // geometry._CHUNK)
+    assert sum(map(len, seen)) == len(tasks) * samples
+    return seen, expected
+
+
+def _sorted_rows(points):
+    return points[np.lexsort(points.T)]
+
+
 class TestStreamedSampler:
     """The chunked count reproduces the whole-task sampler bit for bit: below
     one chunk (10 000 samples) and with a ragged last chunk (40 001)."""
@@ -187,27 +221,21 @@ class TestStreamedSampler:
         np.testing.assert_array_equal(profile.stderr, stderr)
 
     @pytest.mark.parametrize("dim", [2, 3, 9])
-    def test_indicator_sees_the_whole_task_points(self, dim):
+    def test_indicator_sees_the_whole_task_points(self, monkeypatch, dim):
         # A one-ulp change in a point rarely flips a hit, so compare the points.
-        seen = []
+        # One worker takes the streams in order, so the calls come in order.
+        _pin_cpus(monkeypatch, 1)
+        seen, expected = _points_seen_and_drawn(dim)
+        np.testing.assert_array_equal(np.concatenate(seen), np.concatenate(expected))
 
-        def indicator(pts):
-            seen.append(pts.copy())
-            return pts[:, 0] >= 0
-
-        spec = DomainSpec(dim=dim, indicator=indicator, probe_centers=np.full((2, dim), 0.25))
-        seen.clear()  # the probe check
-        radii, samples = [1.5, 7.0], 40_001
-        estimate_volume_profile(spec, radii, samples, seed=2)
-        streams = np.random.SeedSequence(2).spawn(len(radii) * 2)
-        tasks = [(r, j) for r in radii for j in range(2)]
-        points = np.concatenate(seen)
-        chunks = -(-samples // geometry._CHUNK)
-        assert len(seen) == len(tasks) * chunks and points.shape == (len(tasks) * samples, dim)
-        for k, (stream, (r, j)) in enumerate(zip(streams, tasks)):
-            expected = _sample_in_ball(np.random.default_rng(stream), spec.probe_centers[j],
-                                       r, samples)
-            np.testing.assert_array_equal(points[k * samples:(k + 1) * samples], expected)
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_two_workers_show_the_indicator_the_whole_task_points(self, monkeypatch, dim):
+        # two workers interleave the calls of their streams: compare the rows
+        # as sets
+        _pin_cpus(monkeypatch, 2)
+        seen, expected = _points_seen_and_drawn(dim)
+        np.testing.assert_array_equal(_sorted_rows(np.concatenate(seen)),
+                                      _sorted_rows(np.concatenate(expected)))
 
     @pytest.mark.parametrize("samples", [10_000, 40_001])
     def test_one_batch_equals_the_whole_task_sampler(self, samples):
@@ -221,7 +249,7 @@ class TestStreamedSampler:
             np.testing.assert_array_equal(profile.stderr, stderr)
 
     def test_one_normal_fill_per_stream_and_dimension(self, monkeypatch):
-        generators, fills = [], {}
+        generators, fills, uniform_fills = [], {}, {}
         generator = np.random.default_rng
 
         class Counting:
@@ -230,6 +258,7 @@ class TestStreamedSampler:
                 self.key = stream.spawn_key
                 generators.append(self.key)
                 fills[self.key] = []
+                uniform_fills[self.key] = []
 
             @property
             def bit_generator(self):
@@ -237,20 +266,26 @@ class TestStreamedSampler:
 
             def standard_normal(self, out):
                 fills[self.key].append(out.size)
+                uniform_fills[self.key].append([])
                 return self.rng.standard_normal(out=out)
 
             def random(self, out):
+                uniform_fills[self.key][-1].append(out.size)
                 return self.rng.random(out=out)
 
         monkeypatch.setattr(geometry.np.random, "default_rng", Counting)
         domains = builtin_domains()
-        n = 10_000
+        n = 40_001
         estimate_volume_profiles(list(domains.values()), n, seed=0)
         # six radii and one probe each: streams 0..5, each read in 2-d and then
         # in 3-d from one generator, which draws 3n normals in all: the 2-d
         # points' 2n, then the n that extend them to the 3-d points' 3n
         assert sorted(generators) == [(t,) for t in range(6)]
         assert fills == {(t,): [2 * n, n] for t in range(6)}
+        # after each normal fill, the n uniforms come a chunk at a time
+        for per_dim in uniform_fills.values():
+            assert [sum(sizes) for sizes in per_dim] == [n, n]
+            assert max(map(max, per_dim)) <= geometry._CHUNK
 
     @pytest.mark.parametrize("samples", [10_000, 40_001])
     @pytest.mark.parametrize("radii_2d, radii_3d", [(6, 2), (2, 3)],
@@ -304,6 +339,123 @@ class TestStreamedSampler:
             pts = np.column_stack([x, y, z])
             np.testing.assert_array_equal(paraboloid_domain(3).indicator(pts),
                                           pts[:, -1] >= np.sum(pts[:, :-1] ** 2, axis=1))
+
+
+class TestWorkers:
+    """Two workers, the caller and one helper thread, take whole streams; the
+    profiles do not depend on how many run or which takes which stream."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 4])
+    @pytest.mark.parametrize("samples", [10_000, 40_001, 123_457])
+    def test_one_worker_equals_two(self, monkeypatch, samples, seed):
+        domains = list({**builtin_domains(), **_extra_domains()}.values())
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(geometry.threading, "Thread", Spy)
+        _pin_cpus(monkeypatch, 1)
+        one = estimate_volume_profiles(domains, samples, seed=seed)
+        assert started == []
+        _pin_cpus(monkeypatch, 2)
+        two = estimate_volume_profiles(domains, samples, seed=seed)
+        assert len(started) == 1
+        for a, b in zip(one, two, strict=True):
+            np.testing.assert_array_equal(a.volumes, b.volumes)
+            np.testing.assert_array_equal(a.stderr, b.stderr)
+
+    def test_every_stream_is_counted_once_under_frequent_switches(self, monkeypatch):
+        # a thread switch every microsecond: a stream taken twice or skipped
+        # would show as a generator made twice or never
+        made = []
+        generator = np.random.default_rng
+
+        def default_rng(stream):
+            made.append(stream.spawn_key)
+            return generator(stream)
+
+        monkeypatch.setattr(geometry.np.random, "default_rng", default_rng)
+        spec = DomainSpec(dim=2, indicator=lambda pts: pts[:, 1] >= 0.0,
+                          probe_centers=[[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+        radii = np.geomspace(1.0, 10.0, 10)  # 40 streams
+        _pin_cpus(monkeypatch, 1)
+        one = estimate_volume_profile(spec, radii, SAMPLES)
+        made.clear()
+        _pin_cpus(monkeypatch, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            two = estimate_volume_profile(spec, radii, SAMPLES)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(made) == [(t,) for t in range(40)]
+        np.testing.assert_array_equal(one.volumes, two.volumes)
+        np.testing.assert_array_equal(one.stderr, two.stderr)
+
+    @pytest.mark.parametrize("error", [ValueError, MemoryError])
+    def test_an_error_on_the_helper_reaches_the_caller(self, monkeypatch, error):
+        _pin_cpus(monkeypatch, 2)
+        armed, helper_counts = False, threading.Event()
+
+        def indicator(pts):
+            if armed and threading.current_thread() is threading.main_thread():
+                # the caller holds its first stream until the helper counts its own
+                helper_counts.wait(10)
+            elif armed:
+                helper_counts.set()
+                raise error("indicator failed on the helper")
+            return pts[:, 0] >= 0
+
+        spec = DomainSpec(dim=2, indicator=indicator, probe_centers=np.zeros((1, 2)))
+        armed, threads = True, threading.active_count()
+        with pytest.raises(error, match="^indicator failed on the helper$") as caught:
+            estimate_volume_profile(spec, np.geomspace(1.0, 10.0, 6), SAMPLES)
+        assert caught.type is error
+        assert helper_counts.is_set()
+        assert threading.active_count() == threads
+
+    def test_the_helper_takes_no_stream_after_the_caller_fails(self, monkeypatch):
+        _pin_cpus(monkeypatch, 2)
+        takers = []  # per generator made: whether the caller made it
+        generator = np.random.default_rng
+
+        def default_rng(stream):
+            takers.append(threading.current_thread() is threading.main_thread())
+            return generator(stream)
+
+        monkeypatch.setattr(geometry.np.random, "default_rng", default_rng)
+        armed, helper_counts, caller_failed = False, threading.Event(), threading.Event()
+
+        def indicator(pts):
+            if armed and threading.current_thread() is threading.main_thread():
+                helper_counts.wait(10)
+                caller_failed.set()
+                raise KeyboardInterrupt  # as a Ctrl-C in the caller would
+            if armed:
+                # the helper is inside its first stream when the caller fails
+                helper_counts.set()
+                caller_failed.wait(10)
+            return pts[:, 0] >= 0
+
+        spec = DomainSpec(dim=2, indicator=indicator, probe_centers=np.zeros((1, 2)))
+        armed, threads = True, threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            estimate_volume_profile(spec, np.geomspace(1.0, 10.0, 12), SAMPLES)
+        assert caller_failed.is_set()
+        assert threading.active_count() == threads
+        # each worker made the generator of one stream of 12
+        assert sorted(takers) == [False, True]
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(geometry.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(geometry.os, "cpu_count", lambda: 4)
+        assert geometry._usable_cpus() == 4
+        monkeypatch.setattr(geometry.os, "cpu_count", lambda: None)  # undeterminable
+        assert geometry._usable_cpus() == 1
 
 
 class TestEffectiveDimension:
