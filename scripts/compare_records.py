@@ -12,10 +12,8 @@ The JSON records are compared field by field, key order included, and
 ``wall_time_s`` is ignored; when they parse equal, the raw texts are compared
 too, with each ``"wall_time_s": <number>`` masked (with or without the space
 after the colon), so that a change of layout or of how a number is written
-(``1e16`` as ``1e+16``) shows.  Schema v1
-documents carry the nodes of a density record as ``samples.x`` and v2 ones
-leave them out; when the two schemas differ, density records are compared
-without ``samples.x`` and their texts are not compared.  The CSV run
+(``1e16`` as ``1e+16``) shows.  A change of schema is one line; the records
+are still compared, but not their texts.  The CSV run
 compares the main file without its ``wall_time_s`` column, and every sidecar.
 For each run the script prints ``identical``, or each field that moved with its
 largest relative change over the records (``bytes differ`` with the offset
@@ -125,11 +123,8 @@ def _fields(record: dict, prefix: str = "") -> dict:
 
 
 def nodes(record: dict) -> list[float]:
-    """The nodes of a density record: its ``samples.x`` (schema v1), or else
-    the uniform nodes x_i = L i/(N-1) placed from ``param_L`` and
-    ``param_N`` (schema v2)."""
-    if "x" in record["samples"]:
-        return record["samples"]["x"]
+    """The nodes of a density record: the uniform nodes x_i = L i/(N-1)
+    placed from ``param_L`` and ``param_N``."""
     length, n = record["param_L"], record["param_N"]
     return [length * (i / (n - 1)) for i in range(n)]
 
@@ -222,21 +217,13 @@ def iteration_change(old: list[dict], new: list[dict]) -> list[str]:
     return [] if counts == (None, None) else [f"total iterations {counts[0]} -> {counts[1]}"]
 
 
-def _without_x(record: dict) -> dict:
-    """The record without ``samples.x`` if it is a density record."""
-    if record.get("samples_kind") != "density":
-        return record
-    return {**record, "samples": {k: v for k, v in record["samples"].items() if k != "x"}}
-
-
 def compare_documents(old: dict, new: dict) -> list[str]:
-    """compare_records on two JSON documents, with their schema.  Across
-    schemas, density records are compared without ``samples.x``, which v2
-    leaves out."""
+    """compare_records on two JSON documents, after a line for a change of
+    schema."""
+    lines = compare_records(old["records"], new["records"])
     if old["schema"] == new["schema"]:
-        return compare_records(old["records"], new["records"])
-    return [f"schema {old['schema']!r} -> {new['schema']!r}", *compare_records(
-        [_without_x(r) for r in old["records"]], [_without_x(r) for r in new["records"]])]
+        return lines
+    return [f"schema {old['schema']!r} -> {new['schema']!r}", *lines]
 
 
 def compare_json(old: str, new: str) -> list[str]:

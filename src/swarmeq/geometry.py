@@ -10,12 +10,13 @@ probe) task t of every domain reads the same random stream t, and a stream's
 points in dimension d are built from a prefix of the normals it gives in a
 higher dimension.  So a batch of domains (`estimate_volume_profiles`) makes
 one generator per stream and draws its normals once, for the largest
-dimension that reads it; every task that reads the stream places and counts
-the points chunk by chunk, column by column, in a scratch buffer.  Memory
-traffic stays in cache, and the draws are shared instead of repeated per
-domain or per dimension.  Where two CPUs are usable, the calling thread and
-one helper thread take whole streams in turn, so one stream's normal fill,
-which releases the GIL, runs beside another stream's count.
+dimension that reads it; every task that reads the stream places the points
+chunk by chunk, column by column, in a scratch buffer and adds their hits to
+its cell of the domain's (radius, probe) hit array.  Memory traffic stays in
+cache, and the draws are shared instead of repeated per domain or dimension.
+Where two CPUs are usable, the calling thread and one helper thread take
+whole streams in turn, so one stream's normal fill, which releases the GIL,
+runs beside another stream's count.
 """
 
 from __future__ import annotations
@@ -107,17 +108,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _count_stream(stream, plan, n, scratch) -> list[list[int]]:
-    """Hit counts of the tasks that read one stream, in the order of `plan`.
+def _count_stream(stream, plan, n, scratch) -> None:
+    """Count the hits of the tasks that read one stream into their arrays.
 
-    `plan` lists (dim, tasks) in ascending dim, each task a (spec, radius,
-    probe, hits row) whose row is left alone; `scratch` holds one worker's
-    buffers: n * max_dim normals, two chunks of max_dim columns and two
-    chunks of one.
+    `plan` lists (dim, readers) in ascending dim, each reader a (spec,
+    radius, hits, (i, j)) that adds probe j's hits to cell (i, j) of `hits`;
+    `scratch` holds one worker's buffers: n * max_dim normals, two chunks of
+    max_dim columns and two chunks of one.
     """
     normals, directions, placed, uniforms, scale = scratch
     rng = np.random.default_rng(stream)
-    counts = []
     drawn = 0
     for dim, readers in plan:
         # a task in dim reads the stream's first dim * n normals, then n
@@ -127,7 +127,6 @@ def _count_stream(stream, plan, n, scratch) -> list[list[int]]:
         drawn = dim
         state = rng.bit_generator.state
         points = normals[:n * dim].reshape(n, dim)
-        hits = [0] * len(readers)
         for start in range(0, n, _CHUNK):
             rows = points[start:start + _CHUNK]
             c = rows.shape[0]
@@ -140,16 +139,14 @@ def _count_stream(stream, plan, n, scratch) -> list[list[int]]:
             u = uniforms[:c]
             rng.random(out=u)
             u **= 1.0 / dim
-            for m, (spec, r, j, _) in enumerate(readers):
-                center = spec.probe_centers[j]
+            for spec, r, hits, cell in readers:
+                center = spec.probe_centers[cell[1]]
                 np.multiply(u, r, out=s)
                 for k in range(dim):
                     np.multiply(dirs[:, k], s, out=x[:, k])
                     x[:, k] += center[k]
-                hits[m] += np.count_nonzero(np.asarray(spec.indicator(x), dtype=bool))
+                hits[cell] += np.count_nonzero(np.asarray(spec.indicator(x), dtype=bool))
         rng.bit_generator.state = state
-        counts.append(hits)
-    return counts
 
 
 def estimate_volume_profile(
@@ -192,18 +189,18 @@ def estimate_volume_profiles(
     column by column to a scratch buffer (the raw normals stay for the next
     dimension) and `u**(1/dim)` is taken in place, once; every (domain,
     radius, probe) task that reads the stream places the chunk, column by
-    column, in another scratch buffer and counts its hits there.  The
-    indicator sees only that buffer, so one that writes into its argument
-    cannot change another task's points.
+    column, in another scratch buffer and adds its hits to its cell of the
+    domain's `int64` hit array.  The indicator sees only that buffer, so one
+    that writes into its argument cannot change another task's points.
 
     The streams run on `min(2, usable CPUs, streams)` workers: the calling
     thread, and one helper thread when there are two, so no more than two
     threads are busy and one usable CPU starts no thread.  Each worker takes
     whole streams in order from a shared counter, has its own normal buffer
-    (`8 * n * max_dim` bytes) and chunk scratch, and returns the hit counts
-    of its streams, which are merged after the helper is joined.  An
-    exception in either worker stops the other at its next stream and is
-    raised here as it was; the helper is joined on every path.
+    (`8 * n * max_dim` bytes) and chunk scratch; no two streams add to the
+    same cell.  An exception in either worker stops the other at its next
+    stream and is raised here as it was, with the hit arrays dropped; the
+    helper is joined on every path.
 
     Each profile equals its domain's whole-task draw bit for bit, whichever
     worker takes which stream: NumPy's normal fill takes the same draws in
@@ -214,7 +211,7 @@ def estimate_volume_profiles(
     (`_sum_of_squares` keeps NumPy's summation order), so the points are
     identical row for row; the indicator acts row by row, and the hit count
     over the sample count is the mean of the indicator, exactly.  The
-    maximum over probes is taken in probe order, as for a single domain.
+    profile keeps, at each radius, the first probe of largest volume.
     """
     tasks = []  # (spec, radii, hit counts by radius and probe)
     for spec, radii in domains:
@@ -223,7 +220,7 @@ def estimate_volume_profiles(
             raise ValueError(f"radii must be positive and finite, got {radii.tolist()}")
         if np.any(np.diff(radii) <= 0):
             raise ValueError("radii must be strictly increasing")
-        tasks.append((spec, radii, [[0] * spec.probe_centers.shape[0] for _ in radii]))
+        tasks.append((spec, radii, np.zeros((radii.size, spec.probe_centers.shape[0]), np.int64)))
     if not isinstance(samples_per_radius, (int, np.integer)):
         raise TypeError(
             f"samples_per_radius must be an integer, got {samples_per_radius!r}"
@@ -233,25 +230,25 @@ def estimate_volume_profiles(
             f"need at least 10^4 samples per radius, got {samples_per_radius}"
         )
     n = int(samples_per_radius)
-    n_streams = max((r.size * s.probe_centers.shape[0] for s, r, _ in tasks), default=0)
+    n_streams = max((hits.size for _, _, hits in tasks), default=0)
     streams = np.random.SeedSequence(seed).spawn(n_streams)
     max_dim = max((spec.dim for spec, _, _ in tasks), default=0)
-    plans = []  # per stream: (dim, [(spec, radius, probe, hits row)]), dims ascending
+    plans = []  # per stream: (dim, [(spec, radius, hits, (i, j))]), dims ascending
     for t in range(n_streams):
         readers = {}
         for spec, radii, hits in tasks:
-            i, j = divmod(t, spec.probe_centers.shape[0])
+            i, j = divmod(t, hits.shape[1])
             if i < radii.size:
-                readers.setdefault(spec.dim, []).append((spec, radii[i], j, hits[i]))
+                readers.setdefault(spec.dim, []).append((spec, radii[i], hits, (i, j)))
         plans.append(sorted(readers.items()))
     order = iter(range(n_streams))
     lock = threading.Lock()
     stop = threading.Event()
-    counts = [None] * n_streams  # per stream: its tasks' hit counts, by dimension
     errors = []  # the helper's exception
 
-    def work():
-        # whole streams in order, until none is left or a worker has failed
+    def work(errors=None):
+        # whole streams in order, until none is left or a worker has failed;
+        # the helper keeps its exception in `errors`, the caller's is raised
         try:
             scratch = (np.empty(n * max_dim), np.empty(_CHUNK * max_dim),
                        np.empty(_CHUNK * max_dim), np.empty(_CHUNK), np.empty(_CHUNK))
@@ -260,21 +257,17 @@ def estimate_volume_profiles(
                     t = next(order, None)
                 if t is None:
                     return
-                counts[t] = _count_stream(streams[t], plans[t], n, scratch)
-        except BaseException:
+                _count_stream(streams[t], plans[t], n, scratch)
+        except BaseException as exc:
             stop.set()
-            raise
-
-    def run_helper():
-        try:
-            work()
-        except BaseException as exc:  # raised again by the caller after the join
+            if errors is None:
+                raise
             errors.append(exc)
 
     helper = None
     try:
         if min(2, _usable_cpus(), n_streams) > 1:
-            helper = threading.Thread(target=run_helper, name="swarmeq-sampler")
+            helper = threading.Thread(target=work, args=(errors,), name="swarmeq-sampler")
             helper.start()
         work()
     finally:
@@ -283,27 +276,14 @@ def estimate_volume_profiles(
             helper.join()
     if errors:
         raise errors[0]
-    for plan, stream_counts in zip(plans, counts):
-        for (_, readers), hits in zip(plan, stream_counts):
-            for (_, _, j, row), count in zip(readers, hits):
-                row[j] = count
     profiles = []
     for spec, radii, hits in tasks:
-        volumes = np.empty(radii.size)
-        stderr = np.empty(radii.size)
-        for i, r in enumerate(radii):
-            best_vol = -math.inf
-            best_err = math.nan
-            vball = ball_volume(float(r), spec.dim)
-            for count in hits[i]:
-                frac = count / n
-                vol = frac * vball
-                err = vball * math.sqrt(frac * (1 - frac) / n)
-                if vol > best_vol:
-                    best_vol, best_err = vol, err
-            volumes[i] = best_vol
-            stderr[i] = best_err
-        profiles.append(VolumeProfile(radii=radii, volumes=volumes, stderr=stderr))
+        vball = np.array([ball_volume(float(r), spec.dim) for r in radii])[:, None]
+        frac = hits / n
+        volumes = frac * vball
+        stderr = vball * np.sqrt(frac * (1 - frac) / n)
+        best = np.arange(radii.size), volumes.argmax(axis=1)  # the first largest probe
+        profiles.append(VolumeProfile(radii=radii, volumes=volumes[best], stderr=stderr[best]))
     return profiles
 
 

@@ -136,6 +136,9 @@ class SolverConfig:
             raise ValueError(f"tau_c must lie in (0, 1), got {self.tau_c}")
         if not self.tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if isinstance(self.max_iterations, bool) or not isinstance(
+                self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"need max_iterations >= 1, got {self.max_iterations}")
 

@@ -14,19 +14,14 @@ spec = importlib.util.spec_from_file_location("compare_records", SCRIPT)
 compare_records = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_records)
 
-DOC = {"schema": "swarmeq.records.v1", "records": [
+DOC = {"schema": "swarmeq.records.v2", "records": [
     {"experiment": "kp2", "param_nu": 0.015625, "converged": True, "iterations": 35,
      "total_energy": 0.024083669684899348, "e0": None, "wall_time_s": 0.04,
-     "samples_kind": "density", "samples": {"x": [0.0, 1.0], "y": [2.0, 1e-300]}},
+     "samples_kind": "density", "samples": {"y": [2.0, 1e-300]}},
     {"experiment": "kp2", "param_nu": 0.015625, "converged": True, "iterations": 13,
      "total_energy": 0.031, "e0": 1e-6, "wall_time_s": 0.02,
-     "samples_kind": "density", "samples": {"x": [0.0, 1.0], "y": [3.0, 1e-200]}},
+     "samples_kind": "density", "samples": {"y": [3.0, 1e-200]}},
 ]}
-
-
-def _v2(record: dict) -> dict:
-    """The record as schema v2 writes it: a density record without samples.x."""
-    return {**record, "samples": {"y": list(record["samples"]["y"])}}
 
 
 def _doc(schema: str, records: list[dict]) -> dict:
@@ -111,7 +106,7 @@ def test_one_line_documents_locate_a_late_difference():
     masked = old_text.replace(':0.04,', ': ?,').replace(':0.02,', ': ?,')
     assert compare_records.compare_json(old_text, new_text) == [
         f"bytes differ, first at offset {masked.index('1e-200') + 1}: "
-        """',1.0],"y":[3.0,1e-200]}}]}' -> ',1.0],"y":[3.0,1.0e-200]}}]}'"""]
+        """'les":{"y":[3.0,1e-200]}}]}' -> 'les":{"y":[3.0,1.0e-200]}}]}'"""]
 
 
 def test_moved_field_is_reported_without_byte_line():
@@ -141,7 +136,7 @@ def _bump_record(centre: int, total_energy: float) -> dict:
     return {"experiment": "multistate", "param_L": 9.5, "param_N": 20, "param_grid": "uniform",
             "converged": True, "iterations": 47, "total_energy": total_energy,
             "m1": centre * 0.5, "m2": (centre * 0.5) ** 2, "aggregates": 1, "stages_converged": 8, "wall_time_s": 0.1,
-            "samples_kind": "density", "samples": {"x": [i * 0.5 for i in range(20)], "y": y}}
+            "samples_kind": "density", "samples": {"y": y}}
 
 
 def test_neighbouring_translate_is_one_line():
@@ -163,7 +158,7 @@ def test_neighbouring_translate_is_one_line():
 def _hat_record(centre: float) -> dict:
     """_bump_record with the samples of a hat of half-width 1 about `centre`."""
     record = _bump_record(5, -0.675)
-    x = record["samples"]["x"]
+    x = compare_records.nodes(record)
     record["samples"]["y"] = [max(0.0, 1.0 - abs(t - centre)) for t in x]
     record["m1"] = centre
     return record
@@ -183,26 +178,22 @@ def test_sub_node_translate_is_one_line():
 
 
 def test_schema_change_alone_is_one_line():
-    # the v1 text has samples.x and the indent=1 layout; neither is reported
-    v2 = _doc("v2", [_v2(r) for r in DOC["records"]])
-    assert compare_records.compare_json(json.dumps(DOC, indent=1), json.dumps(v2)) == [
-        "schema 'swarmeq.records.v1' -> 'swarmeq.records.v2'"]
-    v2["records"][1]["samples"]["y"][0] = 4.0
-    assert compare_records.compare_json(json.dumps(DOC, indent=1), json.dumps(v2)) == [
-        "schema 'swarmeq.records.v1' -> 'swarmeq.records.v2'",
+    # the v2 text has the indent=1 layout, which is not reported
+    v3 = _doc("v3", copy.deepcopy(DOC["records"]))
+    assert compare_records.compare_json(json.dumps(DOC, indent=1), json.dumps(v3)) == [
+        "schema 'swarmeq.records.v2' -> 'swarmeq.records.v3'"]
+    v3["records"][1]["samples"]["y"][0] = 4.0
+    assert compare_records.compare_json(json.dumps(DOC, indent=1), json.dumps(v3)) == [
+        "schema 'swarmeq.records.v2' -> 'swarmeq.records.v3'",
         "samples.y: largest relative change 0.25"]
 
 
-@pytest.mark.parametrize("old_schema", ["v1", "v2"])
-def test_neighbouring_translate_without_nodes(old_schema):
-    # the v2 records' nodes come from param_L and param_N
-    old, new = _bump_record(5, -0.675), _v2(_bump_record(6, -0.675))
+def test_neighbouring_translate_without_nodes():
+    # the records' nodes come from param_L and param_N
+    old, new = _bump_record(5, -0.675), _bump_record(6, -0.675)
     new["samples"]["y"][6] = 1.25
-    old = old if old_schema == "v1" else _v2(old)
     line = "record 0: neighbouring translate, m1 2.5 -> 3.0, L1 0.125 after a shift of 1 nodes"
-    schema = ["schema 'swarmeq.records.v1' -> 'swarmeq.records.v2'"] * (old_schema == "v1")
-    assert compare_records.compare_documents(
-        _doc(old_schema, [old]), _doc("v2", [new])) == [*schema, line]
+    assert compare_records.compare_documents(_doc("v2", [old]), _doc("v2", [new])) == [line]
 
 
 def test_v2_nodes_are_the_grid_nodes():

@@ -127,6 +127,17 @@ class TestVolumeEstimates:
             DomainSpec(dim=2, indicator=lambda pts: np.ones(len(pts), bool),
                        probe_centers=centers)
 
+    def test_a_domain_without_radii_gets_empty_arrays(self):
+        ball = ball_domain(1.0, 3)
+        empty, full = estimate_volume_profiles(
+            [(box_domain([1.0, 1.0]), []), (ball, [0.5, 1.0, 2.0])], SAMPLES)
+        for values in (empty.radii, empty.volumes, empty.stderr):
+            assert values.dtype == np.float64 and values.shape == (0,)
+        alone = estimate_volume_profile(ball, [0.5, 1.0, 2.0], SAMPLES)
+        np.testing.assert_array_equal(full.volumes, alone.volumes)
+        np.testing.assert_array_equal(full.stderr, alone.stderr)
+
+
 
 def _sample_in_ball(rng, center, radius, n):
     """The whole-task sampler the chunked count replaced."""
@@ -367,6 +378,19 @@ class TestWorkers:
             np.testing.assert_array_equal(a.volumes, b.volumes)
             np.testing.assert_array_equal(a.stderr, b.stderr)
 
+    def test_an_empty_batch_starts_no_thread(self, monkeypatch):
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(geometry.threading, "Thread", Spy)
+        _pin_cpus(monkeypatch, 2)
+        assert estimate_volume_profiles([], 10_000) == []
+        assert started == []
+
     def test_every_stream_is_counted_once_under_frequent_switches(self, monkeypatch):
         # a thread switch every microsecond: a stream taken twice or skipped
         # would show as a generator made twice or never
@@ -507,6 +531,15 @@ class TestEffectiveDimension:
         profile = VolumeProfile(radii=radii, volumes=np.array([1.0, 25.0, 0.0, 400.0]),
                                 stderr=np.zeros(4))
         assert estimate_effective_dimension(profile) == pytest.approx(2.0, abs=1e-12)
+
+    def test_fit_uses_every_radius_when_the_last_decade_holds_one(self):
+        # only 100 lies in [10, 100], so the fit falls back to all three radii
+        radii = np.array([1.0, 2.0, 100.0])
+        volumes = np.array([1.0, 8.0, 1e4])
+        profile = VolumeProfile(radii=radii, volumes=volumes, stderr=np.zeros(3))
+        slope = np.polyfit(np.log(radii), np.log(volumes), 1)[0]
+        assert estimate_effective_dimension(profile) == slope
+        assert slope != pytest.approx(2.0)
 
     def test_degenerate_profile_rejected(self):
         profile = VolumeProfile(

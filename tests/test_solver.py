@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -52,10 +53,21 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"tau_c": 0.0}, {"tau_c": 1.0}, {"tol": 0.0}, {"max_iterations": 0}, {"tol": math.nan},
+        {"max_iterations": 2.5}, {"max_iterations": 3.0}, {"max_iterations": True},
+        {"max_iterations": np.float64(3.0)},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        value = next(iter(kwargs.values()))
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("max_iterations", [3, np.int64(3), np.int32(3)])
+    def test_integer_iterations(self, max_iterations):
+        g = make_grid(4.0, 64)
+        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), 2.0**-6)
+        config = SolverConfig(tol=1e-15, max_iterations=max_iterations)
+        report = solve(problem, indicator_density(g, 0, 2), config)
+        assert not report.converged and report.iterations == 3
 
 
 class TestContinuationSchedule:
@@ -255,6 +267,31 @@ class TestSolveErrors:
         g.weights[:] = 0.0
         with pytest.raises(GibbsMapError, match=r"^iteration 0: partition value 0\.0"):
             solve(problem, rho0)
+
+    def test_non_finite_image_energy_names_the_iteration_and_the_stage(self, monkeypatch):
+        # every energy of a finite problem is finite, so the total of the
+        # first image at nu = 0.1 is made NaN; the first energy of each solve
+        # is its start density's
+        real, calls = solver.energy_breakdown, []
+
+        def energy(problem, values, conv):
+            calls.append(problem.nu)
+            breakdown = real(problem, values, conv)
+            if problem.nu == 0.1 and calls.count(0.1) == 2:
+                return dataclasses.replace(breakdown, total=math.nan)
+            return breakdown
+
+        monkeypatch.setattr(solver, "energy_breakdown", energy)
+        g = make_grid(2.0, 65)
+        problem = Problem(g, PowerLawKernel(2.0), ZeroPotential(), 0.1)
+        rho0, config = indicator_density(g, 0, 1), SolverConfig(max_iterations=5)
+        with pytest.raises(GibbsMapError, match=r"^iteration 0: non-finite energy nan$"):
+            solve(problem, rho0, config)
+        calls.clear()
+        with pytest.raises(GibbsMapError, match=r"^continuation stage 1 \(nu = 0\.1\): "
+                                                r"iteration 0: non-finite energy nan$"):
+            solve_with_continuation(problem, ContinuationSchedule((0.2, 0.1)), rho0, config)
+        assert calls[:2] == [0.2, 0.2] and calls.count(0.1) == 2
 
     @pytest.mark.parametrize("size,where", [
         (1024, r"coarse grid of 1024 nodes, continuation stage 0 \(nu = 0\.02\)"),
