@@ -10,9 +10,10 @@ probe) task t of every domain reads the same random stream t, and a stream's
 points in dimension d are built from a prefix of the normals it gives in a
 higher dimension.  So a batch of domains (`estimate_volume_profiles`) makes
 one generator per stream and draws its normals once, for the largest
-dimension that reads it; every task that reads the stream places the points
-chunk by chunk, column by column, in a scratch buffer and adds their hits to
-its cell of the domain's (radius, probe) hit array.  Memory traffic stays in
+dimension that reads it.  Chunk by chunk, the directions are scaled once per
+radius that reads the stream, and every task of that radius places them
+around its probe in a column-major scratch buffer and adds their hits to its
+cell of the domain's (radius, probe) hit array.  Memory traffic stays in
 cache, and the draws are shared instead of repeated per domain or dimension.
 Where two CPUs are usable, the calling thread and one helper thread take
 whole streams in turn, so one stream's normal fill, which releases the GIL,
@@ -30,12 +31,36 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+def _lengths(name: str, values) -> np.ndarray:
+    """`values` as a float array whose entries are all positive and finite."""
+    lengths = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(lengths) & (lengths > 0)):
+        raise ValueError(f"{name} must be positive and finite, got {lengths.tolist()}")
+    return lengths
+
+
+def _is_integer(value) -> bool:
+    """Whether `value` is a Python or NumPy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_dim(dim) -> None:
+    """Raise unless `dim` is an integer of at least 1."""
+    if not _is_integer(dim):
+        raise TypeError(f"domain dimension dim must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValueError(f"domain dimension dim must be at least 1, got {dim}")
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """A domain given by its indicator plus probe points known to lie inside.
 
     indicator maps an (n, dim) array of points to a boolean (or 0/1) array,
-    row by row: the sampler calls it on one chunk of a ball's points at a time.
+    row by row: the sampler calls it on one chunk of a ball's points at a time,
+    a column-major view whose columns are contiguous.  (NumPy sums a row of 8
+    or more entries in another order in that layout; `ball_domain` and
+    `paraboloid_domain` sum in one order for either.)
     It may be called from two threads at once, on distinct arrays, so it must
     keep no shared mutable state (the built-in indicators keep none).
     """
@@ -45,9 +70,9 @@ class DomainSpec:
     probe_centers: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"domain dimension dim must be at least 1, got {self.dim}")
-        centers = np.asarray(self.probe_centers, dtype=float)
+        _check_dim(self.dim)
+        # a copy: the caller's array may change after the probe check
+        centers = np.array(self.probe_centers, dtype=float)
         if centers.ndim != 2 or centers.shape[0] == 0:
             raise ValueError(
                 f"probe centers must be a non-empty (k, {self.dim}) array, "
@@ -57,8 +82,11 @@ class DomainSpec:
             raise ValueError(
                 f"probe centers have dimension {centers.shape[1]}, domain has {self.dim}"
             )
+        if not np.all(np.isfinite(centers)):
+            raise ValueError(f"probe centers must be finite, got {centers.tolist()}")
         object.__setattr__(self, "probe_centers", centers)
-        inside = np.asarray(self.indicator(centers), dtype=bool)
+        # on a copy: an indicator that writes into its argument keeps the probes
+        inside = np.asarray(self.indicator(centers.copy()), dtype=bool)
         if not inside.all():
             bad = centers[~inside][0]
             raise ValueError(f"probe center {bad!r} is not inside the domain")
@@ -77,12 +105,16 @@ def ball_volume(radius: float, dim: int) -> float:
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius**dim
 
 
-# Rows per pass of the sampler.  A worker's two (rows, 3) scratch buffers take
-# 393 kB each, so every step of a pass runs in a core's L2 cache.  Every NumPy
-# call on a chunk takes the GIL again: with two workers, the six effdim
-# domains at 5 * 10^5 samples took 0.46-0.50 s at 8192 rows, 0.27-0.35 s at
-# 16384 and 0.28-0.42 s at 32768 (medians of 6, 2-core x86-64 machine).
-_CHUNK = 16384
+# Rows per pass of the sampler.  A worker's three (3, rows) scratch buffers
+# take 786 kB each and its two (rows,) buffers 262 kB, 2.9 MB in all; each
+# step reads one block of 3 * rows doubles and writes another, 1.6 MB, which
+# stays in a core's 2 MB L2 cache.  Every NumPy call on a chunk takes the GIL
+# again: with two workers, the six effdim domains at 5 * 10^5 samples took
+# 0.28 s at 16384 rows, 0.26 s at 32768 and 0.28 s at 65536 (medians of 15,
+# sizes interleaved; 2-core x86-64 Xeon, 2 MB L2 a core).  On one worker the
+# medians of two such runs were 0.32 and 0.43 s at 16384 rows, 0.34 and
+# 0.37 s at 32768 and 0.38 and 0.45 s at 65536.
+_CHUNK = 32768
 
 
 def _sum_of_squares(points: np.ndarray) -> np.ndarray:
@@ -90,10 +122,12 @@ def _sum_of_squares(points: np.ndarray) -> np.ndarray:
 
     NumPy adds fewer than 8 terms left to right, so the sum is built column
     by column, which reads each column once; from 8 columns (and for none)
-    NumPy's own row reduction gives its pairwise order.
+    NumPy's own row reduction gives its pairwise order.  That order holds
+    only along contiguous rows, so the squares are laid out row-major
+    whatever the layout of `points` (the sampler passes column-major views).
     """
     if not 0 < points.shape[1] < 8:
-        return np.add.reduce(points * points, axis=1)
+        return np.add.reduce(np.multiply(points, points, order="C"), axis=1)
     total = points[:, 0] * points[:, 0]
     for k in range(1, points.shape[1]):
         total += points[:, k] * points[:, k]
@@ -111,15 +145,16 @@ def _usable_cpus() -> int:
 def _count_stream(stream, plan, n, scratch) -> None:
     """Count the hits of the tasks that read one stream into their arrays.
 
-    `plan` lists (dim, readers) in ascending dim, each reader a (spec,
-    radius, hits, (i, j)) that adds probe j's hits to cell (i, j) of `hits`;
-    `scratch` holds one worker's buffers: n * max_dim normals, two chunks of
-    max_dim columns and two chunks of one.
+    `plan` lists (dim, radii) in ascending dim, each radius an (r, readers)
+    and each reader a (spec, hits, (i, j)) that adds probe j's hits to cell
+    (i, j) of `hits`; `scratch` holds one worker's buffers: n * max_dim
+    normals, three chunks of max_dim columns held column-major (directions,
+    scaled directions, placed points) and two chunks of one.
     """
-    normals, directions, placed, uniforms, scale = scratch
+    normals, directions, scaled, placed, uniforms, scale = scratch
     rng = np.random.default_rng(stream)
     drawn = 0
-    for dim, readers in plan:
+    for dim, radii in plan:
         # a task in dim reads the stream's first dim * n normals, then n
         # uniforms: these are drawn on from where the normals stop, a chunk
         # at a time, and the state is restored after the last chunk
@@ -130,22 +165,23 @@ def _count_stream(stream, plan, n, scratch) -> None:
         for start in range(0, n, _CHUNK):
             rows = points[start:start + _CHUNK]
             c = rows.shape[0]
-            dirs = directions[:c * dim].reshape(c, dim)
-            x = placed[:c * dim].reshape(c, dim)
+            # (dim, c) buffers: each coordinate is one contiguous row
+            dirs = directions[:dim * c].reshape(dim, c)
+            r_dirs = scaled[:dim * c].reshape(dim, c)
+            x = placed[:dim * c].reshape(dim, c)
             s = scale[:c]
-            norm = np.sqrt(_sum_of_squares(rows))
-            for k in range(dim):
-                np.divide(rows[:, k], norm, out=dirs[:, k])
+            np.divide(rows.T, np.sqrt(_sum_of_squares(rows)), out=dirs)
             u = uniforms[:c]
             rng.random(out=u)
             u **= 1.0 / dim
-            for spec, r, hits, cell in readers:
-                center = spec.probe_centers[cell[1]]
+            for r, readers in radii:
                 np.multiply(u, r, out=s)
-                for k in range(dim):
-                    np.multiply(dirs[:, k], s, out=x[:, k])
-                    x[:, k] += center[k]
-                hits[cell] += np.count_nonzero(np.asarray(spec.indicator(x), dtype=bool))
+                np.multiply(dirs, s, out=r_dirs)
+                for spec, hits, cell in readers:
+                    # every reader places its points afresh: an indicator
+                    # that writes into its argument changes no other task
+                    np.add(r_dirs, spec.probe_centers[cell[1]][:, None], out=x)
+                    hits[cell] += np.count_nonzero(np.asarray(spec.indicator(x.T), dtype=bool))
         rng.bit_generator.state = state
 
 
@@ -185,19 +221,24 @@ def estimate_volume_profiles(
     dimension stopped, into one buffer sized for the largest dimension, and
     the uniforms are drawn a chunk at a time with the generator's state
     saved before and restored after, so the next dimension's normals follow
-    the last ones.  Chunk by chunk, the directions `g / |g|` are written
-    column by column to a scratch buffer (the raw normals stay for the next
-    dimension) and `u**(1/dim)` is taken in place, once; every (domain,
-    radius, probe) task that reads the stream places the chunk, column by
-    column, in another scratch buffer and adds its hits to its cell of the
-    domain's `int64` hit array.  The indicator sees only that buffer, so one
-    that writes into its argument cannot change another task's points.
+    the last ones.  Chunk by chunk, the directions `g / |g|` are written to
+    a scratch buffer (the raw normals stay for the next dimension) and
+    `u**(1/dim)` is taken in place, once; for each radius that reads the
+    stream, `radius * u**(1/dim) * g / |g|` is written once to a second
+    buffer, and every (domain, radius, probe) task of that radius adds its
+    centre to it in a third buffer and adds its hits to its cell of the
+    domain's `int64` hit array.  The three buffers hold `max_dim` columns of
+    a chunk each, column-major, so every step is one NumPy call on
+    contiguous coordinates.  The indicator sees only the third buffer, which
+    each task writes afresh, so one that writes into its argument cannot
+    change another task's points.
 
     The streams run on `min(2, usable CPUs, streams)` workers: the calling
     thread, and one helper thread when there are two, so no more than two
     threads are busy and one usable CPU starts no thread.  Each worker takes
     whole streams in order from a shared counter, has its own normal buffer
-    (`8 * n * max_dim` bytes) and chunk scratch; no two streams add to the
+    (`8 * n * max_dim` bytes) and chunk scratch (three buffers of
+    `8 * max_dim` bytes a row and two of 8); no two streams add to the
     same cell.  An exception in either worker stops the other at its next
     stream and is raised here as it was, with the hit arrays dropped; the
     helper is joined on every path.
@@ -209,19 +250,19 @@ def estimate_volume_profiles(
     hold the values of `standard_normal((n, dim))` and `random(n)`; each
     step is the same elementwise operation on the same operands
     (`_sum_of_squares` keeps NumPy's summation order), so the points are
-    identical row for row; the indicator acts row by row, and the hit count
-    over the sample count is the mean of the indicator, exactly.  The
+    identical row for row; the indicator acts row by row (and, if it sums
+    along rows, in one order for either layout, as the built-in ones do),
+    and the hit count over the sample count is the mean of the indicator,
+    exactly.  The
     profile keeps, at each radius, the first probe of largest volume.
     """
     tasks = []  # (spec, radii, hit counts by radius and probe)
     for spec, radii in domains:
-        radii = np.asarray(radii, dtype=float)
-        if not np.all(np.isfinite(radii) & (radii > 0)):
-            raise ValueError(f"radii must be positive and finite, got {radii.tolist()}")
+        radii = _lengths("radii", radii)
         if np.any(np.diff(radii) <= 0):
             raise ValueError("radii must be strictly increasing")
         tasks.append((spec, radii, np.zeros((radii.size, spec.probe_centers.shape[0]), np.int64)))
-    if not isinstance(samples_per_radius, (int, np.integer)):
+    if not _is_integer(samples_per_radius):
         raise TypeError(
             f"samples_per_radius must be an integer, got {samples_per_radius!r}"
         )
@@ -233,14 +274,16 @@ def estimate_volume_profiles(
     n_streams = max((hits.size for _, _, hits in tasks), default=0)
     streams = np.random.SeedSequence(seed).spawn(n_streams)
     max_dim = max((spec.dim for spec, _, _ in tasks), default=0)
-    plans = []  # per stream: (dim, [(spec, radius, hits, (i, j))]), dims ascending
+    # per stream: (dim, [(radius, [(spec, hits, (i, j))])]), dims ascending
+    plans = []
     for t in range(n_streams):
         readers = {}
         for spec, radii, hits in tasks:
             i, j = divmod(t, hits.shape[1])
             if i < radii.size:
-                readers.setdefault(spec.dim, []).append((spec, radii[i], hits, (i, j)))
-        plans.append(sorted(readers.items()))
+                by_radius = readers.setdefault(spec.dim, {})
+                by_radius.setdefault(float(radii[i]), []).append((spec, hits, (i, j)))
+        plans.append([(dim, list(by_radius.items())) for dim, by_radius in sorted(readers.items())])
     order = iter(range(n_streams))
     lock = threading.Lock()
     stop = threading.Event()
@@ -250,8 +293,8 @@ def estimate_volume_profiles(
         # whole streams in order, until none is left or a worker has failed;
         # the helper keeps its exception in `errors`, the caller's is raised
         try:
-            scratch = (np.empty(n * max_dim), np.empty(_CHUNK * max_dim),
-                       np.empty(_CHUNK * max_dim), np.empty(_CHUNK), np.empty(_CHUNK))
+            scratch = (np.empty(n * max_dim), *(np.empty(_CHUNK * max_dim) for _ in range(3)),
+                       np.empty(_CHUNK), np.empty(_CHUNK))
             while not stop.is_set():
                 with lock:
                     t = next(order, None)
@@ -321,8 +364,12 @@ def box_domain(side_lengths: Sequence[float]) -> DomainSpec:
 
 
 def ball_domain(radius: float, dim: int) -> DomainSpec:
+    radius = float(_lengths("radius", radius))
+    _check_dim(dim)
+
     def indicator(points: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(points, axis=1) <= radius
+        # np.linalg.norm's sum, in its order for either memory layout
+        return np.sqrt(_sum_of_squares(points)) <= radius
 
     return DomainSpec(
         dim=dim,
@@ -333,6 +380,7 @@ def ball_domain(radius: float, dim: int) -> DomainSpec:
 
 def ball_cylinder_domain(radius: float) -> DomainSpec:
     """Right circular cylinder: a disk of the given radius in (x, y), z free."""
+    radius = float(_lengths("radius", radius))
 
     def indicator(points: np.ndarray) -> np.ndarray:
         return points[:, 0] ** 2 + points[:, 1] ** 2 <= radius * radius
@@ -342,6 +390,7 @@ def ball_cylinder_domain(radius: float) -> DomainSpec:
 
 def half_space_domain(dim: int) -> DomainSpec:
     """Points with nonnegative last coordinate."""
+    _check_dim(dim)
 
     def indicator(points: np.ndarray) -> np.ndarray:
         return points[:, -1] >= 0
@@ -351,7 +400,9 @@ def half_space_domain(dim: int) -> DomainSpec:
 
 def slab_domain(side_lengths: Sequence[float], free_dims: int) -> DomainSpec:
     """Product of a centred box with free Euclidean directions: F x R^k."""
-    sides = np.asarray(side_lengths, dtype=float)
+    sides = _lengths("side lengths", side_lengths)
+    if not _is_integer(free_dims) or free_dims < 0:
+        raise ValueError(f"free_dims must be a nonnegative integer, got {free_dims!r}")
     half = sides / 2
     m = sides.size
     dim = m + free_dims
@@ -382,6 +433,7 @@ def wedge_domain(angle: float, probe_distance: float = 1.0) -> DomainSpec:
 
 def paraboloid_domain(dim: int, probe_height: float = 1.0) -> DomainSpec:
     """Region above the paraboloid: last coordinate at least |rest|^2."""
+    _check_dim(dim)
 
     def indicator(points: np.ndarray) -> np.ndarray:
         return points[:, -1] >= _sum_of_squares(points[:, :-1])

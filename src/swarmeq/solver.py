@@ -162,6 +162,8 @@ class ContinuationSchedule:
     @classmethod
     def geometric(cls, nu_start: float, nu_target: float, stages: int) -> "ContinuationSchedule":
         """Geometrically spaced stages from nu_start down to nu_target."""
+        if isinstance(stages, bool) or not isinstance(stages, (int, np.integer)):
+            raise ValueError(f"stages must be an integer, got {stages!r}")
         if stages < 1:
             raise ValueError(f"need at least one stage, got {stages}")
         if stages == 1 or nu_start == nu_target:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -78,7 +79,7 @@ class TestVolumeEstimates:
         with pytest.raises(ValueError, match="10\\^4"):
             estimate_volume_profile(spec, [1.0, 2.0], 100)
 
-    @pytest.mark.parametrize("samples", [1e4, 20_000.0, "20000", None], ids=repr)
+    @pytest.mark.parametrize("samples", [1e4, 20_000.0, "20000", None, True], ids=repr)
     def test_samples_per_radius_must_be_an_integer(self, samples):
         # 1e4 used to fail inside np.empty with a TypeError about '20000.0'
         with pytest.raises(TypeError, match="samples_per_radius must be an integer"):
@@ -112,6 +113,74 @@ class TestVolumeEstimates:
         with pytest.raises(ValueError, match=f"dim must be at least 1, got {dim}"):
             DomainSpec(dim=dim, indicator=lambda pts: np.ones(len(pts), bool),
                        probe_centers=np.zeros((1, max(dim, 0))))
+
+    @pytest.mark.parametrize("dim", [2.0, np.float64(2.0), True, False, "2"], ids=repr)
+    def test_dimension_must_be_an_integer(self, dim):
+        # dim = 2.0 used to build and then fail in the sampler's np.empty, and
+        # dim = True to fail there with "an integer is required"
+        with pytest.raises(TypeError, match=f"dim must be an integer, got {re.escape(repr(dim))}"):
+            DomainSpec(dim=dim, indicator=lambda pts: np.ones(len(pts), bool),
+                       probe_centers=np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("build", [lambda dim: ball_domain(1.0, dim), half_space_domain,
+                                       paraboloid_domain], ids=["ball", "half-space", "paraboloid"])
+    @pytest.mark.parametrize("dim", [2.0, True], ids=repr)
+    def test_constructors_check_the_dimension_first(self, build, dim):
+        # np.zeros((1, dim)) failed first, without naming the value
+        with pytest.raises(TypeError, match=f"dim must be an integer, got {dim!r}"):
+            build(dim)
+
+    def test_numpy_integer_dimension(self):
+        def spec(dim):
+            return DomainSpec(dim=dim, indicator=lambda pts: pts[:, 0] <= 0.5,
+                              probe_centers=np.zeros((1, 2)))
+
+        a = estimate_volume_profile(spec(np.int64(2)), [1.0, 2.0], SAMPLES, seed=1)
+        b = estimate_volume_profile(spec(2), [1.0, 2.0], SAMPLES, seed=1)
+        np.testing.assert_array_equal(a.volumes, b.volumes)
+
+    @pytest.mark.parametrize("build, message", [
+        # the indicator squared the radius: this built the radius-1 cylinder
+        (lambda: ball_cylinder_domain(-1.0), "radius must be positive and finite, got -1.0"),
+        # these failed in the probe check, blaming the probe centre
+        (lambda: ball_domain(-1.0, 3), "radius must be positive and finite, got -1.0"),
+        (lambda: ball_domain(math.inf, 2), "radius must be positive and finite, got inf"),
+        (lambda: box_domain([-1.0, 2.0]),
+         re.escape("side lengths must be positive and finite, got [-1.0, 2.0]")),
+        (lambda: slab_domain([1.0, 0.0], free_dims=1),
+         re.escape("side lengths must be positive and finite, got [1.0, 0.0]")),
+        # an IndexError, and a TypeError, from inside the indicator
+        (lambda: slab_domain([1.0, 1.0], free_dims=-1),
+         "free_dims must be a nonnegative integer, got -1"),
+        (lambda: slab_domain([1.0, 1.0], free_dims=1.5),
+         "free_dims must be a nonnegative integer, got 1.5"),
+        (lambda: slab_domain([1.0], free_dims=True),
+         "free_dims must be a nonnegative integer, got True"),
+    ], ids=["cylinder", "ball", "ball-inf", "box", "slab-side", "slab-negative", "slab-float",
+            "slab-bool"])
+    def test_constructors_reject_bad_sizes(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: wedge_domain(math.pi / 4, probe_distance=math.inf),
+        lambda: paraboloid_domain(3, probe_height=math.inf),
+        lambda: DomainSpec(dim=2, indicator=lambda pts: pts[:, 0] <= 1.0,
+                           probe_centers=[[0.0, math.nan]]),
+    ], ids=["wedge", "paraboloid", "nan"])
+    def test_probe_centers_must_be_finite(self, build):
+        # an infinite probe passed the check, and every sample around it was
+        # inside: the profile read the whole ball at every radius
+        with pytest.raises(ValueError, match="probe centers must be finite"):
+            build()
+
+    def test_probe_centers_are_copied(self):
+        # the spec used to keep the caller's array, which could then move the
+        # probes out of the domain after the check
+        centers = np.zeros((1, 2))
+        spec = DomainSpec(dim=2, indicator=lambda pts: pts[:, 0] <= 1.0, probe_centers=centers)
+        centers[:] = 5.0
+        np.testing.assert_array_equal(spec.probe_centers, np.zeros((1, 2)))
 
     def test_probe_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -316,6 +385,25 @@ class TestStreamedSampler:
             np.testing.assert_array_equal(profile.volumes, volumes)
             np.testing.assert_array_equal(profile.stderr, stderr)
 
+    @pytest.mark.parametrize("samples", [10_000, 40_001])
+    def test_domains_that_share_their_radii(self, samples):
+        # the two cylinders' tasks of one stream share one scaling of the
+        # directions and place it around their own centres
+        radii, cylinder = np.geomspace(2.0, 20.0, 4), ball_cylinder_domain(2.0).indicator
+        near = DomainSpec(dim=3, indicator=cylinder,
+                          probe_centers=[[0.0, 0.0, 0.0], [1.0, 0.5, -3.0]])
+        far = DomainSpec(dim=3, indicator=cylinder,
+                         probe_centers=[[0.5, -1.0, 7.0], [-1.5, 0.0, 2.0]])
+        domains = [(near, radii), (far, radii), (box_domain([2.0] * 3), radii * 1.5)]
+        profiles = estimate_volume_profiles(domains, samples, seed=8)
+        for (spec, radii), profile in zip(domains, profiles):
+            alone = estimate_volume_profile(spec, radii, samples, seed=8)
+            volumes, stderr = _reference_profile(spec, radii, samples, seed=8)
+            for expected in ((alone.volumes, alone.stderr), (volumes, stderr)):
+                np.testing.assert_array_equal(profile.volumes, expected[0])
+                np.testing.assert_array_equal(profile.stderr, expected[1])
+        assert np.any(profiles[0].volumes != profiles[1].volumes)
+
     def test_an_indicator_that_writes_its_argument_changes_no_other_domain(self):
         def scribble(pts):
             inside = pts[:, 0] >= 0
@@ -325,12 +413,29 @@ class TestStreamedSampler:
         radii, samples = [1.0, 4.0, 10.0], 40_001
         half_plane = half_space_domain(2)
         vandal = DomainSpec(dim=2, indicator=scribble, probe_centers=np.full((2, 2), 0.5))
+        # the half-plane's radii and centre: it reads the same scaled rows
+        twin = DomainSpec(dim=2, indicator=scribble, probe_centers=np.zeros((1, 2)))
+        # the probe check used to pass the probes themselves, which moved to 1e9
+        np.testing.assert_array_equal(twin.probe_centers, half_plane.probe_centers)
         alone = estimate_volume_profile(half_plane, radii, samples, seed=6)
-        for order in ([vandal, half_plane], [half_plane, vandal]):
+        for order in itertools.permutations([vandal, twin, half_plane]):
             profiles = estimate_volume_profiles([(spec, radii) for spec in order], samples, seed=6)
             shared = profiles[order.index(half_plane)]
             np.testing.assert_array_equal(shared.volumes, alone.volumes)
             np.testing.assert_array_equal(shared.stderr, alone.stderr)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 9])
+    def test_sums_of_squares_do_not_depend_on_the_layout(self, dim):
+        # indicators see column-major views; NumPy sums 8 or more columns of
+        # those in another order than of contiguous rows
+        points = np.random.default_rng(dim).standard_normal((2000, dim))
+        norms = np.linalg.norm(points, axis=1)
+        for layout in (points, np.asfortranarray(points)):
+            np.testing.assert_array_equal(np.sqrt(geometry._sum_of_squares(layout)), norms)
+            # points 0..9 lie on the boundary of a ball each
+            for radius in norms[:10]:
+                np.testing.assert_array_equal(ball_domain(radius, dim).indicator(layout),
+                                              norms <= radius)
 
     def test_column_indicators_match_row_formulas_on_the_boundary(self):
         sides = np.array([2.0, 0.5, 3.0])

@@ -84,6 +84,17 @@ class TestContinuationSchedule:
         with pytest.raises(TypeError, match="stages"):
             ContinuationSchedule.geometric(1e-2, 1e-3)
 
+    @pytest.mark.parametrize("stages", [True, 3.0, np.float64(3.0), "3"], ids=repr)
+    def test_geometric_stages_must_be_an_integer(self, stages):
+        # True gave a one-stage schedule and 3.0 a bare TypeError from range
+        message = f"stages must be an integer, got {re.escape(repr(stages))}"
+        with pytest.raises(ValueError, match=message):
+            ContinuationSchedule.geometric(1e-2, 1e-3, stages=stages)
+
+    def test_geometric_takes_numpy_integer_stages(self):
+        assert (ContinuationSchedule.geometric(1e-2, 1e-3, stages=np.int64(4))
+                == ContinuationSchedule.geometric(1e-2, 1e-3, stages=4))
+
     @pytest.mark.parametrize("nus", [(), (0.1, 0.2), (0.1, -0.01), (0.1, 0.1), (math.nan,)])
     def test_validation(self, nus):
         with pytest.raises(ValueError):
